@@ -52,12 +52,10 @@ ANALYSIS_RULES = frozenset({
     "witness-sum-lift",
     "empty-interior",
     "b-violation-family",
-    "isolated-probe",
     "full-rank",
     "compose-closure",
     "compose-inclusion",
     "separable-thom",
-    "pair-axes-gate",
     "declared",
 })
 

@@ -98,11 +98,6 @@ def _decl(args):
     return gf.single(getattr(args, "germ", None))
 
 
-def _real_germ(decl):
-    # Mixed declarations take part in the real analyses via realification.
-    return decl.germ if decl.kind == "map" else decl.realified
-
-
 def cmd_parse(args) -> int:
     gf = parse_path(args.file)
     decls = [gf.single(args.germ)] if args.germ else list(gf.decls)
@@ -127,7 +122,7 @@ def cmd_parse(args) -> int:
 
 def cmd_milnor(args) -> int:
     decl = _decl(args)
-    md = milnor_data(_real_germ(decl))
+    md = milnor_data(decl.germ)
     _emit({"command": "milnor", **md.to_json_dict()},
           args, f"milnor_poly({decl.name}) = {md.milnor_poly.text()}")
     return 0
@@ -135,7 +130,7 @@ def cmd_milnor(args) -> int:
 
 def cmd_sing(args) -> int:
     decl = _decl(args)
-    germ = _real_germ(decl)
+    germ = decl.germ
     minors = germ.singular_minors()
     empty = any(m.is_constant() and m.constant_value() != 0 for m in minors)
     _emit({"command": "sing", "germ": germ.label(),
@@ -188,9 +183,9 @@ def cmd_construct_sum(args) -> int:
     else:
         raise GermlabUsage(
             "construct sum needs a two-germ file or --left/--right names")
-    out, frame = separable_sum(_real_germ(left), _real_germ(right))
+    out, frame = separable_sum(left.germ, right.germ)
     rep = separable_sum_report(
-        _real_germ(left), _real_germ(right), out, frame,
+        left.germ, right.germ, out, frame,
         declared_thom_summands=args.declare_thom_summands,
         declared_codim_matches=args.declare_codim_matches)
     _emit({"command": "construct-sum", "left": left.name, "right": right.name,
@@ -206,7 +201,7 @@ def cmd_construct_sum(args) -> int:
 
 def cmd_construct_product(args) -> int:
     decl = _decl(args)
-    out, frame = product_pair(_real_germ(decl))
+    out, frame = product_pair(decl.germ)
     _emit({"command": "construct-product", "germ": decl.name,
            "components": [c.text() for c in out.components],
            "holds": frame.holds,
@@ -223,16 +218,25 @@ def _split_names(raw: str) -> list[str]:
 
 def cmd_construct_mixed_algo(args) -> int:
     names = _split_names(args.vars)
+    left = _split_names(args.left)
+    if not names:
+        raise GermlabUsage("--vars needs at least one name")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise GermlabUsage(f"--vars repeats {', '.join(repeated)}")
+    missing = [n for n in left if n not in names]
+    if missing:
+        raise GermlabUsage(f"--left names {', '.join(missing)} not in --vars")
     ctx = VarContext(names)
     blocks = {
         key: [parse_mixed_expr(src, ctx) for src in getattr(args, key) or []]
         for key in ("f", "g", "r", "h")
     }
     poly, frame = mixed_algorithm_build(
-        len(names), _split_names(args.left),
-        blocks["f"], blocks["g"], blocks["r"], blocks["h"], ctx)
+        len(names), left, blocks["f"], blocks["g"], blocks["r"], blocks["h"],
+        ctx)
     _emit({"command": "construct-mixed-algo",
-           "variables": names, "left": _split_names(args.left),
+           "variables": names, "left": left,
            "poly": poly.text(), "holds": frame.holds,
            "conformal_factor":
                frame.conformal_factor.text() if frame.conformal_factor else None},
@@ -274,7 +278,7 @@ def cmd_witness(args) -> int:
 
 def cmd_probe_b(args) -> int:
     decl = _decl(args)
-    germ = _real_germ(decl)
+    germ = decl.germ
     rep = RegularityReport(germ_name=germ.label())
     if args.witness:
         if decl.kind != "map" or args.witness not in decl.witnesses:
@@ -312,8 +316,8 @@ def cmd_compose_check(args) -> int:
     declared_inner = set(args.declare_inner or [])
     declared_outer = set(args.declare_outer or [])
     if args.mode == "sampled":
-        finding = composition_sampled_probe(_real_germ(outer),
-                                            _real_germ(inner), _config(args))
+        finding = composition_sampled_probe(outer.germ, inner.germ,
+                                            _config(args))
         _emit({"command": "compose-check", "mode": "sampled",
                "inner": inner.name, "outer": outer.name,
                "suspicious": finding.suspicious, "detail": finding.detail,
@@ -328,9 +332,8 @@ def cmd_compose_check(args) -> int:
             f"set on the inner germ (file has: {known})")
     comps = inner.sets[args.set]
     if args.mode == "inclusion":
-        chk = image_in_milnor_check(_real_germ(outer), _real_germ(inner),
-                                    comps)
-        rep = inclusion_report(_real_germ(outer), _real_germ(inner), chk,
+        chk = image_in_milnor_check(outer.germ, inner.germ, comps)
+        rep = inclusion_report(outer.germ, inner.germ, chk,
                                declared_inner=declared_inner,
                                declared_outer=declared_outer)
         body = {"verified": list(chk.verified), "failed": list(chk.failed),
@@ -346,9 +349,9 @@ def cmd_compose_check(args) -> int:
                     f"no assert_poly named {args.claim!r} on the outer germ "
                     f"(file has: {known})")
             claim = outer.polys[args.claim]
-        chk = composition_milnor_check(_real_germ(outer), _real_germ(inner),
-                                       comps, closure_claim=claim)
-        rep = composition_report(_real_germ(outer), _real_germ(inner), chk,
+        chk = composition_milnor_check(outer.germ, inner.germ, comps,
+                                       closure_claim=claim)
+        rep = composition_report(outer.germ, inner.germ, chk,
                                  declared_inner=declared_inner,
                                  declared_outer=declared_outer)
         body = {"components": [dataclasses.asdict(f) for f in chk.components],
@@ -368,7 +371,7 @@ def cmd_compose_check(args) -> int:
 
 def cmd_certify(args) -> int:
     decl = _decl(args)
-    germ = _real_germ(decl)
+    germ = decl.germ
     res = hwc_check(germ)
     rep = certify_frame(germ, res)
     for fact in args.declare or []:

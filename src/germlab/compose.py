@@ -378,12 +378,10 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
     config = config or RunConfig()
     h = compose_exact(outer, inner)
     a = h.stacked()
-    milnor_res = a.minors(a.rows)
-    sing_h = h.singular_minors()
-    sing_g = outer.singular_minors()
     f_fn = compile_float(list(inner.components))
-    sigma_fn = compile_float(sing_h)
-    mil_fn = compile_float(milnor_res)
+    sigma_fn = compile_float(h.singular_minors())
+    mil_fn = compile_float(a.minors(a.rows))
+    sing_g_fn = compile_float(outer.singular_minors())
 
     rng = derive_rng(config.seed, f"compose:{h.label()}")
     m = inner.source_arity
@@ -403,12 +401,12 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
             s = sigma_fn(pt)
             return float(np.sum(s * s) / top - 1.0)
 
-        x = refine_on_variety(milnor_res, x, extra_residual=top_gap)
+        x = refine_on_variety(mil_fn, x, extra_residual=top_gap)
         s = sigma_fn(x)
         sigma = float(np.sum(s * s))
         if not (top / 4 <= sigma <= 4 * top) or np.max(np.abs(mil_fn(x))) > 1e-7:
             continue
-        q = nearest_on_variety(sing_g, f_fn(x))
+        q = nearest_on_variety(sing_g_fn, f_fn(x))
         rho = float(np.linalg.norm(q))
         if rho < config.r_min:
             continue
@@ -421,12 +419,12 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
                 pin = 10.0 * (float(np.dot(f_fn(pt), uhat)) / rho - 1.0)
                 return np.array([gap, pin])
 
-            x = refine_on_variety(milnor_res, x, extra_residual=pinned)
+            x = refine_on_variety(mil_fn, x, extra_residual=pinned)
             s = sigma_fn(x)
             sigma = float(np.sum(s * s))
             res = np.max(np.abs(mil_fn(x)))
             img = f_fn(x)
-            q = nearest_on_variety(sing_g, img)
+            q = nearest_on_variety(sing_g_fn, img)
             qn = float(np.linalg.norm(q))
             dist = float(np.linalg.norm(q - img))
             norm = float(np.linalg.norm(x))

@@ -6,16 +6,16 @@ Every check carries a provenance tag (literature, derived, trivial);
 literature rows restate a published worked example and point at it
 through an anchor string.
 
-Entries are independent, so the runner executes them concurrently and
-sorts the assembled results by entry id; output never depends on
-scheduling.  All expected values are exact texts or verdicts, which is
-what makes byte-stable comparison possible in the first place.
+Entries are independent: the runner executes them one after another and
+sorts the results by entry id, and an entry that raises becomes an error
+outcome instead of ending the run.  All expected values are exact texts
+or verdicts, which is what makes byte-stable comparison possible in the
+first place.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from germlab.compose import (
     image_in_milnor_check,
     inclusion_report,
 )
-from germlab.dsl import GermlabUsage, GermParseError, parse_path
+from germlab.dsl import parse_path
 from germlab.germs import GermlabRejection, milnor_data, realify_mixed
 from germlab.hwc import (
     certify_frame,
@@ -315,10 +315,11 @@ def run_entry(entry_id: str, row: dict, config: RunConfig) -> EntryOutcome:
         return EntryOutcome(
             entry_id, "error", (),
             detail=f"corrupted expectation entry {entry_id!r}: missing {exc}")
-    except (GermlabRejection, GermlabUsage, GermParseError, OSError) as exc:
+    except Exception as exc:
         return EntryOutcome(
             entry_id, "error", (),
-            detail=f"entry {entry_id!r} failed to run: {exc}")
+            detail=f"entry {entry_id!r} failed to run: "
+                   f"{type(exc).__name__}: {exc}")
     checks = []
     for chk in wanted:
         name = chk.get("name")
@@ -342,15 +343,10 @@ def run_corpus(filter_substr: str = "",
                manifest: dict | None = None) -> list[EntryOutcome]:
     config = config or RunConfig()
     manifest = manifest or load_manifest()
-    rows = {k: v for k, v in manifest["entries"].items()
-            if filter_substr in k}
-    if not rows:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(rows))) as pool:
-        futures = [pool.submit(run_entry, k, v, config)
-                   for k, v in rows.items()]
-        results = [f.result() for f in futures]
-    return sorted(results, key=lambda r: r.entry)
+    return sorted((run_entry(k, v, config)
+                   for k, v in manifest["entries"].items()
+                   if filter_substr in k),
+                  key=lambda r: r.entry)
 
 
 def corpus_report(results: list[EntryOutcome], seed: int) -> dict:

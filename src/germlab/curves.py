@@ -218,20 +218,11 @@ class DirectionLimit:
     """Leading direction of a Laurent vector as t -> 0.
 
     The valuation is the minimal power of t appearing in any coordinate;
-    leading collects each coordinate's coefficient at that power.  The
-    degenerate flag marks a leading vector that vanishes identically on a
-    declared admissible region, in which case no conclusion is drawn.
+    leading collects each coordinate's coefficient at that power.
     """
 
     valuation: int
     leading: tuple[Polynomial, ...]
-    degenerate: bool = False
-
-    def norm_sq(self) -> Polynomial:
-        acc = self.leading[0].ctx.zero()
-        for p in self.leading:
-            acc = acc + p * p
-        return acc
 
     def text(self) -> str:
         return "(" + ", ".join(p.text() for p in self.leading) + ")"

@@ -702,6 +702,11 @@ class ResolvedMixedGerm:
     sets: dict[str, list[Parametrization]]
     polys: dict[str, Polynomial]
 
+    @property
+    def germ(self) -> RealMapGerm:
+        # Mixed declarations take part in the real analyses via realification.
+        return self.realified
+
     def canonical_text(self) -> str:
         out = [f"mixed {self.name} : C^{self.ctx.arity} -> C",
                "vars " + ", ".join(self.ctx.names),

@@ -274,10 +274,6 @@ def germ_pullback(germ: RealMapGerm, phi: Parametrization) -> list[PullbackResul
     return [pullback_vanishes(g, phi) for g in germ.components]
 
 
-def annihilates(polys: Sequence[Polynomial], phi: Parametrization) -> bool:
-    return all(pullback_numerator(p, phi).is_zero() for p in polys)
-
-
 # -- realification of mixed maps ----------------------------------------
 
 

@@ -21,7 +21,6 @@ from germlab.germs import (
     GermlabRejection,
     Parametrization,
     RealMapGerm,
-    annihilates,
     milnor_data,
     pullback_numerator,
     pullback_vanishes,

@@ -161,9 +161,6 @@ class MixedPolynomial:
         """No conjugated variable survives expansion."""
         return all(not any(mu) for _, mu in self.terms)
 
-    def is_antiholomorphic(self) -> bool:
-        return all(not any(nu) for nu, _ in self.terms)
-
     def support(self) -> set[int]:
         """Indices of complex variables actually appearing."""
         out = set()

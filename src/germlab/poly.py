@@ -118,10 +118,6 @@ class Polynomial:
         assert self.is_constant(), f"not a constant: {self}"
         return self.terms.get((0,) * self.ctx.arity, Fraction(0))
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def degree_in(self, name: str) -> int:
         i = self.ctx.position(name)
         return max((e[i] for e in self.terms), default=0)
@@ -260,10 +256,13 @@ class Polynomial:
 
         Repeated leading-term cancellation under graded lex; in an integral
         domain the leading term of the remainder stays divisible whenever
-        divisor | self, so a failed monomial division means the caller lied.
+        divisor | self, so a failed monomial division proves the division
+        inexact.  Raises ArithmeticError then, and ZeroDivisionError (also
+        an ArithmeticError) on a zero divisor.
         """
         self._require_same_ctx(divisor)
-        assert not divisor.is_zero(), "division by zero polynomial"
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
         ed, cd = divisor.leading()
@@ -273,9 +272,9 @@ class Polynomial:
             er = max(rem, key=_grlex)
             cr = rem[er]
             eq = tuple(a - b for a, b in zip(er, ed))
-            assert all(k >= 0 for k in eq), (
-                f"inexact division: {Polynomial(self.ctx, rem)} by {divisor}"
-            )
+            if any(k < 0 for k in eq):
+                raise ArithmeticError(
+                    f"inexact division: {Polynomial(self.ctx, rem)} by {divisor}")
             cq = cr / cd
             out[eq] = cq
             for e2, c2 in divisor.terms.items():

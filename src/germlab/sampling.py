@@ -4,14 +4,14 @@ Exact identities never depend on anything here; these utilities exist for
 cross-checks (finite differences, rank comparisons) and for the sampled
 probes, all of which must be reproducible bit-for-bit.  Every random draw
 goes through a Random instance derived from one master seed plus a task
-label, so parallel and serial runs see identical streams.
+label, so a probe's stream never depends on what ran before it.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,16 +34,9 @@ class RunConfig:
     seed: int = field(default_factory=default_seed)
     samples: int = 200
     radius: float = 2.0
-    max_denominator: int = 64
     tol_variety: float = 1e-9     # point-on-variety acceptance, scaled
     tol_accum: float = 1e-3       # accumulation detection, relative
     r_min: float = 0.05           # witnesses must keep this norm
-    fd_h: float = 1e-6
-    fd_rel: float = 1e-4
-
-    def with_overrides(self, **kw) -> "RunConfig":
-        kw = {k: v for k, v in kw.items() if v is not None}
-        return replace(self, **kw) if kw else self
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
@@ -136,17 +129,15 @@ def compile_scale(polys: Sequence[Polynomial]):
     return f
 
 
-def refine_on_variety(polys: Sequence[Polynomial], x0: np.ndarray,
-                      extra_residual=None, bounds=None):
-    """Least-squares refinement of x0 onto the common zero set of polys.
+def refine_on_variety(fn, x0: np.ndarray, extra_residual=None):
+    """Least-squares refinement of x0 onto the common zero set of fn.
 
-    extra_residual, when given, is a callable appended to the residual
-    vector (used to pin continuation targets).  Deterministic: scipy's trf
-    with fixed start, no stochastic restarts.
+    fn is a compiled evaluator (see compile_float).  extra_residual, when
+    given, is a callable appended to the residual vector (used to pin
+    continuation targets).  Deterministic: scipy's trf with fixed start,
+    no stochastic restarts.
     """
     from scipy.optimize import least_squares
-
-    fn = compile_float(polys)
 
     def resid(x):
         r = fn(x)
@@ -154,17 +145,14 @@ def refine_on_variety(polys: Sequence[Polynomial], x0: np.ndarray,
             r = np.concatenate([r, np.atleast_1d(extra_residual(x))])
         return r
 
-    kw = {"method": "trf", "xtol": 1e-14, "ftol": 1e-14, "gtol": 1e-14,
-          "max_nfev": 400}
-    if bounds is not None:
-        kw["bounds"] = bounds
-    sol = least_squares(resid, np.asarray(x0, dtype=float), **kw)
+    sol = least_squares(resid, np.asarray(x0, dtype=float), method="trf",
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
     return sol.x
 
 
-def nearest_on_variety(polys: Sequence[Polynomial], target: np.ndarray,
+def nearest_on_variety(fn, target: np.ndarray,
                        weight: float = 1e4) -> np.ndarray:
-    """Approximate metric projection of `target` onto the zero set of polys.
+    """Approximate metric projection of `target` onto the zero set of fn.
 
     The variety residuals are weighted far above the distance pull so the
     constraint binds first and the leftover degrees of freedom minimize
@@ -172,17 +160,9 @@ def nearest_on_variety(polys: Sequence[Polynomial], target: np.ndarray,
     constraint satisfaction against drifting toward small-residual
     regions such as the origin.
     """
-    from scipy.optimize import least_squares
-
     t = np.asarray(target, dtype=float)
-    fn = compile_float(polys)
-
-    def resid(x):
-        return np.concatenate([weight * fn(x), x - t])
-
-    sol = least_squares(resid, t, method="trf", xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14, max_nfev=400)
-    return sol.x
+    return refine_on_variety(lambda x: weight * fn(x), t,
+                             extra_residual=lambda x: x - t)
 
 
 def fd_gradient(p: Polynomial, point: Sequence[float], h: float = 1e-6) -> list[float]:

@@ -311,6 +311,9 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     comp_scale = compile_scale(list(germ.components))
     minor_fn = compile_float(minors)
     minor_scale = compile_scale(minors)
+    fibers = [(phi.params.arity, compile_float(list(phi.numerators)),
+               compile_float(list(phi.denominators)))
+              for phi in fiber_components]
 
     rng = derive_rng(config.seed, f"probe-b:{germ.label()}")
     m = germ.source_arity
@@ -319,7 +322,7 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     for k in range(config.samples):
         seed_pt = np.array([rng.uniform(-config.radius, config.radius)
                             for _ in range(m)])
-        x = refine_on_variety(minors, seed_pt)
+        x = refine_on_variety(minor_fn, seed_pt)
         scale = minor_scale(x)
         if np.max(np.abs(minor_fn(x)) / scale) > config.tol_variety:
             continue
@@ -329,7 +332,7 @@ def condition_b_sampled_probe(germ: RealMapGerm,
         gx = np.abs(comp_fn(x)) / comp_scale(x)
         if np.max(gx) < config.tol_variety * 10:
             continue  # on the fiber; not a probe point
-        dist = _distance_to_components(x, fiber_components, rng)
+        dist = _distance_to_components(x, fibers, rng)
         ratio = dist / norm
         hits.append((ratio, norm, dist))
         if best is None or ratio < best[0]:
@@ -349,17 +352,16 @@ def condition_b_sampled_probe(germ: RealMapGerm,
                              samples={"count": len(hits), "seed": config.seed})
 
 
-def _distance_to_components(x, components: list[Parametrization], rng) -> float:
-    """Crude but deterministic distance: dense parameter sampling plus polish."""
+def _distance_to_components(x, components, rng) -> float:
+    """Crude but deterministic distance: dense parameter sampling plus polish.
+
+    components holds one (parameter count, numerators, denominators)
+    triple per fiber parametrization, the last two compiled evaluators.
+    """
     import numpy as np
 
-    from germlab.sampling import compile_float
-
     best = float("inf")
-    for phi in components:
-        k = phi.params.arity
-        nums = compile_float(list(phi.numerators))
-        dens = compile_float(list(phi.denominators))
+    for k, nums, dens in components:
 
         def point_of(s):
             d = dens(s)

@@ -261,6 +261,23 @@ def test_construct_mixed_algo_rejects_misplaced_variable(capsys):
     assert json.loads(out)["error"]["details"]["variables"] == ["z2"]
 
 
+@pytest.mark.parametrize("vars_, left, needle", [
+    (",", "z1", "--vars"),
+    ("z1,z1", "z1", "z1"),
+    ("z1,z2", "z1,w", "w"),
+])
+def test_construct_mixed_algo_bad_variable_lists_are_usage_errors(
+        capsys, vars_, left, needle):
+    code, out, err = run_cli(
+        capsys, "construct", "mixed-algo",
+        "--vars", vars_, "--left", left, "--f", "z1", "--g", "z2")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("germlab:")
+    assert needle in lines[0]
+
+
 def test_sing_command_lists_minors(capsys):
     doc = run_json(capsys, "sing", f"{CORPUS}/ex2.germ")
     assert doc["singular_set_empty"] is False

@@ -117,3 +117,28 @@ def test_missing_germ_file_is_an_error_entry(manifest):
     doctored["file"] = "missing.germ"
     out = run_entry("mfx1", doctored, RunConfig())
     assert out.status == "error"
+
+
+def test_milnor_row_on_a_mixed_declaration(capsys):
+    from germlab.cli import main
+
+    assert main(["milnor", str(DATA_DIR / "fgbar.germ"), "--germ", "fgF"]) == 0
+    printed = json.loads(capsys.readouterr().out)["milnor_poly"]
+    row = {"analysis": "milnor", "file": "fgbar.germ", "germ": "fgF",
+           "checks": [{"name": "milnor_poly", "want": printed}]}
+    out = run_entry("fgF-milnor", row, RunConfig())
+    assert out.status == "ok", out.detail or out.checks
+
+
+def test_raising_entry_becomes_an_error_and_the_run_goes_on(manifest):
+    rows = {
+        # Mixed declarations carry no witness blocks: AttributeError.
+        "bad": {"analysis": "witness", "file": "fgbar.germ", "germ": "fgF",
+                "witness": "w", "checks": []},
+        "ex2": manifest["entries"]["ex2"],
+    }
+    results = run_corpus(manifest={"schema_version": 1, "entries": rows})
+    assert [(r.entry, r.status) for r in results] == [
+        ("bad", "error"), ("ex2", "ok")]
+    assert "AttributeError" in results[0].detail
+    assert "witnesses" in results[0].detail

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import germlab
 from germlab.poly import Polynomial, PolyMatrix, VarContext
 
 from oracles import fraction_rank, leibniz_det, sympy_expand_equal
@@ -98,8 +103,30 @@ def test_exact_div_roundtrip(p, q):
 
 def test_exact_div_rejects_inexact():
     x, y, _ = XYZ.gens()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError):
         (x**2 + y).exact_div(x + 1)
+    with pytest.raises(ArithmeticError):
+        (x**2 + y).exact_div(x)
+    with pytest.raises(ArithmeticError):
+        x.exact_div(XYZ.zero())
+
+
+def test_exact_div_rejects_inexact_under_optimize():
+    # The exactness check must not be an assert that -O strips.
+    code = (
+        "from germlab.poly import VarContext\n"
+        "x, y, _ = VarContext(['x', 'y', 'z']).gens()\n"
+        "for d in (x + 1, x):\n"
+        "    try:\n"
+        "        q = (x**2 + y).exact_div(d)\n"
+        "    except ArithmeticError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'returned {q.text()}')\n")
+    src = str(Path(germlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_matches_repeated_product():
