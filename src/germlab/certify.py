@@ -59,6 +59,8 @@ ANALYSIS_RULES = frozenset({
     "declared",
 })
 
+RULE_IDS = ANALYSIS_RULES | {rule for rule, _, _ in CLOSURE_RULES}
+
 
 class ContradictionError(Exception):
     def __init__(self, fact: str, negation: str, chain_a: list[str], chain_b: list[str]):
@@ -87,7 +89,10 @@ class RegularityReport:
     # -- fact installation ----------------------------------------------
 
     def add_fact(self, fact: str, rule: str, inputs: tuple[str, ...] = ()):
-        assert fact in FACTS, f"unknown fact {fact!r}"
+        if fact not in FACTS:
+            raise ValueError(f"unknown fact {fact!r}")
+        if rule not in RULE_IDS:
+            raise ValueError(f"unknown rule id {rule!r}")
         neg = NEGATION.get(fact)
         if neg and neg in self.facts:
             raise ContradictionError(fact, neg,

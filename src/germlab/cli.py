@@ -1,19 +1,20 @@
 """Command line front end.
 
-Subcommands parse germ files, run one analysis each, and print a JSON
-report to stdout.  With --json PATH the report goes to the file instead
-and stdout gets a one-line summary; `corpus run` always prints its
-pass/fail table and writes JSON only on request.
+Subcommands parse germ files, run one analysis each from
+`germlab.analyses`, and print its JSON report to stdout.  With --json
+PATH the report goes to the file instead and stdout gets a one-line
+summary; `corpus run` always prints its pass/fail table and writes JSON
+only on request.
 
 Exit codes: 0 success, 1 analysis rejection (structured reason in the
-JSON error document), 2 usage error (bad flags, unreadable file,
-malformed DSL).  Reports carry no timestamps, so identical invocations
-produce byte-identical output; sampled modes embed their seed.
+JSON error document), 2 usage error (bad flags, unknown fact names,
+unreadable file, malformed DSL).  Reports carry no timestamps, so
+identical invocations produce byte-identical output; sampled modes embed
+their seed.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -21,14 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from germlab.certify import ContradictionError, RegularityReport
-from germlab.compose import (
-    composition_milnor_check,
-    composition_report,
-    composition_sampled_probe,
-    image_in_milnor_check,
-    inclusion_report,
-)
+from germlab import analyses
+from germlab.certify import FACTS, ContradictionError
 from germlab.corpus import corpus_report, run_corpus
 from germlab.dsl import (
     GermlabUsage,
@@ -36,27 +31,16 @@ from germlab.dsl import (
     parse_mixed_expr,
     parse_path,
 )
-from germlab.germs import GermlabRejection, milnor_data
-from germlab.hwc import (
-    certify_frame,
-    hwc_check,
-    hwc_check_mixed,
-    mixed_algorithm_build,
-    mixed_pairing_text,
-    product_pair,
-    separable_sum,
-    separable_sum_report,
-)
+from germlab.germs import GermlabRejection
+from germlab.hwc import mixed_algorithm_build
 from germlab.poly import VarContext
 from germlab.sampling import RunConfig
-from germlab.witness import (
-    condition_b_family_check,
-    condition_b_sampled_probe,
-    thom_irregularity_witness,
-    witness_report,
-)
 
 SCHEMA_VERSION = 1
+FACT_NAMES = sorted(FACTS)
+# As for `mixed ... : C^n` in the DSL: the realified context has 2n
+# variables, and a context holds at most 10.
+MAX_MIXED_VARS = 5
 
 
 def _jsonable(value):
@@ -101,20 +85,7 @@ def _decl(args):
 def cmd_parse(args) -> int:
     gf = parse_path(args.file)
     decls = [gf.single(args.germ)] if args.germ else list(gf.decls)
-    out = []
-    for d in decls:
-        row = {"name": d.name, "kind": d.kind,
-               "variables": list(d.ctx.names),
-               "canonical": d.canonical_text()}
-        if d.kind == "map":
-            row["components"] = {cn: c.text() for cn, c in
-                                 zip(d.component_names, d.germ.components)}
-            row["sets"] = {n: len(ps) for n, ps in sorted(d.sets.items())}
-            row["witnesses"] = sorted(d.witnesses)
-        else:
-            row["poly"] = d.poly.text()
-            row["realified"] = [c.text() for c in d.realified.components]
-        out.append(row)
+    out = [analyses.parse_row(d) for d in decls]
     _emit({"command": "parse", "file": str(args.file), "germs": out},
           args, f"parsed {len(out)} germ(s) from {args.file}")
     return 0
@@ -122,53 +93,26 @@ def cmd_parse(args) -> int:
 
 def cmd_milnor(args) -> int:
     decl = _decl(args)
-    md = milnor_data(decl.germ)
-    _emit({"command": "milnor", **md.to_json_dict()},
-          args, f"milnor_poly({decl.name}) = {md.milnor_poly.text()}")
+    out = analyses.milnor(decl)
+    _emit(out, args, f"milnor_poly({decl.name}) = {out['milnor_poly']}")
     return 0
 
 
 def cmd_sing(args) -> int:
     decl = _decl(args)
-    germ = decl.germ
-    minors = germ.singular_minors()
-    empty = any(m.is_constant() and m.constant_value() != 0 for m in minors)
-    _emit({"command": "sing", "germ": germ.label(),
-           "variables": list(germ.ctx.names),
-           "minors": [m.text() for m in minors],
-           "singular_set_empty": empty},
-          args, f"{len(minors)} maximal minor(s) for {decl.name}")
+    out = analyses.sing(decl)
+    _emit(out, args, f"{len(out['minors'])} maximal minor(s) for {decl.name}")
     return 0
+
+
+def _verdict(out: dict) -> str:
+    return "holds" if out["holds"] else "fails"
 
 
 def cmd_hwc(args) -> int:
     decl = _decl(args)
-    if decl.kind == "map":
-        res = hwc_check(decl.germ)
-        rep = certify_frame(decl.germ, res)
-        payload = {
-            "command": "hwc", "germ": decl.germ.label(),
-            "holds": res.holds,
-            "conformal_factor":
-                res.conformal_factor.text() if res.conformal_factor else None,
-            "residuals": res.residual_texts(),
-            "report": rep.to_json_dict(),
-            "replay_sound": rep.replay_sound(),
-        }
-    else:
-        res = hwc_check_mixed(decl.poly)
-        real_res = hwc_check(decl.realified)
-        payload = {
-            "command": "hwc", "germ": decl.name, "mixed": True,
-            "holds": res.holds,
-            "pairing": mixed_pairing_text(decl.poly),
-            "conformal_factor":
-                res.conformal_factor.text() if res.conformal_factor else None,
-            "residuals": res.residual_texts(),
-            "routes_agree": res.holds == real_res.holds,
-        }
-    verdict = "holds" if payload["holds"] else "fails"
-    _emit(payload, args, f"hwc {verdict} for {decl.name}")
+    out = analyses.hwc(decl)
+    _emit(out, args, f"hwc {_verdict(out)} for {decl.name}")
     return 0
 
 
@@ -183,32 +127,16 @@ def cmd_construct_sum(args) -> int:
     else:
         raise GermlabUsage(
             "construct sum needs a two-germ file or --left/--right names")
-    out, frame = separable_sum(left.germ, right.germ)
-    rep = separable_sum_report(
-        left.germ, right.germ, out, frame,
-        declared_thom_summands=args.declare_thom_summands,
-        declared_codim_matches=args.declare_codim_matches)
-    _emit({"command": "construct-sum", "left": left.name, "right": right.name,
-           "germ": out.label(),
-           "components": [c.text() for c in out.components],
-           "holds": frame.holds,
-           "conformal_factor":
-               frame.conformal_factor.text() if frame.conformal_factor else None,
-           "report": rep.to_json_dict()},
-          args, f"sum {out.label()}: hwc {'holds' if frame.holds else 'fails'}")
+    out = analyses.construct_sum(left, right, args.declare_thom_summands,
+                                 args.declare_codim_matches)
+    _emit(out, args, f"sum {out['germ']}: hwc {_verdict(out)}")
     return 0
 
 
 def cmd_construct_product(args) -> int:
     decl = _decl(args)
-    out, frame = product_pair(decl.germ)
-    _emit({"command": "construct-product", "germ": decl.name,
-           "components": [c.text() for c in out.components],
-           "holds": frame.holds,
-           "conformal_factor":
-               frame.conformal_factor.text() if frame.conformal_factor else None},
-          args, f"product pair from {decl.name}: "
-                f"hwc {'holds' if frame.holds else 'fails'}")
+    out = analyses.construct_product(decl)
+    _emit(out, args, f"product pair from {decl.name}: hwc {_verdict(out)}")
     return 0
 
 
@@ -221,6 +149,9 @@ def cmd_construct_mixed_algo(args) -> int:
     left = _split_names(args.left)
     if not names:
         raise GermlabUsage("--vars needs at least one name")
+    if len(names) > MAX_MIXED_VARS:
+        raise GermlabUsage(f"--vars takes at most {MAX_MIXED_VARS} names, "
+                           f"got {len(names)}")
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise GermlabUsage(f"--vars repeats {', '.join(repeated)}")
@@ -246,140 +177,48 @@ def cmd_construct_mixed_algo(args) -> int:
 
 def cmd_witness(args) -> int:
     decl = _decl(args)
-    if decl.kind != "map":
-        raise GermlabUsage("witness blocks only exist on map germs")
-    if args.witness:
-        if args.witness not in decl.witnesses:
-            known = ", ".join(sorted(decl.witnesses)) or "none"
-            raise GermlabUsage(
-                f"no witness named {args.witness!r} (file has: {known})")
-        specs = {args.witness: decl.witnesses[args.witness]}
-    else:
-        specs = decl.witnesses
-    if not specs:
-        raise GermlabUsage(f"germ {decl.name!r} declares no witness blocks")
-    results = {}
-    for name, spec in sorted(specs.items()):
-        outcome = thom_irregularity_witness(decl.germ, spec)
-        rep = witness_report(decl.germ, spec, outcome)
-        results[name] = {
-            "is_witness": outcome.is_witness,
-            "direction":
-                outcome.direction.text() if outcome.direction else None,
-            "detail": outcome.detail,
-            "report": rep.to_json_dict(),
-        }
-    fired = sum(1 for r in results.values() if r["is_witness"])
-    _emit({"command": "witness", "germ": decl.germ.label(),
-           "results": results},
-          args, f"{fired}/{len(results)} witness(es) verified for {decl.name}")
+    out = analyses.witness(decl, args.witness)
+    fired = sum(1 for r in out["results"].values() if r["is_witness"])
+    _emit(out, args,
+          f"{fired}/{len(out['results'])} witness(es) verified for {decl.name}")
     return 0
 
 
 def cmd_probe_b(args) -> int:
     decl = _decl(args)
-    germ = decl.germ
-    rep = RegularityReport(germ_name=germ.label())
-    if args.witness:
-        if decl.kind != "map" or args.witness not in decl.witnesses:
-            raise GermlabUsage(f"no witness named {args.witness!r}")
-        spec = decl.witnesses[args.witness]
-        finding = condition_b_family_check(germ, spec.gamma, report=rep)
-        payload = {"mode": "family", "family": finding.family}
-    elif args.set:
-        if args.set not in decl.sets:
-            known = ", ".join(sorted(decl.sets)) or "none"
-            raise GermlabUsage(f"no set named {args.set!r} (file has: {known})")
-        finding = condition_b_sampled_probe(germ, decl.sets[args.set],
-                                            _config(args))
-        payload = {"mode": "sampled", "samples": finding.samples}
-    else:
-        raise GermlabUsage("probe-b needs --witness NAME or --set NAME")
-    for fact in args.declare or []:
-        rep.declare(fact, "declared on the command line")
-    rep.derive()
-    payload.update({
-        "command": "probe-b", "germ": germ.label(),
-        "violates": finding.violates, "detail": finding.detail,
-        "report": rep.to_json_dict(), "replay_sound": rep.replay_sound(),
-    })
+    out = analyses.probe_b(decl, args.witness, args.set, args.declare or (),
+                           _config(args))
     verdict = {True: "violation", False: "no violation", None: "inconclusive"}
-    _emit(payload, args,
-          f"condition (b) probe on {decl.name}: {verdict[finding.violates]}")
+    _emit(out, args,
+          f"condition (b) probe on {decl.name}: {verdict[out['violates']]}")
     return 0
 
 
 def cmd_compose_check(args) -> int:
     gf = parse_path(args.file)
-    inner = gf.single(args.inner)
-    outer = gf.single(args.outer)
-    declared_inner = set(args.declare_inner or [])
-    declared_outer = set(args.declare_outer or [])
+    out = analyses.compose_check(
+        gf.single(args.inner), gf.single(args.outer), args.mode, args.set,
+        args.claim, args.declare_inner or (), args.declare_outer or (),
+        _config(args))
     if args.mode == "sampled":
-        finding = composition_sampled_probe(outer.germ, inner.germ,
-                                            _config(args))
-        _emit({"command": "compose-check", "mode": "sampled",
-               "inner": inner.name, "outer": outer.name,
-               "suspicious": finding.suspicious, "detail": finding.detail,
-               "record": finding.record, "seed": _config(args).seed},
-              args, f"sampled composition probe: "
-                    f"{'suspicious' if finding.suspicious else 'quiet'}")
-        return 0
-    if not args.set or args.set not in inner.sets:
-        known = ", ".join(sorted(inner.sets)) or "none"
-        raise GermlabUsage(
-            f"compose-check {args.mode} needs --set naming a component "
-            f"set on the inner germ (file has: {known})")
-    comps = inner.sets[args.set]
-    if args.mode == "inclusion":
-        chk = image_in_milnor_check(outer.germ, inner.germ, comps)
-        rep = inclusion_report(outer.germ, inner.germ, chk,
-                               declared_inner=declared_inner,
-                               declared_outer=declared_outer)
-        body = {"verified": list(chk.verified), "failed": list(chk.failed),
-                "no_data": chk.no_data}
-        summary = (f"inclusion: {len(chk.verified)} verified, "
-                   f"{len(chk.failed)} failed")
+        summary = ("sampled composition probe: "
+                   f"{'suspicious' if out['suspicious'] else 'quiet'}")
+    elif args.mode == "inclusion":
+        summary = (f"inclusion: {len(out['verified'])} verified, "
+                   f"{len(out['failed'])} failed")
     else:
-        claim = None
-        if args.claim:
-            if args.claim not in outer.polys:
-                known = ", ".join(sorted(outer.polys)) or "none"
-                raise GermlabUsage(
-                    f"no assert_poly named {args.claim!r} on the outer germ "
-                    f"(file has: {known})")
-            claim = outer.polys[args.claim]
-        chk = composition_milnor_check(outer.germ, inner.germ, comps,
-                                       closure_claim=claim)
-        rep = composition_report(outer.germ, inner.germ, chk,
-                                 declared_inner=declared_inner,
-                                 declared_outer=declared_outer)
-        body = {"components": [dataclasses.asdict(f) for f in chk.components],
-                "violation": chk.violation, "flagged": list(chk.flagged),
-                "closure_meets_sing_g_only_at_0":
-                    chk.closure_meets_sing_g_only_at_0,
-                "detail": chk.detail}
-        summary = ("exact composition check: "
-                   + (f"violation on {chk.violation}" if chk.violation
-                      else f"{len(chk.flagged)} flagged, no violation"))
-    _emit({"command": "compose-check", "mode": args.mode,
-           "inner": inner.name, "outer": outer.name, **body,
-           "report": rep.to_json_dict(), "replay_sound": rep.replay_sound()},
-          args, summary)
+        summary = "exact composition check: " + (
+            f"violation on {out['violation']}" if out["violation"]
+            else f"{len(out['flagged'])} flagged, no violation")
+    _emit(out, args, summary)
     return 0
 
 
 def cmd_certify(args) -> int:
     decl = _decl(args)
-    germ = decl.germ
-    res = hwc_check(germ)
-    rep = certify_frame(germ, res)
-    for fact in args.declare or []:
-        rep.declare(fact, "declared on the command line")
-    rep.derive()
-    _emit({"command": "certify", "germ": germ.label(), "hwc": res.holds,
-           "report": rep.to_json_dict(), "replay_sound": rep.replay_sound()},
-          args, f"certified {decl.name}: facts {sorted(rep.facts) or 'none'}")
+    out = analyses.certify(decl, args.declare or ())
+    _emit(out, args,
+          f"certified {decl.name}: facts {out['report']['facts'] or 'none'}")
     return 0
 
 
@@ -470,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="verify this declared family exactly")
     p.add_argument("--set", help="sample against this declared fiber set")
     p.add_argument("--declare", action="append", metavar="FACT",
+                   choices=FACT_NAMES,
                    help="install a declared fact (repeatable)")
 
     p = add("compose-check", cmd_compose_check, germ=False)
@@ -480,11 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="declared Milnor-set components of the "
                                  "composition, on the inner germ")
     p.add_argument("--claim", help="assert_poly naming the image closure")
-    p.add_argument("--declare-inner", action="append", metavar="FACT")
-    p.add_argument("--declare-outer", action="append", metavar="FACT")
+    p.add_argument("--declare-inner", action="append", metavar="FACT",
+                   choices=FACT_NAMES)
+    p.add_argument("--declare-outer", action="append", metavar="FACT",
+                   choices=FACT_NAMES)
 
     p = add("certify", cmd_certify)
     p.add_argument("--declare", action="append", metavar="FACT",
+                   choices=FACT_NAMES,
                    help="install a declared fact (repeatable)")
 
     corpus = sub.add_parser("corpus")

@@ -6,6 +6,14 @@ Every check carries a provenance tag (literature, derived, trivial);
 literature rows restate a published worked example and point at it
 through an anchor string.
 
+A row runs the `germlab.analyses` function behind the matching CLI
+command, with the row's fields as its options, so each check reads a
+value out of the report that command prints.  A check name is a dotted
+path into that report; `LEGACY_PATHS` keeps six older names (`facts`,
+`exact_facts`, `declared`, `limit`, `rule`, `separated`) pointing at
+their place in it.  Only the `isolated` and `empty-interior` rows and
+milnor's `gram_is_square` have no command behind them.
+
 Entries are independent: the runner executes them one after another and
 sorts the results by entry id, and an entry that raises becomes an error
 outcome instead of ending the run.  All expected values are exact texts
@@ -19,34 +27,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from germlab import analyses
 from germlab.certify import RegularityReport
-from germlab.compose import (
-    composition_milnor_check,
-    composition_report,
-    composition_sampled_probe,
-    image_in_milnor_check,
-    inclusion_report,
-)
 from germlab.dsl import parse_path
 from germlab.germs import GermlabRejection, milnor_data, realify_mixed
-from germlab.hwc import (
-    certify_frame,
-    empty_interior_criterion,
-    hwc_check,
-    hwc_check_mixed,
-    isolated_singularity_probe,
-    mixed_pairing_text,
-    product_pair,
-    separable_sum,
-    separable_sum_report,
-)
+from germlab.hwc import empty_interior_criterion, isolated_singularity_probe
 from germlab.sampling import RunConfig
-from germlab.witness import (
-    condition_b_family_check,
-    condition_b_sampled_probe,
-    thom_irregularity_witness,
-    witness_report,
-)
 
 DATA_DIR = Path(__file__).resolve().parent
 
@@ -87,178 +73,109 @@ def load_manifest(path: Path | None = None) -> dict:
     return raw
 
 
-def _facts(report: RegularityReport) -> list[str]:
-    return sorted(report.facts)
+# Check names older than the report paths, and where each now reads.
+LEGACY_PATHS = {
+    "facts": "report.facts",
+    "exact_facts": "report.facts",
+    "declared": "report.declared",
+    "limit": "report.residuals.family_limit",
+    "rule": "report.provenance.condition_b.rule",
+    "separated": "closure_meets_sing_g_only_at_0",
+}
 
 
-def _declare_all(report: RegularityReport, facts, reason: str) -> None:
-    for f in facts or ():
-        report.declare(f, reason)
-    report.derive()
+def check_value(report: dict, name: str):
+    """The value a check called `name` reads out of a row's report."""
+    value = report
+    for key in LEGACY_PATHS.get(name, name).split("."):
+        if not isinstance(value, dict) or key not in value:
+            return "<missing>"
+        value = value[key]
+    return value
 
 
-def _run_milnor(gf, row, config):
+def _milnor(gf, row, config):
     decl = gf.single(row.get("germ"))
     md = milnor_data(decl.germ)
-    out = {"milnor_poly": md.milnor_poly.text()}
+    out = analyses.milnor(decl, md)
     if md.square_det is not None:
-        out["square_det"] = md.square_det.text()
         out["gram_is_square"] = md.milnor_poly == md.square_det * md.square_det
     return out
 
 
-def _run_hwc(gf, row, config):
-    decl = gf.single(row.get("germ"))
-    res = hwc_check(decl.germ)
-    rep = certify_frame(decl.germ, res)
-    return {
-        "holds": res.holds,
-        "conformal_factor":
-            res.conformal_factor.text() if res.conformal_factor else None,
-        "facts": _facts(rep),
-        "residuals": res.residual_texts(),
-    }
+def _hwc(gf, row, config):
+    return analyses.hwc(gf.single(row.get("germ")))
 
 
-def _run_product(gf, row, config):
+def _hwc_mixed(gf, row, config):
+    return {d.name: {**analyses.parse_row(d), **analyses.hwc(d)}
+            for d in gf.decls}
+
+
+def _product(gf, row, config):
     decl = gf.single(row.get("germ"))
     try:
-        out, frame = product_pair(decl.germ)
+        return analyses.construct_product(decl)
     except GermlabRejection as exc:
+        # The CLI prints a rejection as an error document and exits 1.
         return {
             "holds": False,
             "reason": exc.reason,
             "residuals": exc.details.get("residuals", {}),
         }
-    return {
-        "holds": frame.holds,
-        "components": [c.text() for c in out.components],
-        "conformal_factor":
-            frame.conformal_factor.text() if frame.conformal_factor else None,
-    }
 
 
-def _run_witness(gf, row, config):
-    decl = gf.single(row.get("germ"))
-    spec = decl.witnesses[row["witness"]]
-    outcome = thom_irregularity_witness(decl.germ, spec)
-    rep = witness_report(decl.germ, spec, outcome)
-    return {
-        "is_witness": outcome.is_witness,
-        "direction": outcome.direction.text() if outcome.direction else None,
-        "facts": _facts(rep),
-        "residuals": dict(rep.residuals),
-    }
+def _sum(gf, row, config):
+    return analyses.construct_sum(gf.single(row["left"]),
+                                  gf.single(row["right"]))
 
 
-def _run_family(gf, row, config):
-    decl = gf.single(row.get("germ"))
-    spec = decl.witnesses[row["witness"]]
-    rep = RegularityReport(germ_name=decl.germ.label())
-    finding = condition_b_family_check(decl.germ, spec.gamma, report=rep)
-    return {
-        "violates": finding.violates,
-        "limit": rep.residuals.get("family_limit"),
-        "facts": _facts(rep),
-    }
+def _witness(gf, row, config):
+    out = analyses.witness(gf.single(row.get("germ")), row["witness"])
+    return out["results"][row["witness"]]
 
 
-def _run_probe_b(gf, row, config):
-    decl = gf.single(row.get("germ"))
-    fibers = decl.sets[row["set"]]
-    finding = condition_b_sampled_probe(decl.germ, fibers, config)
-    rep = RegularityReport(germ_name=decl.germ.label())
-    _declare_all(rep, row.get("declare"), "corpus entry declaration")
-    return {
-        "violates": finding.violates,
-        "facts": _facts(rep),
-        "declared": sorted(rep.declared),
-    }
+def _family(gf, row, config):
+    return analyses.probe_b(gf.single(row.get("germ")),
+                            witness_name=row["witness"])
 
 
-def _run_isolated(gf, row, config):
+def _probe_b(gf, row, config):
+    return analyses.probe_b(gf.single(row.get("germ")), set_name=row["set"],
+                            declared=row.get("declare", ()), config=config)
+
+
+def _compose(mode):
+    def run(gf, row, config):
+        return analyses.compose_check(
+            gf.single(row["inner"]), gf.single(row["outer"]), mode,
+            row["set"], row.get("claim"), row.get("declare_inner", ()),
+            row.get("declare_outer", ()), config)
+    return run
+
+
+def _compose_probe(gf, row, config):
+    exact = _compose("exact")(gf, row, config)
+    if "radius" in row:
+        config = dataclasses.replace(config, radius=row["radius"])
+    sampled = analyses.compose_check(gf.single(row["inner"]),
+                                     gf.single(row["outer"]), "sampled",
+                                     config=config)
+    # The exact run's flags and report, the sampled run's verdict.
+    return {**exact, **sampled}
+
+
+def _isolated(gf, row, config):
     decl = gf.single(row.get("germ"))
     rep = RegularityReport(germ_name=decl.germ.label())
     finding = isolated_singularity_probe(decl.germ, report=rep)
-    _declare_all(rep, row.get("declare"), "corpus entry declaration")
-    return {
-        "found": finding.isolated,
-        "facts": _facts(rep),
-        "declared": sorted(rep.declared),
-    }
+    for fact in row.get("declare", ()):
+        rep.declare(fact, "corpus entry declaration")
+    rep.derive()
+    return {"found": finding.isolated, "report": rep.to_json_dict()}
 
 
-def _compose_decls(gf, row):
-    inner = gf.single(row["inner"])
-    outer = gf.single(row["outer"])
-    comps = inner.sets[row["set"]]
-    return inner, outer, comps
-
-
-def _run_compose_closure(gf, row, config):
-    inner, outer, comps = _compose_decls(gf, row)
-    claim = outer.polys[row["claim"]] if row.get("claim") else None
-    chk = composition_milnor_check(outer.germ, inner.germ, comps,
-                                   closure_claim=claim)
-    rep = composition_report(outer.germ, inner.germ, chk,
-                             declared_inner=set(row.get("declare_inner", ())),
-                             declared_outer=set(row.get("declare_outer", ())))
-    rule = rep.provenance.get("condition_b", {}).get("rule")
-    return {
-        "violation": chk.violation,
-        "flagged": list(chk.flagged),
-        "separated": chk.closure_meets_sing_g_only_at_0,
-        "facts": _facts(rep),
-        "rule": rule,
-    }
-
-
-def _run_compose_inclusion(gf, row, config):
-    inner, outer, comps = _compose_decls(gf, row)
-    chk = image_in_milnor_check(outer.germ, inner.germ, comps)
-    rep = inclusion_report(outer.germ, inner.germ, chk,
-                           declared_inner=set(row.get("declare_inner", ())),
-                           declared_outer=set(row.get("declare_outer", ())))
-    rule = rep.provenance.get("condition_b", {}).get("rule")
-    return {
-        "verified": list(chk.verified),
-        "failed": list(chk.failed),
-        "facts": _facts(rep),
-        "rule": rule,
-    }
-
-
-def _run_compose_probe(gf, row, config):
-    inner, outer, comps = _compose_decls(gf, row)
-    chk = composition_milnor_check(outer.germ, inner.germ, comps)
-    rep = composition_report(outer.germ, inner.germ, chk)
-    probe_config = config
-    if "radius" in row:
-        probe_config = dataclasses.replace(config, radius=row["radius"])
-    finding = composition_sampled_probe(outer.germ, inner.germ, probe_config)
-    return {
-        "flagged": list(chk.flagged),
-        "exact_facts": _facts(rep),
-        "suspicious": finding.suspicious,
-    }
-
-
-def _run_hwc_mixed(gf, row, config):
-    out = {}
-    for decl in gf.decls:
-        res = hwc_check_mixed(decl.poly)
-        real_res = hwc_check(decl.realified)
-        out[f"{decl.name}.holds"] = res.holds
-        out[f"{decl.name}.routes_agree"] = res.holds == real_res.holds
-        out[f"{decl.name}.pairing"] = mixed_pairing_text(decl.poly)
-        out[f"{decl.name}.conformal_factor"] = (
-            res.conformal_factor.text() if res.conformal_factor else None)
-        out[f"{decl.name}.realified"] = [
-            c.text() for c in decl.realified.components]
-    return out
-
-
-def _run_empty_interior(gf, row, config):
+def _empty_interior(gf, row, config):
     first = gf.decls[0]
     germ = realify_mixed([d.poly for d in gf.decls],
                          name=row.get("name", first.name))
@@ -266,41 +183,25 @@ def _run_empty_interior(gf, row, config):
     verdict = empty_interior_criterion(
         germ, first.sets[row["fiber_set"]], first.sets[row["milnor_set"]],
         report=rep)
-    return {
-        "fires": verdict.fires,
-        "checked": list(verdict.checked_components),
-        "facts": _facts(rep),
-    }
-
-
-def _run_sum(gf, row, config):
-    left = gf.single(row["left"])
-    right = gf.single(row["right"])
-    out, frame = separable_sum(left.germ, right.germ)
-    rep = separable_sum_report(left.germ, right.germ, out, frame)
-    return {
-        "holds": frame.holds,
-        "components": [c.text() for c in out.components],
-        "conformal_factor":
-            frame.conformal_factor.text() if frame.conformal_factor else None,
-        "facts": _facts(rep),
-    }
+    return {"fires": verdict.fires,
+            "checked": list(verdict.checked_components),
+            "report": rep.to_json_dict()}
 
 
 _ANALYSES = {
-    "milnor": _run_milnor,
-    "hwc": _run_hwc,
-    "product": _run_product,
-    "witness": _run_witness,
-    "family": _run_family,
-    "probe-b": _run_probe_b,
-    "isolated": _run_isolated,
-    "compose-closure": _run_compose_closure,
-    "compose-inclusion": _run_compose_inclusion,
-    "compose-probe": _run_compose_probe,
-    "hwc-mixed": _run_hwc_mixed,
-    "empty-interior": _run_empty_interior,
-    "sum": _run_sum,
+    "milnor": _milnor,
+    "hwc": _hwc,
+    "product": _product,
+    "witness": _witness,
+    "family": _family,
+    "probe-b": _probe_b,
+    "isolated": _isolated,
+    "compose-closure": _compose("exact"),
+    "compose-inclusion": _compose("inclusion"),
+    "compose-probe": _compose_probe,
+    "hwc-mixed": _hwc_mixed,
+    "empty-interior": _empty_interior,
+    "sum": _sum,
 }
 
 
@@ -328,7 +229,7 @@ def run_entry(entry_id: str, row: dict, config: RunConfig) -> EntryOutcome:
                 entry_id, "error", (),
                 detail=f"corrupted expectation entry {entry_id!r}: "
                        "check rows need name and want")
-        got = actual.get(name, "<missing>")
+        got = check_value(actual, name)
         checks.append(CheckOutcome(
             name=name, passed=got == chk["want"],
             want=chk["want"], got=got,

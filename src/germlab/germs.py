@@ -269,11 +269,6 @@ def _nonzero_point(p: Polynomial, avoid: list[Polynomial], rng=None):
     raise AssertionError(f"could not find a nonzero point for {p}")
 
 
-def germ_pullback(germ: RealMapGerm, phi: Parametrization) -> list[PullbackResult]:
-    """Pull every component of the germ back along phi."""
-    return [pullback_vanishes(g, phi) for g in germ.components]
-
-
 # -- realification of mixed maps ----------------------------------------
 
 

@@ -37,10 +37,13 @@ class VarContext:
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        assert names, "need at least one variable"
-        assert len(set(names)) == len(names), f"duplicate variable in {names!r}"
+        if not names:
+            raise ValueError("need at least one variable")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable in {names!r}")
         # Dense exponent vectors; fine for the small arities used here.
-        assert len(names) <= 10, f"arity {len(names)} > 10 not supported"
+        if len(names) > 10:
+            raise ValueError(f"arity {len(names)} > 10 not supported")
         self.names = names
         self._pos = {n: i for i, n in enumerate(names)}
 
@@ -49,7 +52,8 @@ class VarContext:
         return len(self.names)
 
     def position(self, name: str) -> int:
-        assert name in self._pos, f"unknown variable {name!r} in context {self.names}"
+        if name not in self._pos:
+            raise ValueError(f"unknown variable {name!r} in context {self.names}")
         return self._pos[name]
 
     def var(self, name: str) -> "Polynomial":
@@ -131,9 +135,8 @@ class Polynomial:
     # -- ring operations -------------------------------------------------
 
     def _require_same_ctx(self, other: "Polynomial") -> None:
-        assert self.ctx == other.ctx, (
-            f"context mismatch: {self.ctx!r} vs {other.ctx!r}"
-        )
+        if self.ctx != other.ctx:
+            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

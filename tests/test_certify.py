@@ -82,8 +82,10 @@ def test_first_provenance_entry_wins():
 
 
 def test_unknown_fact_is_a_programming_error():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="unknown fact 'shiny'"):
         report().add_fact("shiny", "hwc-exact")
+    with pytest.raises(ValueError, match="unknown rule id 'hwc-guess'"):
+        report().add_fact("hwc", "hwc-guess")
 
 
 def test_chain_is_leaf_first():

@@ -265,6 +265,7 @@ def test_construct_mixed_algo_rejects_misplaced_variable(capsys):
     (",", "z1", "--vars"),
     ("z1,z1", "z1", "z1"),
     ("z1,z2", "z1,w", "w"),
+    ("z1,z2,z3,z4,z5,z6", "z1", "at most 5"),
 ])
 def test_construct_mixed_algo_bad_variable_lists_are_usage_errors(
         capsys, vars_, left, needle):
@@ -276,6 +277,23 @@ def test_construct_mixed_algo_bad_variable_lists_are_usage_errors(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("germlab:")
     assert needle in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", f"{CORPUS}/e21.germ", "--declare", "bogus"],
+    ["probe-b", f"{CORPUS}/mhx1.germ", "--witness", "fam", "--declare", "nope"],
+    ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48",
+     "--outer", "G48", "--set", "MH", "--declare-inner", "bogus"],
+    ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48",
+     "--outer", "G48", "--set", "MH", "--declare-outer", "bogus"],
+], ids=["declare", "probe-b-declare", "declare-inner", "declare-outer"])
+def test_unknown_fact_names_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
 
 
 def test_sing_command_lists_minors(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from germlab.corpus import (
     DATA_DIR,
+    check_value,
     corpus_report,
     load_manifest,
     run_corpus,
@@ -132,7 +133,7 @@ def test_milnor_row_on_a_mixed_declaration(capsys):
 
 def test_raising_entry_becomes_an_error_and_the_run_goes_on(manifest):
     rows = {
-        # Mixed declarations carry no witness blocks: AttributeError.
+        # Mixed declarations carry no witness blocks: a usage error.
         "bad": {"analysis": "witness", "file": "fgbar.germ", "germ": "fgF",
                 "witness": "w", "checks": []},
         "ex2": manifest["entries"]["ex2"],
@@ -140,5 +141,63 @@ def test_raising_entry_becomes_an_error_and_the_run_goes_on(manifest):
     results = run_corpus(manifest={"schema_version": 1, "entries": rows})
     assert [(r.entry, r.status) for r in results] == [
         ("bad", "error"), ("ex2", "ok")]
-    assert "AttributeError" in results[0].detail
-    assert "witnesses" in results[0].detail
+    assert results[0].detail.endswith(
+        "GermlabUsage: witness blocks only exist on map germs")
+
+
+FAST_ROWS = ("e21", "ent1", "mhx1", "comp48", "incl", "esum", "mfx1",
+             "prodpair", "z2")
+
+
+def _cli_json(capsys, *argv):
+    from germlab.cli import main
+
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _cli_view(capsys, row):
+    """What the CLI prints for a corpus row, with the row's options."""
+    path = str(DATA_DIR / row["file"])
+    kind = row["analysis"]
+    if kind == "hwc-mixed":
+        return {g["name"]: {**g, **_cli_json(capsys, "hwc", path,
+                                             "--germ", g["name"])}
+                for g in _cli_json(capsys, "parse", path)["germs"]}
+    if kind in ("milnor", "hwc"):
+        return _cli_json(capsys, kind, path)
+    if kind == "product":
+        return _cli_json(capsys, "construct", "product", path)
+    if kind == "sum":
+        return _cli_json(capsys, "construct", "sum", path,
+                         "--left", row["left"], "--right", row["right"])
+    if kind == "witness":
+        doc = _cli_json(capsys, "witness", path, "--witness", row["witness"])
+        return doc["results"][row["witness"]]
+    if kind == "family":
+        return _cli_json(capsys, "probe-b", path, "--witness", row["witness"])
+    mode = {"compose-closure": "exact", "compose-inclusion": "inclusion"}[kind]
+    argv = ["compose-check", path, "--inner", row["inner"],
+            "--outer", row["outer"], "--mode", mode, "--set", row["set"]]
+    if "claim" in row:
+        argv += ["--claim", row["claim"]]
+    for side in ("inner", "outer"):
+        for fact in row.get(f"declare_{side}", ()):
+            argv += [f"--declare-{side}", fact]
+    return _cli_json(capsys, *argv)
+
+
+@pytest.mark.parametrize("entry", FAST_ROWS)
+def test_corpus_checks_what_the_cli_prints(capsys, manifest, entry):
+    row = manifest["entries"][entry]
+    view = _cli_view(capsys, row)
+    out = run_entry(entry, row, RunConfig())
+    assert out.status == "ok", out.detail or out.checks
+    compared = 0
+    for c in out.checks:
+        if c.name == "gram_is_square":  # no command prints it
+            continue
+        assert json.loads(json.dumps(c.got)) == check_value(view, c.name), \
+            c.name
+        compared += 1
+    assert compared

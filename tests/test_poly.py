@@ -111,22 +111,45 @@ def test_exact_div_rejects_inexact():
         x.exact_div(XYZ.zero())
 
 
-def test_exact_div_rejects_inexact_under_optimize():
-    # The exactness check must not be an assert that -O strips.
-    code = (
-        "from germlab.poly import VarContext\n"
-        "x, y, _ = VarContext(['x', 'y', 'z']).gens()\n"
-        "for d in (x + 1, x):\n"
-        "    try:\n"
-        "        q = (x**2 + y).exact_div(d)\n"
-        "    except ArithmeticError:\n"
-        "        continue\n"
-        "    raise SystemExit(f'returned {q.text()}')\n")
+@pytest.mark.parametrize("code", [
+    "x, y, _ = VarContext(['x', 'y', 'z']).gens()\n"
+    "for d in (x + 1, x):\n"
+    "    try:\n"
+    "        q = (x**2 + y).exact_div(d)\n"
+    "    except ArithmeticError:\n"
+    "        continue\n"
+    "    raise SystemExit(f'returned {q.text()}')\n",
+    "try:\n"
+    "    p = VarContext(['x', 'y']).var('x') + VarContext(['u', 'v']).var('v')\n"
+    "except ValueError:\n"
+    "    raise SystemExit(0)\n"
+    "raise SystemExit(f'returned {p.text()}')\n",
+    "try:\n"
+    "    VarContext(['x', 'x'])\n"
+    "except ValueError:\n"
+    "    raise SystemExit(0)\n"
+    "raise SystemExit('accepted a repeated name')\n",
+], ids=["inexact-division", "context-mismatch", "repeated-name"])
+def test_exact_div_rejects_inexact_under_optimize(code):
+    # Checks that correctness depends on must not be asserts that -O strips.
+    code = "from germlab.poly import VarContext\n" + code
     src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("make, needle", [
+    (lambda: VarContext([]), "at least one"),
+    (lambda: VarContext(["x", "x"]), "duplicate"),
+    (lambda: VarContext([f"x{i}" for i in range(11)]), "arity 11"),
+    (lambda: XYZ.var("w"), "unknown variable 'w'"),
+    (lambda: XYZ.var("x") + VarContext(["x", "y"]).var("x"), "mismatch"),
+])
+def test_context_misuse_raises_value_error(make, needle):
+    with pytest.raises(ValueError, match=needle):
+        make()
 
 
 def test_power_matches_repeated_product():
