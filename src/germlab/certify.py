@@ -49,7 +49,6 @@ CLOSURE_RULES: tuple[tuple[str, frozenset, tuple[str, ...]], ...] = (
 ANALYSIS_RULES = frozenset({
     "hwc-exact",
     "limit-witness",
-    "witness-sum-lift",
     "empty-interior",
     "b-violation-family",
     "full-rank",
@@ -103,9 +102,14 @@ class RegularityReport:
         self.facts.add(fact)
         self.provenance[fact] = {"rule": rule, "inputs": list(inputs)}
 
-    def declare(self, fact: str, reason: str = "declared by the caller"):
-        """Install a fact on the user's authority; flagged, never verified."""
-        self.add_fact(fact, "declared", ())
+    def declare(self, fact: str, reason: str = "declared by the caller",
+                rule: str = "declared"):
+        """Install a fact on the user's authority; flagged, never verified.
+
+        rule names the analysis rule that turns declared inputs into the
+        fact, when there is one; it must be a known rule id.
+        """
+        self.add_fact(fact, rule, ())
         self.declared.add(fact)
         self.assumptions.append(f"{fact}: {reason}")
 

@@ -39,13 +39,17 @@ class RealMapGerm:
     name: str = ""
 
     def __post_init__(self):
-        assert self.components, "a germ needs at least one component"
+        if not self.components:
+            raise ValueError("a germ needs at least one component")
         p, m = self.target_arity, self.source_arity
-        assert p >= 1 and m >= p, f"arities m={m}, p={p} out of range"
+        if m < p:
+            raise ValueError(f"arities m={m}, p={p} out of range")
         zero = (Fraction(0),) * m
         for g in self.components:
-            assert g.ctx == self.ctx, "component over a foreign context"
-            assert g.evaluate(zero) == 0, f"component {g} does not vanish at 0"
+            if g.ctx != self.ctx:
+                raise ValueError("component over a foreign context")
+            if g.evaluate(zero) != 0:
+                raise ValueError(f"component {g.text()} does not vanish at 0")
 
     @property
     def source_arity(self) -> int:
@@ -99,16 +103,19 @@ class MilnorData:
 
 
 def milnor_data(germ: RealMapGerm) -> MilnorData:
-    """Gram determinant of the stacked matrix; det itself in the square case.
+    """Gram determinant of the stacked matrix A.
 
-    When the stacked matrix is square the Gram determinant is its square,
-    an identity the test suite checks rather than assumes.
+    When A is square, det(A A^T) = det(A)^2, so only det(A) is computed
+    and squared; the test suite checks that identity against the Gram
+    route and the Cauchy-Binet sum rather than assuming it.
     """
     a = germ.stacked()
-    gram = a @ a.transpose()
-    mp = gram.det()
-    square = a.det() if a.rows == a.cols else None
-    return MilnorData(germ=germ, stacked=a, milnor_poly=mp, square_det=square)
+    if a.rows == a.cols:
+        square = a.det()
+        return MilnorData(germ=germ, stacked=a, milnor_poly=square * square,
+                          square_det=square)
+    mp = (a @ a.transpose()).det()
+    return MilnorData(germ=germ, stacked=a, milnor_poly=mp, square_det=None)
 
 
 def cauchy_binet_sum(germ: RealMapGerm) -> Polynomial:
@@ -142,11 +149,16 @@ class Parametrization:
     name: str = ""
 
     def __post_init__(self):
-        assert len(self.numerators) == self.target.arity
-        assert len(self.denominators) == self.target.arity
+        m = self.target.arity
+        if len(self.numerators) != m or len(self.denominators) != m:
+            raise ValueError(
+                f"{len(self.numerators)} numerators and "
+                f"{len(self.denominators)} denominators for target arity {m}")
         for n, d in zip(self.numerators, self.denominators):
-            assert n.ctx == self.params and d.ctx == self.params
-            assert not d.is_zero(), "denominator identically zero"
+            if n.ctx != self.params or d.ctx != self.params:
+                raise ValueError("coordinate over a foreign parameter context")
+            if d.is_zero():
+                raise ValueError("denominator identically zero")
 
     @staticmethod
     def from_polys(target: VarContext, params: VarContext,

@@ -210,8 +210,8 @@ def separable_sum_report(left: RealMapGerm, right: RealMapGerm,
     if declared_thom_summands and declared_codim_matches:
         report.declare("thom_regular",
                        "separable-thom: both summands declared Thom regular "
-                       "with isolated critical values and matching fiber codimension")
-        report.provenance["thom_regular"]["rule"] = "separable-thom"
+                       "with isolated critical values and matching fiber codimension",
+                       rule="separable-thom")
     report.derive()
     return report
 

@@ -90,26 +90,30 @@ def compile_float(polys: Sequence[Polynomial]):
     """Vectorized float evaluator for a list of polynomials.
 
     Returns f with f(X) of shape (..., len(polys)) for X of shape (..., m).
+    All terms of all polynomials share one exponent table, so a call makes
+    one pass over the monomials, and each polynomial sums its own slice of
+    the term values in its term order (a zero polynomial's slice is empty
+    and sums to 0.0).  Each term value and each sum depends on its own
+    point only, so f(X)[i] equals f(X[i]) bit for bit: a batch gives the
+    same floats as its points evaluated one at a time.
     """
-    compiled = []
+    exps, coeffs, slices = [], [], []
     for p in polys:
-        if p.is_zero():
-            compiled.append(None)
-            continue
-        E = np.array(list(p.terms.keys()), dtype=np.int64)
-        C = np.array([float(c) for c in p.terms.values()])
-        compiled.append((C, E))
+        start = len(exps)
+        exps.extend(p.terms.keys())
+        coeffs.extend(float(c) for c in p.terms.values())
+        slices.append((start, len(exps)))
+    m = polys[0].ctx.arity
+    E = np.array(exps, dtype=np.int64).reshape(len(exps), m)
+    C = np.array(coeffs, dtype=float)
 
     def f(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        cols = []
-        for item in compiled:
-            if item is None:
-                cols.append(np.zeros(X.shape[:-1]))
-            else:
-                C, E = item
-                cols.append((C * np.prod(X[..., None, :] ** E, axis=-1)).sum(axis=-1))
-        return np.stack(cols, axis=-1)
+        V = C * np.prod(X[..., None, :] ** E, axis=-1)
+        out = np.empty(X.shape[:-1] + (len(slices),))
+        for i, (a, b) in enumerate(slices):
+            out[..., i] = V[..., a:b].sum(axis=-1)
+        return out
 
     return f
 

@@ -311,8 +311,8 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     comp_scale = compile_scale(list(germ.components))
     minor_fn = compile_float(minors)
     minor_scale = compile_scale(minors)
-    fibers = [(phi.params.arity, compile_float(list(phi.numerators)),
-               compile_float(list(phi.denominators)))
+    fibers = [(phi.params.arity,
+               compile_float(list(phi.numerators) + list(phi.denominators)))
               for phi in fiber_components]
 
     rng = derive_rng(config.seed, f"probe-b:{germ.label()}")
@@ -355,44 +355,44 @@ def condition_b_sampled_probe(germ: RealMapGerm,
 def _distance_to_components(x, components, rng) -> float:
     """Crude but deterministic distance: dense parameter sampling plus polish.
 
-    components holds one (parameter count, numerators, denominators)
-    triple per fiber parametrization, the last two compiled evaluators.
+    components holds one (parameter count, evaluator) pair per fiber
+    parametrization; the evaluator returns the numerators followed by the
+    denominators.  Each component scans the parameter origin and 200
+    uniform draws from [-3, 3]^k as one batch, skips candidates where a
+    denominator vanishes, and polishes the closest one by Nelder-Mead on
+    the squared distance.  The evaluator gives the same floats for a
+    batch as for its points one at a time, so the result is the one a
+    point-by-point scan gives.
     """
     import numpy as np
+    from scipy.optimize import minimize
 
+    n = len(x)  # numerators, then as many denominators
     best = float("inf")
-    for k, nums, dens in components:
-
-        def point_of(s):
-            d = dens(s)
-            if np.any(np.abs(d) < 1e-12):
-                return None
-            return nums(s) / d
-
-        candidates = [np.zeros(k)]
-        for _ in range(200):
-            candidates.append(
-                np.array([rng.uniform(-3, 3) for _ in range(k)]))
-        local_best = None
-        for s in candidates:
-            pt = point_of(s)
-            if pt is None:
-                continue
-            d = float(np.linalg.norm(pt - x))
-            if local_best is None or d < local_best[0]:
-                local_best = (d, s)
-        if local_best is None:
+    for k, fn in components:
+        cands = np.zeros((201, k))
+        cands[1:] = np.reshape([rng.uniform(-3, 3) for _ in range(200 * k)],
+                               (200, k))
+        vals = fn(cands)
+        nums, dens = vals[:, :n], vals[:, n:]
+        ok = ~np.any(np.abs(dens) < 1e-12, axis=-1)
+        if not ok.any():
             continue
-        # Nelder-Mead polish of the squared distance in parameter space.
-        from scipy.optimize import minimize
+        cands, offsets = cands[ok], nums[ok] / dens[ok] - x
+        dist = np.linalg.norm(offsets, axis=-1)
+        # The row-wise norm may round differently from a one-vector norm in
+        # the last bit; rank the near-ties one vector at a time so the first
+        # closest candidate is the one a point-by-point scan picks.
+        near = np.flatnonzero(dist <= dist.min() * (1 + 1e-12))
+        start = cands[min(near, key=lambda i: np.linalg.norm(offsets[i]))]
 
         def objective(s):
-            pt = point_of(s)
-            if pt is None:
+            v = fn(s)
+            if np.any(np.abs(v[n:]) < 1e-12):
                 return 1e9
-            return float(np.sum((pt - x) ** 2))
+            return float(np.sum((v[:n] / v[n:] - x) ** 2))
 
-        sol = minimize(objective, local_best[1], method="Nelder-Mead",
+        sol = minimize(objective, start, method="Nelder-Mead",
                        options={"xatol": 1e-12, "fatol": 1e-18, "maxiter": 400})
         best = min(best, float(np.sqrt(max(sol.fun, 0.0))))
     return best

@@ -129,15 +129,43 @@ def test_exact_div_rejects_inexact():
     "except ValueError:\n"
     "    raise SystemExit(0)\n"
     "raise SystemExit('accepted a repeated name')\n",
-], ids=["inexact-division", "context-mismatch", "repeated-name"])
+    "x, y = VarContext(['x', 'y']).gens()\n"
+    "try:\n"
+    "    RealMapGerm(x.ctx, (x*y + 1,))\n"
+    "except ValueError:\n"
+    "    raise SystemExit(0)\n"
+    "raise SystemExit('accepted a germ that does not vanish at 0')\n",
+    "s, = VarContext(['s']).gens()\n"
+    "try:\n"
+    "    Parametrization(VarContext(['x', 'y']), s.ctx, (s, s),\n"
+    "                    (s.ctx.one(), s.ctx.zero()))\n"
+    "except ValueError:\n"
+    "    raise SystemExit(0)\n"
+    "raise SystemExit('accepted a zero denominator')\n",
+], ids=["inexact-division", "context-mismatch", "repeated-name",
+        "nonvanishing-germ", "zero-denominator"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
-    code = "from germlab.poly import VarContext\n" + code
+    code = ("from germlab.germs import Parametrization, RealMapGerm\n"
+            "from germlab.poly import VarContext\n" + code)
     src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fast_modules_pass_under_optimize():
+    # The validation those modules test must not be asserts that -O strips.
+    # This module is not in the list, so the run does not recurse.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(germlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_germs.py", "tests/test_certify.py", "tests/test_dsl.py"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("make, needle", [
