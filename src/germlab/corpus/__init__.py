@@ -99,7 +99,11 @@ def _milnor(gf, row, config):
     md = milnor_data(decl.germ)
     out = analyses.milnor(decl, md)
     if md.square_det is not None:
-        out["gram_is_square"] = md.milnor_poly == md.square_det * md.square_det
+        # milnor_data squares det(A) for a square A, so compare that with
+        # the Gram route det(A A^T) rather than with itself.
+        a = decl.germ.stacked()
+        out["gram_is_square"] = ((a @ a.transpose()).det()
+                                 == md.square_det * md.square_det)
     return out
 
 

@@ -227,9 +227,9 @@ class Polynomial:
         Values may be Fractions (exact), floats (approximate cross-checks
         only), or Polynomials over another context (composition).
         """
-        assert len(values) == self.ctx.arity, (
-            f"expected {self.ctx.arity} values, got {len(values)}"
-        )
+        if len(values) != self.ctx.arity:
+            raise ValueError(
+                f"expected {self.ctx.arity} values, got {len(values)}")
         total = None
         for e, c in self.terms.items():
             term = c

@@ -118,6 +118,24 @@ def compile_float(polys: Sequence[Polynomial]):
     return f
 
 
+def compile_jacobian(polys: Sequence[Polynomial]):
+    """Vectorized evaluator for the Jacobian matrix of a list of polynomials.
+
+    Returns J with J(X) of shape (..., len(polys), m) for X of shape
+    (..., m): entry [i, j] is the exact partial derivative of polys[i] in
+    the j-th variable, compiled once by compile_float.
+    """
+    names = polys[0].ctx.names
+    f = compile_float([p.diff(v) for p in polys for v in names])
+    shape = (len(polys), len(names))
+
+    def jac(X: np.ndarray) -> np.ndarray:
+        V = f(X)
+        return V.reshape(V.shape[:-1] + shape)
+
+    return jac
+
+
 def compile_scale(polys: Sequence[Polynomial]):
     """Evaluator for the absolute-value envelope 1 + sum |c| |x|^e.
 
@@ -167,6 +185,74 @@ def nearest_on_variety(fn, target: np.ndarray,
     t = np.asarray(target, dtype=float)
     return refine_on_variety(lambda x: weight * fn(x), t,
                              extra_residual=lambda x: x - t)
+
+
+def refine_batch(fn, jac, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt on every row of X0 at once.
+
+    fn maps an (N, m) array to residuals (N, k) and jac to their Jacobians
+    (N, k, m); both are called on the whole batch, so a residual may
+    depend on the row (a per-row target).  Each row keeps its own damping
+    lam (More, "The Levenberg-Marquardt algorithm: implementation and
+    theory", 1978): the step d solves (J^T J + lam I) d = -J^T r, through
+    d = -J^T (J J^T + lam I)^-1 r when k < m, and is taken only if it
+    lowers that row's sum of squares.  A taken step divides lam by 3, a
+    refused one multiplies it by 4, and lam never drops below 1e-12 of
+    the largest diagonal entry of the matrix it damps, which keeps
+    rank-deficient systems solvable.  A non-finite residual counts as a
+    refused step.
+
+    A row stops, converged, once its step is below 1e-14 relative to |x|
+    (taken or not: no step can move it further), or a taken step lowers
+    its cost by less than 1e-14 relative to it or to 0.  A row stops
+    unconverged when its step is not finite or after 200 steps.
+    Returns the refined rows and the per-row convergence flags.
+    """
+    tol = 1e-14
+    X = np.array(X0, dtype=float)
+    if not len(X):
+        return X, np.zeros(0, dtype=bool)
+    R, J = fn(X), jac(X)
+    cost = np.sum(R * R, axis=-1)
+    k, m = J.shape[-2:]
+    small = k < m
+    eye = np.eye(k if small else m)
+
+    def scale_of(J):
+        JJ = J @ J.swapaxes(-1, -2) if small else J.swapaxes(-1, -2) @ J
+        return JJ, np.maximum(np.max(np.diagonal(JJ, axis1=-2, axis2=-1),
+                                     axis=-1, initial=0.0), 1e-300)
+
+    JJ, top = scale_of(J)
+    lam = 1e-3 * top
+    converged = cost == 0
+    active = np.isfinite(cost) & ~converged
+    for _ in range(200):
+        if not active.any():
+            break
+        A = JJ + lam[:, None, None] * eye
+        A[~active] = eye
+        if small:
+            D = -(J.swapaxes(-1, -2) @ np.linalg.solve(A, R[..., None]))[..., 0]
+        else:
+            D = -np.linalg.solve(A, J.swapaxes(-1, -2) @ R[..., None])[..., 0]
+        D[~active] = 0.0
+        Xn = X + D
+        Rn = fn(Xn)
+        cn = np.sum(Rn * Rn, axis=-1)
+        take = active & (cn < cost)  # False for NaN
+        tiny = (np.linalg.norm(D, axis=-1)
+                <= tol * (tol + np.linalg.norm(X, axis=-1)))
+        done = active & (tiny | take & ((cost - cn <= tol * cost) | (cn == 0)))
+        stuck = ~take & ~np.all(np.isfinite(D), axis=-1)
+        converged |= done
+        active &= ~done & ~stuck
+        if take.any():
+            X[take], R[take], cost[take] = Xn[take], Rn[take], cn[take]
+            J = np.where(take[:, None, None], jac(X), J)
+            JJ, top = scale_of(J)
+        lam = np.maximum(np.where(take, lam / 3, lam * 4), 1e-12 * top)
+    return X, converged
 
 
 def fd_gradient(p: Polynomial, point: Sequence[float], h: float = 1e-6) -> list[float]:

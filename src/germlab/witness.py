@@ -285,58 +285,120 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
                "fiber away from the origin")
 
 
+# Relative distances a hit is pulled to, one rung each, in order.
+APPROACH = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
 def condition_b_sampled_probe(germ: RealMapGerm,
                               fiber_components: list[Parametrization],
                               config=None) -> FiberLimitFinding:
     """Numeric search for Milnor-set points accumulating on the fiber.
 
-    Seeds are refined onto the Milnor set by least squares on the maximal
-    minors of the stacked matrix; accepted points must sit off the fiber
-    (some component large relative to scale) and the probe reports
-    whether their distance to the declared fiber components drops below
-    the accumulation tolerance while the norm stays at scale.  Findings
-    are reported, never promoted to facts: a finite sample cannot verify
-    a limit statement.
+    All seeds are drawn at once and refined together onto the Milnor set
+    by a batched Levenberg-Marquardt solve on the maximal minors of the
+    stacked matrix.  A refined point is a hit when it passes three
+    filters: on the variety (minors small relative to their envelope),
+    inside the ball (norm between r_min and the radius), and off the
+    fiber (some component large relative to its envelope).  Each hit is
+    then pulled toward its nearest fiber point through the relative
+    distances in APPROACH, every rung refined onto the Milnor set and
+    sent through the same filters; a rung that fails a filter ends that
+    hit's ladder.  The probe reports the smallest distance-to-norm ratio
+    among hits and ladder points, and a violation when it drops below
+    the accumulation tolerance.  Findings are reported, never promoted
+    to facts: a finite sample cannot verify a limit statement.
+
+    Seeds and fiber-distance candidates come from two derived streams,
+    so neither depends on how the other is consumed.
     """
     import numpy as np
 
     from germlab.sampling import (
-        RunConfig, compile_float, compile_scale, derive_rng, refine_on_variety,
+        RunConfig, compile_float, compile_jacobian, compile_scale, derive_rng,
+        refine_batch,
     )
 
     config = config or RunConfig()
     a = germ.stacked()
     minors = a.minors(a.rows)
-    comp_fn = compile_float(list(germ.components))
-    comp_scale = compile_scale(list(germ.components))
-    minor_fn = compile_float(minors)
+    comps = list(germ.components)
+    comp_fn, comp_scale = compile_float(comps), compile_scale(comps)
+    minor_fn, minor_jac = compile_float(minors), compile_jacobian(minors)
     minor_scale = compile_scale(minors)
-    fibers = [(phi.params.arity,
-               compile_float(list(phi.numerators) + list(phi.denominators)))
-              for phi in fiber_components]
+    fibers = []
+    for phi in fiber_components:
+        polys = list(phi.numerators) + list(phi.denominators)
+        fibers.append((phi.params.arity, compile_float(polys),
+                       compile_jacobian(polys)))
 
-    rng = derive_rng(config.seed, f"probe-b:{germ.label()}")
+    label = germ.label()
+    seed_rng = derive_rng(config.seed, f"probe-b:{label}")
+    dist_rng = derive_rng(config.seed, f"probe-b-distance:{label}")
     m = germ.source_arity
+
+    def filters(X):
+        on_variety = np.max(np.abs(minor_fn(X)) / minor_scale(X),
+                            axis=-1) <= config.tol_variety
+        norm = np.linalg.norm(X, axis=-1)
+        in_ball = (norm >= config.r_min) & (norm <= config.radius)
+        off_fiber = np.max(np.abs(comp_fn(X)) / comp_scale(X),
+                           axis=-1) >= config.tol_variety * 10
+        return on_variety, in_ball, off_fiber
+
+    seeds = np.reshape([seed_rng.uniform(-config.radius, config.radius)
+                        for _ in range(config.samples * m)],
+                       (config.samples, m))
+    X, _ = refine_batch(minor_fn, minor_jac, seeds)
+    on_variety, in_ball, off_fiber = filters(X)
+    hit = on_variety & in_ball & off_fiber
+    counts = {"count": int(hit.sum()),
+              "off_variety": int((~on_variety).sum()),
+              "outside_ball": int((on_variety & ~in_ball).sum()),
+              "on_fiber": int((on_variety & in_ball & ~off_fiber).sum()),
+              "approach": 0}
+
     best = None
-    hits = []
-    for k in range(config.samples):
-        seed_pt = np.array([rng.uniform(-config.radius, config.radius)
-                            for _ in range(m)])
-        x = refine_on_variety(minor_fn, seed_pt)
-        scale = minor_scale(x)
-        if np.max(np.abs(minor_fn(x)) / scale) > config.tol_variety:
-            continue
-        norm = float(np.linalg.norm(x))
-        if norm < config.r_min or norm > config.radius:
-            continue
-        gx = np.abs(comp_fn(x)) / comp_scale(x)
-        if np.max(gx) < config.tol_variety * 10:
-            continue  # on the fiber; not a probe point
-        dist = _distance_to_components(x, fibers, rng)
+
+    def rank(P):
+        """Distances of the points P to the fiber; keeps the best ratio."""
+        nonlocal best
+        dist, near = _distance_to_components(P, fibers, dist_rng)
+        norm = np.linalg.norm(P, axis=-1)
         ratio = dist / norm
-        hits.append((ratio, norm, dist))
-        if best is None or ratio < best[0]:
-            best = (ratio, norm, dist, x.tolist())
+        if len(P):
+            i = int(np.argmin(ratio))
+            if best is None or ratio[i] < best[0]:
+                best = (float(ratio[i]), float(norm[i]), float(dist[i]),
+                        P[i].tolist())
+        return near
+
+    P = X[hit]
+    Q = rank(P)
+    for tau in APPROACH:
+        if not len(P):
+            break
+        # Aim at the point tau * |Q| off the nearest fiber point Q, in
+        # the direction of P, and settle on the Milnor set near it; the
+        # minors are weighted as in sampling.nearest_on_variety, so the
+        # constraint binds first and the pull acts along the variety.
+        off = P - Q
+        T = Q + (tau * np.linalg.norm(Q, axis=-1)
+                 / np.maximum(np.linalg.norm(off, axis=-1), 1e-300))[:, None] * off
+
+        def pulled(Y, T=T):
+            return np.concatenate([1e4 * minor_fn(Y), Y - T], axis=-1)
+
+        def pulled_jac(Y):
+            eye = np.broadcast_to(np.eye(m), Y.shape[:-1] + (m, m))
+            return np.concatenate([1e4 * minor_jac(Y), eye], axis=-2)
+
+        Y, _ = refine_batch(pulled, pulled_jac, P)
+        keep = np.logical_and.reduce(filters(Y))
+        P = Y[keep]
+        counts["approach"] += len(P)
+        Q = rank(P)
+
+    samples = {**counts, "seed": config.seed}
     if best is not None and best[0] < config.tol_accum:
         return FiberLimitFinding(
             violates=True,
@@ -344,55 +406,71 @@ def condition_b_sampled_probe(germ: RealMapGerm,
                    f"fiber at relative distance {best[0]:.2e} while keeping "
                    f"norm {best[1]:.3f}",
             samples={"ratio": best[0], "norm": best[1], "distance": best[2],
-                     "point": best[3], "seed": config.seed})
+                     "point": best[3], **samples})
     detail = "no accumulation onto the fiber found at this scale"
     if best is not None:
         detail += f" (closest relative distance {best[0]:.2e})"
-    return FiberLimitFinding(violates=None, detail=detail,
-                             samples={"count": len(hits), "seed": config.seed})
+    return FiberLimitFinding(violates=None, detail=detail, samples=samples)
 
 
-def _distance_to_components(x, components, rng) -> float:
-    """Crude but deterministic distance: dense parameter sampling plus polish.
+def _distance_to_components(X, components, rng):
+    """Distance from each row of X to the union of the fiber components.
 
-    components holds one (parameter count, evaluator) pair per fiber
-    parametrization; the evaluator returns the numerators followed by the
-    denominators.  Each component scans the parameter origin and 200
-    uniform draws from [-3, 3]^k as one batch, skips candidates where a
-    denominator vanishes, and polishes the closest one by Nelder-Mead on
-    the squared distance.  The evaluator gives the same floats for a
-    batch as for its points one at a time, so the result is the one a
-    point-by-point scan gives.
+    components holds one (parameter count, evaluator, Jacobian) triple per
+    fiber parametrization; the evaluator returns the numerators followed
+    by the denominators.  Each component scans the parameter origin and
+    200 uniform draws from [-3, 3]^k, one set for all rows, skipping
+    candidates where a denominator vanishes; the closest candidate of
+    each row is then polished by refine_batch on the parameters, with
+    the quotient-rule Jacobian of numerators over denominators.  A
+    polish step into a vanishing denominator is refused, so every
+    reported distance is measured to a real point of a component: an
+    upper bound on the true distance, and never above the best scan
+    candidate.  Returns the distances (H,) and those nearest points
+    (H, n); rows with no usable candidate get inf and NaN.
     """
     import numpy as np
-    from scipy.optimize import minimize
 
-    n = len(x)  # numerators, then as many denominators
-    best = float("inf")
-    for k, fn in components:
+    from germlab.sampling import refine_batch
+
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    h, n = X.shape  # numerators, then as many denominators
+    best = np.full(h, np.inf)
+    nearest = np.full((h, n), np.nan)
+    for k, fn, jac in components:
         cands = np.zeros((201, k))
         cands[1:] = np.reshape([rng.uniform(-3, 3) for _ in range(200 * k)],
                                (200, k))
         vals = fn(cands)
-        nums, dens = vals[:, :n], vals[:, n:]
-        ok = ~np.any(np.abs(dens) < 1e-12, axis=-1)
-        if not ok.any():
+        ok = ~np.any(np.abs(vals[:, n:]) < 1e-12, axis=-1)
+        if not ok.any() or not h:
             continue
-        cands, offsets = cands[ok], nums[ok] / dens[ok] - x
-        dist = np.linalg.norm(offsets, axis=-1)
-        # The row-wise norm may round differently from a one-vector norm in
-        # the last bit; rank the near-ties one vector at a time so the first
-        # closest candidate is the one a point-by-point scan picks.
-        near = np.flatnonzero(dist <= dist.min() * (1 + 1e-12))
-        start = cands[min(near, key=lambda i: np.linalg.norm(offsets[i]))]
+        cands, pts = cands[ok], vals[ok, :n] / vals[ok, n:]
+        scan = np.linalg.norm(pts[None] - X[:, None], axis=-1)
+        first = np.argmin(scan, axis=-1)
 
-        def objective(s):
-            v = fn(s)
-            if np.any(np.abs(v[n:]) < 1e-12):
-                return 1e9
-            return float(np.sum((v[:n] / v[n:] - x) ** 2))
+        def point(S):
+            v = fn(S)
+            num, den = v[:, :n], v[:, n:]
+            bad = np.any(np.abs(den) < 1e-12, axis=-1)
+            return np.where(bad[:, None], np.nan, num / den), v
 
-        sol = minimize(objective, start, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-18, "maxiter": 400})
-        best = min(best, float(np.sqrt(max(sol.fun, 0.0))))
-    return best
+        def resid(S):
+            return point(S)[0] - X
+
+        def resid_jac(S):
+            _, v = point(S)
+            num, den = v[:, :n, None], v[:, n:, None]
+            J = jac(S)
+            return (J[:, :n] * den - num * J[:, n:]) / (den * den)
+
+        S, _ = refine_batch(resid, resid_jac, cands[first])
+        pt = point(S)[0]
+        dist = np.linalg.norm(pt - X, axis=-1)
+        # Keep the scan candidate where the polish did not beat it.
+        scanned = ~(dist < scan[np.arange(h), first])
+        dist[scanned] = scan[np.arange(h), first][scanned]
+        pt[scanned] = pts[first][scanned]
+        closer = dist < best
+        best[closer], nearest[closer] = dist[closer], pt[closer]
+    return best, nearest

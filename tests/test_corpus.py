@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from germlab.corpus import (
     run_corpus,
     run_entry,
 )
-from germlab.germs import GermlabRejection
+from germlab.germs import GermlabRejection, milnor_data
 from germlab.sampling import RunConfig
 
 
@@ -201,3 +202,20 @@ def test_corpus_checks_what_the_cli_prints(capsys, manifest, entry):
             c.name
         compared += 1
     assert compared
+
+
+def test_gram_is_square_checks_the_square_route_independently(manifest, monkeypatch):
+    # A square route that returned 2 det(A) would still square to its own
+    # milnor_poly; only the Gram route det(A A^T) tells the two apart.
+    import germlab.corpus as corpus
+
+    def doubled(germ):
+        md = milnor_data(germ)
+        wrong = md.square_det * 2
+        return dataclasses.replace(md, square_det=wrong, milnor_poly=wrong * wrong)
+
+    assert run_entry("mfx1", manifest["entries"]["mfx1"], RunConfig()).passed
+    monkeypatch.setattr(corpus, "milnor_data", doubled)
+    result = run_entry("mfx1", manifest["entries"]["mfx1"], RunConfig())
+    failed = {c.name for c in result.checks if not c.passed}
+    assert "gram_is_square" in failed

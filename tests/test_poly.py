@@ -142,8 +142,15 @@ def test_exact_div_rejects_inexact():
     "except ValueError:\n"
     "    raise SystemExit(0)\n"
     "raise SystemExit('accepted a zero denominator')\n",
+    "x, y, z = VarContext(['x', 'y', 'z']).gens()\n"
+    "for values in ([2], [2, 3, 4, 5]):\n"
+    "    try:\n"
+    "        v = (x*y + z).evaluate(values)\n"
+    "    except ValueError:\n"
+    "        continue\n"
+    "    raise SystemExit(f'evaluate({values}) returned {v}')\n",
 ], ids=["inexact-division", "context-mismatch", "repeated-name",
-        "nonvanishing-germ", "zero-denominator"])
+        "nonvanishing-germ", "zero-denominator", "evaluate-arity"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
     code = ("from germlab.germs import Parametrization, RealMapGerm\n"
@@ -162,7 +169,8 @@ def test_fast_modules_pass_under_optimize():
     src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_germs.py", "tests/test_certify.py", "tests/test_dsl.py"],
+         "tests/test_germs.py", "tests/test_certify.py", "tests/test_dsl.py",
+         "tests/test_sampling.py", "tests/test_witness.py"],
         cwd=root, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -1,8 +1,10 @@
-"""compile_float and the batched fiber-distance scan against loop references.
+"""compile_float, refine_batch and the fiber distance against references.
 
 The sampled probes print full-precision floats, so the vectorized
 evaluator must give the same bits as evaluating one polynomial at a time,
-and a batch of points the same bits as its points one by one.
+and a batch of points the same bits as its points one by one.  The
+batched solver and the fiber distance are checked against oracles:
+scipy's least_squares from the same seeds, and closed-form distances.
 """
 
 from fractions import Fraction
@@ -11,14 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 import germlab
 from germlab.compose import compose_exact
-from germlab.dsl import parse_path
+from germlab.dsl import parse_path, parse_text
 from germlab.germs import Parametrization
 from germlab.poly import Polynomial, VarContext
-from germlab.sampling import compile_float, derive_rng
+from germlab.sampling import (
+    RunConfig, compile_float, compile_jacobian, compile_scale, derive_rng,
+    refine_batch,
+)
 from germlab.witness import _distance_to_components
 
 CORPUS = Path(germlab.__file__).parent / "corpus"
@@ -116,40 +121,100 @@ def test_agrees_with_exact_evaluation(name):
             assert abs(Fraction(value) - exact) <= Fraction(1, 10**12) * envelope
 
 
-def loop_distance(x, fibers, rng) -> float:
-    """The fiber distance scanned and polished one candidate at a time."""
-    best = float("inf")
-    for k, nums, dens in fibers:
+@pytest.mark.parametrize("name", ["exaa-minors", "contra-milnor", "contra-inner"])
+def test_jacobian_matches_finite_differences(name):
+    polys = LISTS[name]
+    f, jac = compile_float(polys), compile_jacobian(polys)
+    X = points(name, (5,))
+    J = jac(X)
+    assert J.shape == (5, len(polys), X.shape[-1])
+    h = 1e-6
+    for j in range(X.shape[-1]):
+        e = np.zeros(X.shape[-1])
+        e[j] = h
+        fd = (f(X + e) - f(X - e)) / (2 * h)
+        assert np.allclose(J[..., j], fd, rtol=1e-6, atol=1e-6)
 
-        def point_of(s):
-            d = dens(s)
-            if np.any(np.abs(d) < 1e-12):
-                return None
-            return nums(s) / d
 
-        candidates = [np.zeros(k)] + [
-            np.array([rng.uniform(-3, 3) for _ in range(k)]) for _ in range(200)]
-        local_best = None
-        for s in candidates:
-            pt = point_of(s)
-            if pt is None:
-                continue
-            d = float(np.linalg.norm(pt - x))
-            if local_best is None or d < local_best[0]:
-                local_best = (d, s)
-        if local_best is None:
-            continue
+MHX1 = parse_text("map mhx1 : R^3 -> R^2\nvars x,y,z\nG1 = x*y\nG2 = z^2\n"
+                  ).single().germ
 
-        def objective(s):
-            pt = point_of(s)
-            if pt is None:
-                return 1e9
-            return float(np.sum((pt - x) ** 2))
 
-        sol = minimize(objective, local_best[1], method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-18, "maxiter": 400})
-        best = min(best, float(np.sqrt(max(sol.fun, 0.0))))
-    return best
+def milnor_minors(germ):
+    a = germ.stacked()
+    return a.minors(a.rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, minors", [
+    ("exaa", LISTS["exaa-minors"]),
+    ("mhx1", milnor_minors(MHX1)),
+    ("contra", LISTS["contra-milnor"]),
+])
+def test_refine_batch_accepts_where_scipy_does(seed, name, minors):
+    # The probe's first seeds, refined by the batched solver and, one at a
+    # time, by scipy's trf: every seed whose scipy solve passes the probe's
+    # variety check passes it after the batched solve too.
+    f, jac, scale = compile_float(minors), compile_jacobian(minors), compile_scale(minors)
+    m = minors[0].ctx.arity
+    rng = derive_rng(seed, f"probe-b:{name}")
+    seeds = np.reshape([rng.uniform(-2, 2) for _ in range(20 * m)], (20, m))
+    X, _ = refine_batch(f, jac, seeds)
+    scipy_x = np.array([
+        least_squares(f, s, method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                      max_nfev=400).x for s in seeds])
+
+    def on_variety(Z):
+        return np.max(np.abs(f(Z)) / scale(Z), axis=-1) <= RunConfig().tol_variety
+
+    assert on_variety(scipy_x).any()
+    assert np.all(on_variety(X) | ~on_variety(scipy_x))
+
+
+def test_refine_batch_keeps_rows_apart():
+    # Per-row targets, one row starting where its residual is NaN: the
+    # other rows solve exactly and the NaN row stays put, unconverged.
+    T = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]])
+    X0 = np.array([[0.0, 0.0], [1.0, 1.0], [np.nan, 1.0]])
+
+    def fn(X):
+        return X - T
+
+    def jac(X):
+        return np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2))
+
+    X, converged = refine_batch(fn, jac, X0)
+    assert np.allclose(X[:2], T[:2], atol=1e-12)
+    assert converged.tolist() == [True, True, False]
+    assert np.isnan(X[2, 0]) and X[2, 1] == 1.0
+    assert refine_batch(fn, jac, np.zeros((0, 2)))[0].shape == (0, 2)
+
+
+def fibers_of(comps):
+    out = []
+    for phi in comps:
+        polys = list(phi.numerators) + list(phi.denominators)
+        out.append((phi.params.arity, compile_float(polys), compile_jacobian(polys)))
+    return out
+
+
+EXAA_V = list(parse_path(CORPUS / "exaa.germ").single("exaa").sets["V"])
+HITS = np.random.default_rng(5).uniform(-2, 2, (8, 3))
+
+
+def test_fiber_distance_matches_closed_forms():
+    # exaa's fiber: the plane x = 0 at distance |x|, the x axis at
+    # distance sqrt(y^2 + z^2), and their union at the smaller of the two.
+    plane, axis = (fibers_of([phi]) for phi in EXAA_V)
+    x, y, z = HITS.T
+    for fibers, want in [(plane, np.abs(x)), (axis, np.hypot(y, z)),
+                         (plane + axis, np.minimum(np.abs(x), np.hypot(y, z)))]:
+        got, near = _distance_to_components(HITS, fibers, derive_rng(7, "distance"))
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+        assert np.allclose(np.linalg.norm(near - HITS, axis=-1), got, atol=1e-12)
+    _, near = _distance_to_components(HITS, plane, derive_rng(7, "distance"))
+    assert np.allclose(near[:, 0], 0, atol=1e-12)
+    assert np.allclose(near[:, 1:], HITS[:, 1:], atol=1e-9)
 
 
 def axis_with_pole() -> Parametrization:
@@ -161,20 +226,68 @@ def axis_with_pole() -> Parametrization:
                            (pc.zero(), s, pc.zero()), (s, pc.one(), pc.one()))
 
 
-@pytest.mark.parametrize("with_pole", [False, True], ids=["exaa", "exaa+pole"])
-def test_fiber_distance_matches_point_by_point_scan(with_pole):
-    comps = list(parse_path(CORPUS / "exaa.germ").single("exaa").sets["V"])
-    if with_pole:
-        comps.append(axis_with_pole())
-    fibers = [(phi.params.arity,
-               compile_float(list(phi.numerators) + list(phi.denominators)))
-              for phi in comps]
-    loops = [(phi.params.arity, loop_evaluator(phi.numerators),
-              loop_evaluator(phi.denominators)) for phi in comps]
-    for x in np.random.default_rng(5).uniform(-2, 2, (4, 3)):
-        got = _distance_to_components(x, fibers, derive_rng(7, "distance"))
-        want = loop_distance(x, loops, derive_rng(7, "distance"))
-        assert got == want
+def test_fiber_distance_skips_the_pole_candidate():
+    fibers = fibers_of([axis_with_pole()])
+    got, near = _distance_to_components(HITS, fibers, derive_rng(7, "distance"))
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(near))
+    assert np.allclose(got, np.hypot(HITS[:, 0], HITS[:, 2]), rtol=0, atol=1e-9)
+    # Only the pole candidate: nothing usable, so no distance at all.
+    got, near = _distance_to_components(HITS, fibers, Draws([0.0] * 200))
+    assert np.all(got == np.inf) and np.all(np.isnan(near))
+
+
+def unit_circle() -> Parametrization:
+    # ((1 - s^2), 2 s, 0) / (1 + s^2): the quotient rule matters here.
+    pc = VarContext(["s"])
+    s = pc.gens()[0]
+    den = 1 + s * s
+    return Parametrization(VarContext(["x", "y", "z"]), pc,
+                           (1 - s * s, 2 * s, pc.zero()), (den, den, pc.one()))
+
+
+def scan_distance(x, comps, rng) -> float:
+    """The closest scan candidate, found one candidate at a time."""
+    best = float("inf")
+    for phi in comps:
+        nums, dens = loop_evaluator(phi.numerators), loop_evaluator(phi.denominators)
+        k = phi.params.arity
+        cands = [np.zeros(k)] + [np.array([rng.uniform(-3, 3) for _ in range(k)])
+                                 for _ in range(200)]
+        for s in cands:
+            d = dens(s)
+            if not np.any(np.abs(d) < 1e-12):
+                best = min(best, float(np.linalg.norm(nums(s) / d - x)))
+    return best
+
+
+def test_fiber_distance_is_bracketed_by_truth_and_the_scan():
+    # The polish reports the distance to a real point of a component, so
+    # it is at least the true distance; it starts from the closest scan
+    # candidate and only takes steps that lower the distance, so it is
+    # at most that candidate's distance.  A one-vector norm may round
+    # differently from the batch's row norm, hence the last-bit slack.
+    comps = EXAA_V + [axis_with_pole(), unit_circle()]
+    X = np.abs(HITS) * [1, 1, 0.25]  # x > 0: the circle's nearest point is in reach
+    got, near = _distance_to_components(X, fibers_of(comps), derive_rng(7, "distance"))
+    x, y, z = X.T
+    true = np.min([np.abs(x), np.hypot(y, z), np.hypot(x, z),
+                   np.hypot(np.hypot(x, y) - 1, z)], axis=0)
+    assert np.all(got >= true - 1e-12)
+    assert np.allclose(got, true, rtol=0, atol=1e-9)
+    rng = derive_rng(7, "distance")
+    scans = [scan_distance(row, comps, rng) for row in X[:1]]
+    assert got[0] <= scans[0] * (1 + 1e-12)
+    assert scans[0] > got[0] + 1e-6  # the polish did improve on the scan
+
+
+def test_fiber_distance_polish_never_worsens_the_scan():
+    # Every row against the circle alone, with the scan replayed per row.
+    comps = [unit_circle()]
+    X = HITS * [1, 1, 0.25]
+    got, _ = _distance_to_components(X, fibers_of(comps), derive_rng(11, "distance"))
+    for row, d in zip(X, got):
+        assert d <= scan_distance(row, comps, derive_rng(11, "distance")) * (1 + 1e-12)
+        assert d >= abs(np.hypot(row[0], row[1]) - 1) - 1e-12
 
 
 class Draws:
@@ -185,26 +298,3 @@ class Draws:
 
     def uniform(self, lo, hi):
         return next(self.values)
-
-
-def test_fiber_distance_breaks_last_bit_ties_like_the_scan():
-    # Two candidates a, b whose offsets from x swap two coordinates: the
-    # one-vector norm puts b strictly closer, the row-wise norm of the
-    # batch rounds both to the same float.  The scan starts from b, and
-    # the polish from a would end elsewhere.
-    x = np.array([0.5, -1.0, 0.25])
-    a, b = x + [-1.621, -1.98, -0.708], x + [-1.98, -1.621, -0.708]
-    assert np.linalg.norm(b - x) < np.linalg.norm(a - x)
-    assert np.ptp(np.linalg.norm([a - x, b - x], axis=-1)) == 0
-    pc = VarContext(["s1", "s2", "s3", "s4"])
-    s1, s2, s3, s4 = pc.gens()
-    # (s1, 2 s2, s3) / s4: s4 = 0 skips the first candidate, and the
-    # factor 2 makes the objective asymmetric in the swapped coordinates.
-    phi = Parametrization(VarContext(["x", "y", "z"]), pc,
-                          (s1, 2 * s2, s3), (s4, s4, s4))
-    values = ([a[0], a[1] / 2, a[2], 1.0, b[0], b[1] / 2, b[2], 1.0]
-              + [50.0, 50.0, 50.0, 1.0] * 198)
-    fibers = [(4, compile_float(list(phi.numerators) + list(phi.denominators)))]
-    loops = [(4, loop_evaluator(phi.numerators), loop_evaluator(phi.denominators))]
-    assert (_distance_to_components(x, fibers, Draws(values))
-            == loop_distance(x, loops, Draws(values)))

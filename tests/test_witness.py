@@ -7,6 +7,7 @@ from germlab.curves import CurveFamily, LaurentPoly, direction_limit
 from germlab.dsl import WitnessSpec, parse_text
 from germlab.germs import GermlabRejection, Parametrization
 from germlab.poly import VarContext
+from germlab.sampling import RunConfig
 from germlab.witness import (
     condition_b_family_check,
     condition_b_sampled_probe,
@@ -271,3 +272,51 @@ def test_sampled_probe_negative_on_transverse_cone():
     finding = condition_b_sampled_probe(germ, fiber)
     assert finding.violates is None
     assert "no accumulation" in finding.detail
+
+
+def _cone_probe(name):
+    germ = parse_text(f"map {name} : R^3 -> R^2\nvars x,y,z\n"
+                      "G1 = x*y\nG2 = x*z\n").single().germ
+    pc2 = VarContext(["s1", "s2"])
+    s1, s2 = pc2.gens()
+    zero = pc2.zero()
+    return germ, [
+        Parametrization.from_polys(germ.ctx, pc2, [zero, s1, s2], name="x=0"),
+        Parametrization.from_polys(germ.ctx, pc2, [s1, zero, zero], name="yz=0"),
+    ]
+
+
+def _mhx1_probe():
+    germ = parse_text(MHX1_SRC).single().germ
+    pc1 = VarContext(["s"])
+    s = pc1.gens()[0]
+    zero = pc1.zero()
+    return germ, [
+        Parametrization.from_polys(germ.ctx, pc1, [zero, s, zero], name="y-axis"),
+        Parametrization.from_polys(germ.ctx, pc1, [s, zero, zero], name="x-axis"),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0xC0FFEE, 1, 2, 3, 4, 5, 6, 7, 8])
+def test_sampled_verdicts_hold_on_held_out_seeds(seed):
+    config = RunConfig(seed=seed)
+    flagged = condition_b_sampled_probe(*_mhx1_probe(), config)
+    assert flagged.violates is True
+    assert flagged.samples["ratio"] < config.tol_accum
+    for name in ("exaa", "mfx1"):
+        quiet = condition_b_sampled_probe(*_cone_probe(name), config)
+        assert quiet.violates is None
+        # Points of the cone x^2 = y^2 + z^2 sit at distance |x| from both
+        # fiber components and at norm sqrt(2) |x|.
+        assert quiet.detail.endswith("(closest relative distance 7.07e-01)")
+
+
+def test_sampled_probe_accounts_for_every_seed():
+    config = RunConfig(samples=60)
+    finding = condition_b_sampled_probe(*_cone_probe("exaa"), config)
+    got = finding.samples
+    assert (got["count"] + got["off_variety"] + got["outside_ball"]
+            + got["on_fiber"]) == config.samples
+    # Every rung toward exaa's fiber leaves the cone for the fiber.
+    assert got["on_fiber"] > 0 and got["approach"] == 0
+    assert condition_b_sampled_probe(*_cone_probe("exaa"), config) == finding
