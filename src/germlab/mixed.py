@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from germlab.poly import Exponents, Polynomial, VarContext, _grlex
+from germlab.poly import Exponents, Polynomial, VarContext
 
 
 class ComplexRational:

@@ -2,14 +2,28 @@
 
 Everything downstream (Jacobians, Milnor determinants, pullbacks) reduces to
 the handful of operations defined here, so the module stays deliberately
-small: dense exponent vectors, graded-lex ordering for printing, and a
-fraction-free determinant.  No floats in any identity.
+small: a term map from exponent tuples to Fractions, graded-lex ordering for
+printing, and a fraction-free determinant.  No floats in any identity.
+
+The two hot loops, multiplication and exact division, run on packed
+integers (Monagan & Pearce, "Sparse polynomial division using a heap",
+JSC 2011).  Each exponent vector becomes one int whose top field is the
+total degree and whose lower fields are the exponents, so a monomial
+product is one integer add and a graded-lex comparison is one integer
+compare.  Each factor is scaled to integer numerators over one common
+denominator, so the loops multiply and add ints, not Fractions.  The term
+map is rebuilt once at the end.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -22,8 +36,64 @@ def _grlex(e: Exponents) -> tuple[int, Exponents]:
 
 
 def _coeff(c) -> Fraction:
-    assert not isinstance(c, float), "core arithmetic is exact; no floats"
+    if isinstance(c, float):
+        raise TypeError(f"core arithmetic is exact; got the float {c!r}")
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Packing:
+    """Packed graded-lex keys for exponent vectors of one arity.
+
+    A key has arity + 1 fields of `nbytes` bytes each: the total degree in
+    the top field, then e[0], ..., e[n-1].  Integer order on keys is graded
+    lex order on vectors, and the key of a product is the sum of the keys as
+    long as no field reaches 2**(8 * nbytes); callers pick `nbytes` from a
+    bound on the total degree, which bounds every field.
+    """
+
+    __slots__ = ("weights", "unpack")
+
+    def __init__(self, arity: int, nbytes: int):
+        w = 8 * nbytes
+        top = 1 << (w * arity)
+        # key = sum(e[i] * weights[i]): e[i] lands in its own field and,
+        # through `top`, adds itself to the degree field.
+        self.weights = tuple((1 << (w * (arity - 1 - i))) | top
+                             for i in range(arity))
+        if nbytes in _STRUCT_CODES:
+            fields = struct.Struct(f">{nbytes}x{arity}{_STRUCT_CODES[nbytes]}").unpack
+            size = nbytes * (arity + 1)
+            self.unpack = lambda k: fields(k.to_bytes(size, "big"))
+        else:
+            shifts = [w * (arity - 1 - i) for i in range(arity)]
+            mask = (1 << w) - 1
+            self.unpack = lambda k: tuple([(k >> s) & mask for s in shifts])
+
+    def scaled(self, terms: Mapping[Exponents, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+        """(d, [(key, d * c), ...]) with d the least common denominator."""
+        d = lcm(*[c.denominator for c in terms.values()])
+        weights = self.weights
+        return d, [(sum(map(mul, e, weights)), c.numerator * (d // c.denominator))
+                   for e, c in terms.items()]
+
+
+# At most 10 arities times a few field widths are ever in use.
+_packing_for = lru_cache(maxsize=64)(_Packing)
+
+
+def _packing(arity: int, max_degree: int) -> _Packing:
+    """The packing whose fields hold every total degree up to max_degree."""
+    nbytes = -(-max_degree.bit_length() // 8) or 1
+    if nbytes <= 8:
+        nbytes = 1 << (nbytes - 1).bit_length()  # a width struct can unpack
+    return _packing_for(arity, nbytes)
+
+
+def _degree(terms: Mapping[Exponents, Fraction]) -> int:
+    return max(map(sum, terms))
 
 
 class VarContext:
@@ -104,11 +174,22 @@ class Polynomial:
         self.ctx = ctx
         clean = {}
         for e, c in terms.items():
-            assert len(e) == ctx.arity, f"exponent vector {e} has wrong length"
+            e = tuple(e)
+            if len(e) != ctx.arity or not all(isinstance(k, int) and k >= 0 for k in e):
+                raise ValueError(
+                    f"exponent vector {e} is not {ctx.arity} nonnegative ints")
             c = _coeff(c)
             if c:
-                clean[tuple(e)] = c
+                clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, ctx: VarContext, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        # For term maps built here that already hold the invariants.
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        return p
 
     # -- basic queries ---------------------------------------------------
 
@@ -119,7 +200,8 @@ class Polynomial:
         return all(not any(e) for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        assert self.is_constant(), f"not a constant: {self}"
+        if not self.is_constant():
+            raise ValueError(f"not a constant: {self}")
         return self.terms.get((0,) * self.ctx.arity, Fraction(0))
 
     def degree_in(self, name: str) -> int:
@@ -127,8 +209,9 @@ class Polynomial:
         return max((e[i] for e in self.terms), default=0)
 
     def leading(self) -> tuple[Exponents, Fraction]:
-        """Leading term under graded lex.  Undefined on zero."""
-        assert self.terms, "zero polynomial has no leading term"
+        """Leading term under graded lex.  Raises ValueError on zero."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex)
         return e, self.terms[e]
 
@@ -151,12 +234,12 @@ class Polynomial:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Polynomial(self.ctx, terms)
+        return Polynomial._trusted(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -_coeff(other))
@@ -171,21 +254,34 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ctx(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
+        if not (self.terms and other.terms):
+            return self.ctx.zero()
+        pk = _packing(self.ctx.arity, _degree(self.terms) + _degree(other.terms))
+        d1, a = pk.scaled(self.terms)
+        d2, b = pk.scaled(other.terms)
+        # Integer numerators over d1 * d2.  A sum that cancels leaves the map
+        # and a later product puts it back at the end, so the terms come out
+        # in the order the schoolbook loop over the Fraction maps gives them.
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
                 if s:
-                    terms[e] = s
+                    acc[k] = s
                 else:
-                    terms.pop(e, None)
-        return Polynomial(self.ctx, terms)
+                    del acc[k]
+        d = d1 * d2
+        unpack = pk.unpack
+        return Polynomial._trusted(
+            self.ctx, {unpack(k): Fraction(c, d) for k, c in acc.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        assert isinstance(k, int) and k >= 0, f"bad exponent {k!r}"
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
         out = self.ctx.one()
         base = self
         while k:
@@ -262,32 +358,60 @@ class Polynomial:
         divisor | self, so a failed monomial division proves the division
         inexact.  Raises ArithmeticError then, and ZeroDivisionError (also
         an ArithmeticError) on a zero divisor.
+
+        The loop runs over integers: self becomes A / da and divisor
+        g * B / db with A and B integral and B primitive.  By Gauss's lemma
+        B | A over the rationals only if the quotient A / B is integral, so a
+        leading coefficient that B's does not divide also proves the
+        division inexact.
         """
         self._require_same_ctx(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        ed, cd = divisor.leading()
-        rem = dict(self.terms)
-        out: dict[Exponents, Fraction] = {}
+        # Every remainder and quotient term has degree at most deg(self).
+        pk = _packing(self.ctx.arity, max(_degree(self.terms), _degree(divisor.terms)))
+        unpack = pk.unpack
+        da, rem_items = pk.scaled(self.terms)
+        db, b = pk.scaled(divisor.terms)
+        g = gcd(*[c for _, c in b])
+        b = [(k, c // g) for k, c in b]
+        kd, cd = max(b)
+        ed = unpack(kd)
+        rem = dict(rem_items)
+        # Max-heap of the remainder's keys, negated.  A key that cancels
+        # stays in the heap and is skipped when it surfaces.
+        heap = [-k for k in rem]
+        heapify(heap)
+        out: dict[int, int] = {}
+        get = rem.get
         while rem:
-            er = max(rem, key=_grlex)
-            cr = rem[er]
-            eq = tuple(a - b for a, b in zip(er, ed))
-            if any(k < 0 for k in eq):
+            kr = -heappop(heap)
+            if kr not in rem:
+                continue
+            q, r = divmod(rem[kr], cd)
+            if r or min(map(sub, unpack(kr), ed)) < 0:
+                left = {unpack(k): Fraction(c, da) for k, c in rem.items()}
                 raise ArithmeticError(
-                    f"inexact division: {Polynomial(self.ctx, rem)} by {divisor}")
-            cq = cr / cd
-            out[eq] = cq
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(eq, e2))
-                s = rem.get(e, 0) - cq * c2
-                if s:
-                    rem[e] = s
+                    f"inexact division: {Polynomial._trusted(self.ctx, left)} by {divisor}")
+            kq = kr - kd
+            out[kq] = q
+            for k2, c2 in b:
+                k = kq + k2
+                c = get(k)
+                if c is None:
+                    rem[k] = -q * c2
+                    heappush(heap, -k)
                 else:
-                    rem.pop(e, None)
-        return Polynomial(self.ctx, out)
+                    s = c - q * c2
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+        den = g * da
+        return Polynomial._trusted(
+            self.ctx, {unpack(k): Fraction(q * db, den) for k, q in out.items()})
 
     # -- printing --------------------------------------------------------
 
@@ -329,15 +453,18 @@ class PolyMatrix:
     __slots__ = ("ctx", "rows", "cols", "entries")
 
     def __init__(self, rows: Sequence[Sequence[Polynomial]]):
-        assert rows and rows[0], "empty matrix"
+        if not (rows and rows[0]):
+            raise ValueError("empty matrix")
         self.ctx = rows[0][0].ctx
         self.rows = len(rows)
         self.cols = len(rows[0])
         self.entries = []
         for row in rows:
-            assert len(row) == self.cols, "ragged rows"
+            if len(row) != self.cols:
+                raise ValueError(f"ragged rows: {len(row)} entries, expected {self.cols}")
             for p in row:
-                assert p.ctx == self.ctx, "mixed contexts in matrix"
+                if p.ctx != self.ctx:
+                    raise ValueError(f"mixed contexts in matrix: {p.ctx!r} vs {self.ctx!r}")
             self.entries.append(list(row))
 
     @property
@@ -353,7 +480,8 @@ class PolyMatrix:
                            for j in range(self.cols)])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        assert self.cols == other.rows, f"shape mismatch {self.shape} @ {other.shape}"
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = []
         for i in range(self.rows):
             row = []
@@ -373,7 +501,8 @@ class PolyMatrix:
 
     def minors(self, k: int) -> list[Polynomial]:
         """All k x k minors, row/column index sets in lexicographic order."""
-        assert 0 < k <= min(self.rows, self.cols)
+        if not 0 < k <= min(self.rows, self.cols):
+            raise ValueError(f"no {k} x {k} minors in a {self.shape} matrix")
         out = []
         for ri in combinations(range(self.rows), k):
             for ci in combinations(range(self.cols), k):
@@ -387,7 +516,8 @@ class PolyMatrix:
         All intermediate divisions in the Bareiss sweep are exact in the
         polynomial ring, so no rational functions ever appear.
         """
-        assert self.rows == self.cols, f"determinant of non-square {self.shape}"
+        if self.rows != self.cols:
+            raise ValueError(f"determinant of non-square {self.shape}")
         n = self.rows
         if n < 4:
             return _cofactor_det(self.entries, self.ctx)

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here is written against raw nested lists of Fractions, with no
-imports from germlab internals beyond evaluation, so that agreement between
-a germlab routine and its oracle actually means two routes reached the same
-answer.
+Everything here is written against raw nested lists of Fractions or raw
+term dicts (exponent tuple -> Fraction), with no imports from germlab
+internals beyond evaluation, so that agreement between a germlab routine and
+its oracle actually means two routes reached the same answer.
 """
 
 from __future__ import annotations
@@ -75,3 +75,54 @@ def sympy_expand_equal(text_a: str, text_b: str, names: list[str]) -> bool:
     ea = sympy.sympify(text_a.replace("^", "**"), locals=syms)
     eb = sympy.sympify(text_b.replace("^", "**"), locals=syms)
     return sympy.expand(ea - eb) == 0
+
+
+def schoolbook_mul(a: dict, b: dict) -> dict:
+    """Product of two term dicts by the double loop over Fraction terms.
+
+    A sum that cancels leaves the dict, so a monomial that comes back is
+    placed at the end: the insertion order is part of what is compared.
+    """
+    terms: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return terms
+
+
+def schoolbook_div(a: dict, b: dict) -> dict:
+    """Exact quotient a / b of term dicts by leading-term cancellation.
+
+    Graded lex, with the leading term found by a full rescan of the
+    remainder.  Raises ArithmeticError when a leading monomial of the
+    remainder is not divisible, and ZeroDivisionError on b == {}.
+    """
+    def grlex(e):
+        return (sum(e), e)
+
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    ed = max(b, key=grlex)
+    cd = b[ed]
+    rem = dict(a)
+    out: dict = {}
+    while rem:
+        er = max(rem, key=grlex)
+        eq = tuple(x - y for x, y in zip(er, ed))
+        if any(k < 0 for k in eq):
+            raise ArithmeticError(f"inexact division at {er}")
+        cq = rem[er] / cd
+        out[eq] = cq
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(eq, e2))
+            s = rem.get(e, 0) - cq * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return out

@@ -149,12 +149,44 @@ def test_exact_div_rejects_inexact():
     "    except ValueError:\n"
     "        continue\n"
     "    raise SystemExit(f'evaluate({values}) returned {v}')\n",
+    "must_raise(TypeError, lambda: VarContext(['x']).const(0.1))\n"
+    "must_raise(TypeError, lambda: VarContext(['x']).var('x') * 0.5)\n",
+    "xy = VarContext(['x', 'y'])\n"
+    "must_raise(ValueError, lambda: Polynomial(xy, {(1,): 1}))\n"
+    "must_raise(ValueError, lambda: Polynomial(xy, {(1, 0, 0): 1}))\n"
+    "must_raise(ValueError, lambda: Polynomial(xy, {(1, -1): 1}))\n",
+    # Unchecked, a negative power loops forever; the subprocess timeout
+    # turns that into a failure.
+    "x, = VarContext(['x']).gens()\n"
+    "must_raise(ValueError, lambda: (x + 1) ** -1)\n"
+    "must_raise(ValueError, lambda: (x + 1) ** 1.5)\n",
+    "x, = VarContext(['x']).gens()\n"
+    "must_raise(ValueError, lambda: (x + 1).constant_value())\n",
+    "must_raise(ValueError, lambda: VarContext(['x']).zero().leading())\n",
+    "x, y = VarContext(['x', 'y']).gens()\n"
+    "u, = VarContext(['u']).gens()\n"
+    "must_raise(ValueError, lambda: PolyMatrix([]))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[]]))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[x, y], [x]]))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[x, u]]))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[x, y]]) @ PolyMatrix([[x, y]]))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[x, y], [y, x]]).minors(0))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[x, y], [y, x]]).minors(3))\n"
+    "must_raise(ValueError, lambda: PolyMatrix([[x, y]]).det())\n",
 ], ids=["inexact-division", "context-mismatch", "repeated-name",
-        "nonvanishing-germ", "zero-denominator", "evaluate-arity"])
+        "nonvanishing-germ", "zero-denominator", "evaluate-arity",
+        "float-coefficient", "exponent-vector", "negative-power",
+        "constant-value", "leading-of-zero", "matrix-shape"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
     code = ("from germlab.germs import Parametrization, RealMapGerm\n"
-            "from germlab.poly import VarContext\n" + code)
+            "from germlab.poly import Polynomial, PolyMatrix, VarContext\n"
+            "def must_raise(exc, make):\n"
+            "    try:\n"
+            "        got = make()\n"
+            "    except exc:\n"
+            "        return\n"
+            "    raise SystemExit(f'accepted, returned {got!r}')\n" + code)
     src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
@@ -170,7 +202,7 @@ def test_fast_modules_pass_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_germs.py", "tests/test_certify.py", "tests/test_dsl.py",
-         "tests/test_sampling.py", "tests/test_witness.py"],
+         "tests/test_sampling.py", "tests/test_witness.py", "tests/test_kernel.py"],
         cwd=root, capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
