@@ -17,10 +17,8 @@ map is rebuilt once at the end.
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul, sub
@@ -39,9 +37,6 @@ def _coeff(c) -> Fraction:
     if isinstance(c, float):
         raise TypeError(f"core arithmetic is exact; got the float {c!r}")
     return c if isinstance(c, Fraction) else Fraction(c)
-
-
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class _Packing:
@@ -63,14 +58,9 @@ class _Packing:
         # through `top`, adds itself to the degree field.
         self.weights = tuple((1 << (w * (arity - 1 - i))) | top
                              for i in range(arity))
-        if nbytes in _STRUCT_CODES:
-            fields = struct.Struct(f">{nbytes}x{arity}{_STRUCT_CODES[nbytes]}").unpack
-            size = nbytes * (arity + 1)
-            self.unpack = lambda k: fields(k.to_bytes(size, "big"))
-        else:
-            shifts = [w * (arity - 1 - i) for i in range(arity)]
-            mask = (1 << w) - 1
-            self.unpack = lambda k: tuple([(k >> s) & mask for s in shifts])
+        shifts = [w * (arity - 1 - i) for i in range(arity)]
+        mask = (1 << w) - 1
+        self.unpack = lambda k: tuple([(k >> s) & mask for s in shifts])
 
     def scaled(self, terms: Mapping[Exponents, Fraction]) -> tuple[int, list[tuple[int, int]]]:
         """(d, [(key, d * c), ...]) with d the least common denominator."""
@@ -86,10 +76,7 @@ _packing_for = lru_cache(maxsize=64)(_Packing)
 
 def _packing(arity: int, max_degree: int) -> _Packing:
     """The packing whose fields hold every total degree up to max_degree."""
-    nbytes = -(-max_degree.bit_length() // 8) or 1
-    if nbytes <= 8:
-        nbytes = 1 << (nbytes - 1).bit_length()  # a width struct can unpack
-    return _packing_for(arity, nbytes)
+    return _packing_for(arity, -(-max_degree.bit_length() // 8) or 1)
 
 
 def _degree(terms: Mapping[Exponents, Fraction]) -> int:
@@ -207,13 +194,6 @@ class Polynomial:
     def degree_in(self, name: str) -> int:
         i = self.ctx.position(name)
         return max((e[i] for e in self.terms), default=0)
-
-    def leading(self) -> tuple[Exponents, Fraction]:
-        """Leading term under graded lex.  Raises ValueError on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
 
     # -- ring operations -------------------------------------------------
 
@@ -380,16 +360,10 @@ class Polynomial:
         kd, cd = max(b)
         ed = unpack(kd)
         rem = dict(rem_items)
-        # Max-heap of the remainder's keys, negated.  A key that cancels
-        # stays in the heap and is skipped when it surfaces.
-        heap = [-k for k in rem]
-        heapify(heap)
         out: dict[int, int] = {}
         get = rem.get
         while rem:
-            kr = -heappop(heap)
-            if kr not in rem:
-                continue
+            kr = max(rem)  # the leading term: keys compare in graded lex
             q, r = divmod(rem[kr], cd)
             if r or min(map(sub, unpack(kr), ed)) < 0:
                 left = {unpack(k): Fraction(c, da) for k, c in rem.items()}
@@ -399,16 +373,11 @@ class Polynomial:
             out[kq] = q
             for k2, c2 in b:
                 k = kq + k2
-                c = get(k)
-                if c is None:
-                    rem[k] = -q * c2
-                    heappush(heap, -k)
+                s = get(k, 0) - q * c2
+                if s:
+                    rem[k] = s
                 else:
-                    s = c - q * c2
-                    if s:
-                        rem[k] = s
-                    else:
-                        del rem[k]
+                    del rem[k]
         den = g * da
         return Polynomial._trusted(
             self.ctx, {unpack(k): Fraction(q * db, den) for k, q in out.items()})

@@ -103,8 +103,8 @@ def test_cancellation_to_zero():
 
 @pytest.mark.parametrize("degree", [100, 300, 70_000, 2**40, 2**64, 2**70])
 def test_wide_exponent_fields(degree):
-    # Degree sums past one byte, two bytes, four and eight bytes each pick a
-    # wider field, the last one past what struct unpacks.
+    # Degree sums past one, two, four and eight bytes each pick a wider
+    # field.
     x, y, z = CONTEXTS[3].gens()
     a = Polynomial(x.ctx, {(degree, 1, 0): Fraction(1, 3), (0, 0, 2): Fraction(-5)})
     b = x + Fraction(7, 2) * y * z
