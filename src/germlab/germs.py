@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from germlab.poly import Polynomial, PolyMatrix, VarContext
+from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
 
 
 class GermlabRejection(Exception):
@@ -221,9 +221,9 @@ def pullback_numerator(p: Polynomial, phi: Parametrization) -> Polynomial:
     The result vanishes identically exactly when the pullback does, since
     the cleared factor prod d_i^{deg_i} is not identically zero.
     """
-    assert phi.target == p.ctx, (
-        f"parametrization targets {phi.target!r}, polynomial lives in {p.ctx!r}"
-    )
+    if phi.target != p.ctx:
+        raise ValueError(
+            f"parametrization targets {phi.target!r}, polynomial lives in {p.ctx!r}")
     degs = [p.degree_in(n) for n in p.ctx.names]
     cache: dict[tuple[int, int, bool], Polynomial] = {}
 
@@ -234,18 +234,18 @@ def pullback_numerator(p: Polynomial, phi: Parametrization) -> Polynomial:
             cache[key] = base**k
         return cache[key]
 
-    acc = phi.params.zero()
+    chains = []
     for e, c in p.terms.items():
-        term = phi.params.const(c)
+        chain = [phi.params.const(c)]
         for i, k in enumerate(e):
             if degs[i] == 0:
                 continue
             if k:
-                term = term * power(i, k, True)
+                chain.append(power(i, k, True))
             if degs[i] - k:
-                term = term * power(i, degs[i] - k, False)
-        acc = acc + term
-    return acc
+                chain.append(power(i, degs[i] - k, False))
+        chains.append(chain)
+    return _sum_of_products(phi.params, chains)
 
 
 def pullback_vanishes(p: Polynomial, phi: Parametrization,

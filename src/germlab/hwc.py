@@ -27,7 +27,7 @@ from germlab.germs import (
     realify_mixed,
 )
 from germlab.mixed import MixedPolynomial, hermitian_pairing
-from germlab.poly import Polynomial, PolyMatrix, VarContext
+from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,7 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
     factor = None
     if holds:
         u, _ = f.realify()
-        grad = u.gradient()
-        acc = u.ctx.zero()
-        for g in grad:
-            acc = acc + g * g
-        factor = acc
+        factor = _sum_of_products(u.ctx, [(g, g) for g in u.gradient()])
     return ConformalFrameResult(holds=holds, conformal_factor=factor,
                                 residuals=residuals)
 

@@ -290,7 +290,9 @@ class MixedPolynomial:
         """
         if real_ctx is None:
             real_ctx = realified_context(self.ctx)
-        assert real_ctx.arity == 2 * self.ctx.arity
+        if real_ctx.arity != 2 * self.ctx.arity:
+            raise ValueError(
+                f"real context {real_ctx!r} needs {2 * self.ctx.arity} variables")
         pairs = []
         for j in range(self.ctx.arity):
             re = real_ctx.var(real_ctx.names[2 * j])

@@ -5,14 +5,17 @@ the handful of operations defined here, so the module stays deliberately
 small: a term map from exponent tuples to Fractions, graded-lex ordering for
 printing, and a fraction-free determinant.  No floats in any identity.
 
-The two hot loops, multiplication and exact division, run on packed
+The two hot loops, sums of products and exact division, run on packed
 integers (Monagan & Pearce, "Sparse polynomial division using a heap",
 JSC 2011).  Each exponent vector becomes one int whose top field is the
 total degree and whose lower fields are the exponents, so a monomial
 product is one integer add and a graded-lex comparison is one integer
 compare.  Each factor is scaled to integer numerators over one common
-denominator, so the loops multiply and add ints, not Fractions.  The term
-map is rebuilt once at the end.
+denominator, so the loops multiply and add ints, not Fractions.  One
+kernel, `_sum_of_products`, serves a single product, a matrix product
+entry, a cofactor determinant and a cleared pullback: every chain of
+factors is multiplied in packed ints and summed in one integer
+accumulator, and the term map is rebuilt once at the end.
 """
 
 from __future__ import annotations
@@ -81,6 +84,90 @@ def _packing(arity: int, max_degree: int) -> _Packing:
 
 def _degree(terms: Mapping[Exponents, Fraction]) -> int:
     return max(map(sum, terms))
+
+
+def _chain_product(factors: list[list[tuple[int, int]]]) -> Iterable[tuple[int, int]]:
+    """Packed product of scaled factors, left to right, in schoolbook order.
+
+    A sum that cancels leaves the map and a later product puts it back at
+    the end, so the terms come out in the order the double loop over the
+    Fraction maps gives them.
+    """
+    items: Iterable[tuple[int, int]] = factors[0]
+    for b in factors[1:]:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k1, c1 in items:
+            for k2, c2 in b:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        items = acc.items()
+    return items
+
+
+def _sum_of_products(ctx: "VarContext",
+                     chains: Iterable[Sequence["Polynomial"]]) -> "Polynomial":
+    """The sum over chains of each chain's product, factors taken left to right.
+
+    This is `acc = acc + f1 * f2 * ...` in one packed pass: each distinct
+    factor is scaled once, each chain is multiplied in packed ints, and the
+    products merge into one integer accumulator over the lcm of their
+    denominators.  Each product is merged in its own term order and a sum
+    that cancels leaves the map, as in `Polynomial.__add__`, so the term map
+    comes out in the order of that loop.  A chain with a zero factor adds
+    nothing, and a single chain is its product, unmerged.
+    """
+    live = []
+    degree: dict[int, int] = {}
+    top = 0
+    for chain in chains:
+        total = 0
+        for f in chain:
+            g = degree.get(id(f))
+            if g is None:
+                if not f.terms:
+                    break
+                g = degree[id(f)] = _degree(f.terms)
+            total += g
+        else:
+            live.append(chain)
+            top = max(top, total)
+    if not live:
+        return ctx.zero()
+    pk = _packing(ctx.arity, top)
+    scaled: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    packed, dens = [], []
+    for chain in live:
+        d, parts = 1, []
+        for f in chain:
+            s = scaled.get(id(f))
+            if s is None:
+                s = scaled[id(f)] = pk.scaled(f.terms)
+            d *= s[0]
+            parts.append(s[1])
+        packed.append(parts)
+        dens.append(d)
+    den = lcm(*dens)
+    if len(live) == 1:
+        items = _chain_product(packed[0])
+    else:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for parts, d in zip(packed, dens):
+            m = den // d
+            for k, c in _chain_product(parts):
+                s = get(k, 0) + c * m
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        items = acc.items()
+    unpack = pk.unpack
+    return Polynomial._trusted(ctx, {unpack(k): Fraction(c, den) for k, c in items})
 
 
 class VarContext:
@@ -234,28 +321,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ctx(other)
-        if not (self.terms and other.terms):
-            return self.ctx.zero()
-        pk = _packing(self.ctx.arity, _degree(self.terms) + _degree(other.terms))
-        d1, a = pk.scaled(self.terms)
-        d2, b = pk.scaled(other.terms)
-        # Integer numerators over d1 * d2.  A sum that cancels leaves the map
-        # and a later product puts it back at the end, so the terms come out
-        # in the order the schoolbook loop over the Fraction maps gives them.
-        acc: dict[int, int] = {}
-        get = acc.get
-        for k1, c1 in a:
-            for k2, c2 in b:
-                k = k1 + k2
-                s = get(k, 0) + c1 * c2
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
-        d = d1 * d2
-        unpack = pk.unpack
-        return Polynomial._trusted(
-            self.ctx, {unpack(k): Fraction(c, d) for k, c in acc.items()})
+        return _sum_of_products(self.ctx, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -451,19 +517,13 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.ctx.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        if self.ctx != other.ctx:
+            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
+        return PolyMatrix([
+            [_sum_of_products(self.ctx, [(a, other.entries[k][j])
+                                         for k, a in enumerate(row)])
+             for j in range(other.cols)]
+            for row in self.entries])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
@@ -497,14 +557,15 @@ def _cofactor_det(m: list[list[Polynomial]], ctx: VarContext) -> Polynomial:
     n = len(m)
     if n == 1:
         return m[0][0]
-    acc = ctx.zero()
+    minus = ctx.const(-1)
+    chains = []
     for j in range(n):
         if m[0][j].is_zero():
             continue
         sub = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        term = m[0][j] * _cofactor_det(sub, ctx)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+        chain = [m[0][j], _cofactor_det(sub, ctx)]
+        chains.append(chain if j % 2 == 0 else [minus, *chain])
+    return _sum_of_products(ctx, chains)
 
 
 def _bareiss_det(m: list[list[Polynomial]], ctx: VarContext) -> Polynomial:

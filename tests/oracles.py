@@ -126,3 +126,72 @@ def schoolbook_div(a: dict, b: dict) -> dict:
             else:
                 rem.pop(e, None)
     return out
+
+
+
+def _add_into(acc: dict, term: dict, sign: int = 1) -> None:
+    # acc + sign * term, term by term in term's order; a sum that cancels
+    # leaves acc, so a monomial that comes back is placed at the end.
+    for e, c in term.items():
+        s = acc.get(e, 0) + sign * c
+        if s:
+            acc[e] = s
+        else:
+            acc.pop(e, None)
+
+
+def chained_sum(chains: list[list[dict]]) -> dict:
+    """`acc = acc + f1 * f2 * ...` over term dicts, one chain per term.
+
+    Each chain is multiplied left to right by `schoolbook_mul` and added in
+    its own term order.
+    """
+    acc: dict = {}
+    for chain in chains:
+        term = chain[0]
+        for f in chain[1:]:
+            term = schoolbook_mul(term, f)
+        _add_into(acc, term)
+    return acc
+
+
+def schoolbook_pow(a: dict, k: int, arity: int) -> dict:
+    """a**k by square-and-multiply from the constant 1, low bit first."""
+    out = {(0,) * arity: Fraction(1)}
+    while k:
+        if k & 1:
+            out = schoolbook_mul(out, a)
+        a = schoolbook_mul(a, a) if k > 1 else a
+        k >>= 1
+    return out
+
+
+def cofactor_det(m: list[list[dict]]) -> dict:
+    """First-row cofactor expansion over term dicts, minors recursively."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    acc: dict = {}
+    for j in range(n):
+        sub = [[row[k] for k in range(n) if k != j] for row in m[1:]]
+        _add_into(acc, schoolbook_mul(m[0][j], cofactor_det(sub)), -1 if j % 2 else 1)
+    return acc
+
+
+def cleared_pullback(p: dict, nums: list[dict], dens: list[dict], arity: int) -> dict:
+    """Numerator of p(n_1/d_1, ..., n_m/d_m), each x_i cleared to its degree in p.
+
+    The monomial c * prod x_i^e_i contributes the chain
+    c, n_i^e_i, d_i^(deg_i - e_i), ... over the variables in order.
+    """
+    degs = [max((e[i] for e in p), default=0) for i in range(len(nums))]
+    chains = []
+    for e, c in p.items():
+        chain = [{(0,) * arity: c}]
+        for i, k in enumerate(e):
+            if k:
+                chain.append(schoolbook_pow(nums[i], k, arity))
+            if degs[i] - k:
+                chain.append(schoolbook_pow(dens[i], degs[i] - k, arity))
+        chains.append(chain)
+    return chained_sum(chains)

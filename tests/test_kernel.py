@@ -1,10 +1,12 @@
-"""The packed-integer multiply and division loops against the schoolbook oracles.
+"""The packed-integer kernels against the schoolbook oracles.
 
-`Polynomial.__mul__` and `Polynomial.exact_div` pack exponent vectors into
-ints and scale coefficients to integer numerators.  Here they are checked
-against the plain loops over raw term dicts in `oracles.py`: equal term
-dicts in equal insertion order (float evaluation sums terms in that order),
-equal canonical text, and the same verdict on inexact division.
+The sum-of-products kernel (behind `Polynomial.__mul__`, `PolyMatrix.__matmul__`,
+the cofactor determinant and `pullback_numerator`) and `Polynomial.exact_div`
+pack exponent vectors into ints and scale coefficients to integer
+numerators.  Here they are checked against the plain loops over raw term
+dicts in `oracles.py`: equal term dicts in equal insertion order (float
+evaluation sums terms in that order), equal canonical text, and the same
+verdict on inexact division.
 """
 
 from fractions import Fraction
@@ -12,9 +14,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlab.poly import Polynomial, VarContext
+from germlab.germs import Parametrization, pullback_numerator
+from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
 
-from oracles import schoolbook_div, schoolbook_mul
+from oracles import (chained_sum, cleared_pullback, cofactor_det, schoolbook_div,
+                     schoolbook_mul)
 
 CONTEXTS = {n: VarContext([f"x{i}" for i in range(n)]) for n in range(1, 11)}
 
@@ -128,3 +132,129 @@ def test_division_with_fractional_quotient():
     # Every leading monomial divides, but x / (2x + 1) leaves -1/2.
     with pytest.raises(ArithmeticError):
         x.exact_div(2 * x + 1)
+
+
+# -- sums of products --------------------------------------------------------
+
+
+def assert_matches(got: Polynomial, want: dict):
+    assert list(got.terms.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.text() == Polynomial(got.ctx, want).text()
+
+
+@st.composite
+def term_dicts(draw, n, max_exp=3, max_terms=5, zero=True):
+    """Raw term dicts over n variables; colliding ones cancel often."""
+    colliding = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 1 if colliding else max_exp)] * n)
+    coeffs = unit_coefficients if colliding else coefficients
+    return draw(st.dictionaries(exps, coeffs, min_size=0 if zero else 1,
+                                max_size=max_terms))
+
+
+@st.composite
+def chain_sums(draw):
+    """(arity, factor pool, chains as pool indices); factors may repeat."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(term_dicts(n), min_size=1, max_size=5))
+    index = st.integers(0, len(pool) - 1)
+    chains = draw(st.lists(st.lists(index, min_size=1, max_size=3), max_size=5))
+    return n, pool, chains
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_sums())
+def test_sum_of_products_matches_chained_loop(case):
+    n, pool, chains = case
+    polys = [poly(n, f) for f in pool]
+    got = _sum_of_products(CONTEXTS[n], [[polys[i] for i in c] for c in chains])
+    assert_matches(got, chained_sum([[pool[i] for i in c] for c in chains]))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(arity, a, b); b is None for the Gram product a @ a^T."""
+    n = draw(st.integers(1, 3))
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    a = [[draw(term_dicts(n)) for _ in range(inner)] for _ in range(rows)]
+    if draw(st.booleans()):
+        return n, a, None
+    return n, a, [[draw(term_dicts(n)) for _ in range(cols)] for _ in range(inner)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_matmul_matches_chained_loop(case):
+    n, a, b = case
+    pa = PolyMatrix([[poly(n, e) for e in row] for row in a])
+    if b is None:  # jac @ jac^T: both sides hold the same factor objects
+        got, b = pa @ pa.transpose(), [list(col) for col in zip(*a)]
+    else:
+        got = pa @ PolyMatrix([[poly(n, e) for e in row] for row in b])
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            assert_matches(got[i, j], chained_sum([[row[k], b[k][j]] for k in range(len(b))]))
+
+
+@st.composite
+def square_matrices(draw):
+    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return n, [[draw(term_dicts(n)) for _ in range(size)] for _ in range(size)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_cofactor_det_matches_oracle(case):
+    n, m = case
+    got = PolyMatrix([[poly(n, e) for e in row] for row in m]).det()
+    assert_matches(got, cofactor_det(m))
+
+
+@st.composite
+def pullbacks(draw):
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    p = draw(term_dicts(m, max_exp=2))
+    nums = [draw(term_dicts(k, max_exp=2, max_terms=3)) for _ in range(m)]
+    dens = [draw(term_dicts(k, max_exp=1, max_terms=2, zero=False)) for _ in range(m)]
+    return m, k, p, nums, dens
+
+
+@settings(max_examples=100, deadline=None)
+@given(pullbacks())
+def test_pullback_numerator_matches_oracle(case):
+    m, k, p, nums, dens = case
+    params = VarContext([f"s{i}" for i in range(k)])
+    phi = Parametrization(target=CONTEXTS[m], params=params,
+                          numerators=tuple(Polynomial(params, t) for t in nums),
+                          denominators=tuple(Polynomial(params, t) for t in dens))
+    got = pullback_numerator(poly(m, p), phi)
+    assert_matches(got, cleared_pullback(p, nums, dens, k))
+
+
+def test_chain_products_that_cancel_and_reappear():
+    ctx = CONTEXTS[1]
+    x, one = ctx.var("x0"), ctx.one()
+    # x^2 + 1, then -x*x cancels x^2, then x^3 + x^2 puts it back after x^3.
+    chains = [[x * x + 1], [ctx.const(-1), x, x], [x + 1, x * x]]
+    got = _sum_of_products(ctx, chains)
+    assert list(got.terms) == [(0,), (3,), (2,)]
+    assert_matches(got, chained_sum([[f.terms for f in c] for c in chains]))
+    # A sum that cancels to zero leaves an empty map.
+    assert _sum_of_products(ctx, [[x, one], [ctx.const(-1), x]]).terms == {}
+
+
+def test_zero_entries_and_factors():
+    ctx = CONTEXTS[2]
+    x, y = ctx.gens()
+    zero = ctx.zero()
+    # Every pair of the first entry has a zero factor; the second cancels.
+    got = PolyMatrix([[x, zero], [x, y]]) @ PolyMatrix([[zero, y], [y, -x]])
+    assert got[0, 0].terms == {}
+    assert got[1, 1].terms == {}
+    assert got[1, 0] == y * y
+    assert _sum_of_products(ctx, [[x, zero, y], [y]]) == y
+    assert _sum_of_products(ctx, [[zero]]).terms == {}
+    assert _sum_of_products(ctx, []).terms == {}
+    assert (x * zero).terms == {} and (zero * x).terms == {}
+    assert PolyMatrix([[x, zero], [y, zero]]).det().terms == {}

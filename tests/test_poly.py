@@ -172,10 +172,20 @@ def test_exact_div_rejects_inexact():
     "must_raise(ValueError, lambda: PolyMatrix([[x, y], [y, x]]).minors(0))\n"
     "must_raise(ValueError, lambda: PolyMatrix([[x, y], [y, x]]).minors(3))\n"
     "must_raise(ValueError, lambda: PolyMatrix([[x, y]]).det())\n",
+    # phi lands on y = x^2 in (u, v); read as (x, y) the pullback is 0.
+    "from germlab.germs import pullback_numerator\n"
+    "x, y = VarContext(['x', 'y']).gens()\n"
+    "s = VarContext(['s'])\n"
+    "t = s.var('s')\n"
+    "phi = Parametrization.from_polys(VarContext(['u', 'v']), s, [t, t**2])\n"
+    "must_raise(ValueError, lambda: pullback_numerator(x**2 - y, phi))\n",
+    "from germlab.mixed import MixedPolynomial\n"
+    "z = MixedPolynomial.var(VarContext(['z']), 'z')\n"
+    "must_raise(ValueError, lambda: (z * z).realify(VarContext(['a', 'b', 'c', 'd'])))\n",
 ], ids=["inexact-division", "context-mismatch", "repeated-name",
         "nonvanishing-germ", "zero-denominator", "evaluate-arity",
         "float-coefficient", "exponent-vector", "negative-power",
-        "constant-value", "matrix-shape"])
+        "constant-value", "matrix-shape", "pullback-context", "realify-arity"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
     code = ("from germlab.germs import Parametrization, RealMapGerm\n"
