@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from germlab.poly import Polynomial, VarContext
+from germlab.poly import Polynomial, VarContext, _power, _sum_of_products
 
 
 class LaurentPoly:
@@ -25,8 +25,10 @@ class LaurentPoly:
         self.ctx = ctx
         clean = {}
         for k, p in parts.items():
-            assert isinstance(k, int)
-            assert p.ctx == ctx, "spectator context mismatch"
+            if not isinstance(k, int):
+                raise ValueError(f"power of t must be an int, got {k!r}")
+            if p.ctx != ctx:
+                raise ValueError(f"spectator context mismatch: {p.ctx!r} vs {ctx!r}")
             if not p.is_zero():
                 clean[k] = p
         self.parts = clean
@@ -100,39 +102,30 @@ class LaurentPoly:
         other = self._coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        parts: dict[int, Polynomial] = {}
+        if other.ctx != self.ctx:
+            raise ValueError(f"spectator context mismatch: {self.ctx!r} vs {other.ctx!r}")
+        # One sum of products per power of t, over the part pairs landing there.
+        chains: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
         for k1, p1 in self.parts.items():
             for k2, p2 in other.parts.items():
-                k = k1 + k2
-                prod = p1 * p2
-                s = parts.get(k)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    parts.pop(k, None)
-                else:
-                    parts[k] = s
-        return LaurentPoly(self.ctx, parts)
+                chains.setdefault(k1 + k2, []).append((p1, p2))
+        return LaurentPoly(self.ctx, {k: _sum_of_products(self.ctx, c)
+                                      for k, c in chains.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        assert isinstance(k, int)
-        if k < 0:
+        if isinstance(k, int) and k < 0:
             # Only monomials in t with constant coefficient invert exactly.
-            assert len(self.parts) == 1, f"cannot invert {self}"
+            if len(self.parts) != 1:
+                raise ValueError(f"cannot invert {self}")
             (kk, p), = self.parts.items()
-            assert p.is_constant(), f"cannot invert non-constant coefficient {p}"
+            if not p.is_constant():
+                raise ValueError(f"cannot invert non-constant coefficient {p}")
             c = p.constant_value()
             inv = LaurentPoly(self.ctx, {-kk: self.ctx.const(Fraction(1) / c)})
             return inv ** (-k)
-        out = LaurentPoly.const(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, LaurentPoly.const(self.ctx, 1))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

@@ -550,12 +550,9 @@ class _MixedAlgebra:
         return MixedPolynomial.conj_var(self.ctx, name)
 
     def div(self, a, b, line, col):
-        if not (isinstance(b, MixedPolynomial) and len(b.terms) <= 1):
-            raise GermParseError(
-                "division is only defined by nonzero constants here", line, col)
         zero = (0,) * self.ctx.arity
-        c = b.terms.get((zero, zero))
-        if c is None or not c:
+        c = b.terms.get((zero, zero)) if len(b.terms) == 1 else None
+        if c is None:
             raise GermParseError(
                 "division is only defined by nonzero constants here", line, col)
         norm = c.re * c.re + c.im * c.im

@@ -293,12 +293,15 @@ def realify_mixed(fs, name: str = "") -> RealMapGerm:
     from germlab.mixed import realified_context
 
     fs = list(fs)
-    assert fs, "no components"
+    if not fs:
+        raise ValueError("no components to realify")
     ctx = fs[0].ctx
     rctx = realified_context(ctx)
     comps = []
     for f in fs:
-        assert f.ctx == ctx, "mixed components over different contexts"
+        if f.ctx != ctx:
+            raise ValueError(f"mixed components over different contexts: "
+                             f"{ctx!r} vs {f.ctx!r}")
         re, im = f.realify(rctx)
         comps.extend([re, im])
     return RealMapGerm(ctx=rctx, components=tuple(comps), name=name)

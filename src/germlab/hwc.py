@@ -137,9 +137,7 @@ def fgbar_check(f: MixedPolynomial, g: MixedPolynomial):
     direct = hwc_check_mixed(product)
     dfs, _ = f.wirtinger()
     dgs, _ = g.wirtinger()
-    pairing = MixedPolynomial.const(f.ctx, 0)
-    for df, dg in zip(dfs, dgs):
-        pairing = pairing + df.conj() * dg
+    pairing = hermitian_pairing(dgs, dfs)
     assert direct.holds == pairing.is_zero(), (
         "pairing characterization disagreed with the direct check"
     )
@@ -303,13 +301,10 @@ def mixed_algorithm_build(n: int, left_vars: list[str],
     for p in h_blocks:
         check_block(p, right, "h")
 
-    acc = MixedPolynomial.const(ctx, 0)
-    for f, g in zip(f_blocks, g_blocks):
-        acc = acc + f * g.conj()
-    for r in r_blocks:
-        acc = acc + r
-    for h in h_blocks:
-        acc = acc + h.conj()
+    zero = MixedPolynomial.const(ctx, 0)
+    acc = sum(r_blocks, zero) + sum(h_blocks, zero).conj()
+    if f_blocks:
+        acc = acc + hermitian_pairing(f_blocks, g_blocks)
     frame = hwc_check_mixed(acc)
     return acc, frame
 

@@ -1,34 +1,42 @@
 """Mixed polynomials: complex polynomials in z and conj(z), kept exact.
 
-A mixed polynomial is stored expanded as a map (nu, mu) -> complex rational
-coefficient, standing for sum c * z^nu * zbar^mu.  Wirtinger derivatives
-act term by term on that form, and realification expands each monomial into
-a pair of real polynomials over interleaved coordinates (re, im per complex
-variable).  Two consequences worth stating once:
+A mixed polynomial is stored as re + i*im, where re and im are rational
+Polynomials over the doubled context (z1, ..., zn, conj(z1), ..., conj(zn)):
+the exponent vector of a term is nu followed by mu, standing for
+z^nu * zbar^mu.  Every operation is an operation of the Polynomial ring, so
+products and sums of products run on its packed-integer kernel:
 
-* a mixed polynomial is holomorphic exactly when no term has mu != 0, so
-  holomorphy detection is a structural check, not a limit computation;
-* realification and Wirtinger calculus are independent routes out of the
-  same data, which is what lets the regularity checks compare them.
+* a product or a Hermitian pairing is two sums of products, one for the
+  real part and one for the imaginary part;
+* Wirtinger derivatives are `Polynomial.diff` in a z or conj(z) variable,
+  and conjugation swaps the two halves of each exponent vector;
+* a mixed polynomial is holomorphic exactly when no exponent vector has a
+  nonzero conj(z) half, so holomorphy detection is a structural check, not
+  a limit computation;
+* realification substitutes z = x + i*y, and Wirtinger calculus and
+  realification are independent routes out of the same data, which is
+  what lets the regularity checks compare them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from germlab.poly import Exponents, Polynomial, VarContext
+from germlab.poly import (Exponents, Polynomial, VarContext, _coeff, _grlex,
+                          _power, _sum_of_products)
 
 
 class ComplexRational:
-    """Exact complex number with Fraction real and imaginary parts."""
+    """Exact complex coefficient with Fraction real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        assert not isinstance(re, float) and not isinstance(im, float)
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = _coeff(re)
+        self.im = _coeff(im)
 
     @staticmethod
     def coerce(v) -> "ComplexRational":
@@ -44,45 +52,6 @@ class ComplexRational:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, ComplexRational)):
-            return NotImplemented
-        return self + (-ComplexRational.coerce(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, ComplexRational)):
-            return NotImplemented
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, ComplexRational)):
-            return NotImplemented
-        other = ComplexRational.coerce(other)
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (int, Fraction, ComplexRational)):
-            return NotImplemented
-        other = ComplexRational.coerce(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
     def text(self) -> str:
         if not self.im:
             return str(self.re)
@@ -97,183 +66,161 @@ class ComplexRational:
             im = im[:-3] + "i"
         return f"({self.re} {im})"
 
-    def __repr__(self) -> str:
-        return f"ComplexRational({self.text()})"
-
 
 I = ComplexRational(0, 1)
 
 TermKey = tuple[Exponents, Exponents]
 
 
-def _mixed_key(k: TermKey):
-    nu, mu = k
-    total = sum(nu) + sum(mu)
-    return (total, nu, mu)
+@lru_cache(maxsize=64)
+def _doubled(ctx: VarContext) -> VarContext:
+    """The context (z1, ..., zn, conj(z1), ..., conj(zn)) of the two parts."""
+    return VarContext(ctx.names + tuple(f"conj({n})" for n in ctx.names))
+
+
+def _swap(p: Polynomial, n: int) -> Polynomial:
+    # z^nu * zbar^mu -> z^mu * zbar^nu
+    return Polynomial._trusted(p.ctx, {e[n:] + e[:n]: c for e, c in p.terms.items()})
 
 
 class MixedPolynomial:
     """Expanded mixed polynomial over named complex variables.
 
-    Terms map (nu, mu) exponent pairs to nonzero ComplexRational
-    coefficients; nu indexes powers of z, mu powers of conj(z).
+    re and im are the real and imaginary parts, Polynomials over the
+    doubled context; `terms` is the view (nu, mu) -> ComplexRational,
+    where nu indexes powers of z and mu powers of conj(z).
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "re", "im")
 
     def __init__(self, ctx: VarContext, terms: Mapping[TermKey, ComplexRational]):
-        self.ctx = ctx
-        clean = {}
+        n = ctx.arity
+        re, im = {}, {}
         for (nu, mu), c in terms.items():
-            assert len(nu) == ctx.arity and len(mu) == ctx.arity
+            if len(nu) != n or len(mu) != n:
+                raise ValueError(f"exponent pair {(nu, mu)} is not two vectors of length {n}")
             c = ComplexRational.coerce(c)
-            if c:
-                clean[(tuple(nu), tuple(mu))] = c
-        self.terms = clean
+            e = tuple(nu) + tuple(mu)
+            re[e], im[e] = c.re, c.im
+        d = _doubled(ctx)
+        self.ctx, self.re, self.im = ctx, Polynomial(d, re), Polynomial(d, im)
+
+    @classmethod
+    def _trusted(cls, ctx: VarContext, re: Polynomial, im: Polynomial) -> "MixedPolynomial":
+        p = object.__new__(cls)
+        p.ctx, p.re, p.im = ctx, re, im
+        return p
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _gen(ctx: VarContext, j: int) -> "MixedPolynomial":
+        d = _doubled(ctx)
+        return MixedPolynomial._trusted(ctx, d.var(d.names[j]), d.zero())
+
+    @staticmethod
     def var(ctx: VarContext, name: str) -> "MixedPolynomial":
-        e = [0] * ctx.arity
-        e[ctx.position(name)] = 1
-        zero = (0,) * ctx.arity
-        return MixedPolynomial(ctx, {(tuple(e), zero): ComplexRational(1)})
+        return MixedPolynomial._gen(ctx, ctx.position(name))
 
     @staticmethod
     def conj_var(ctx: VarContext, name: str) -> "MixedPolynomial":
-        e = [0] * ctx.arity
-        e[ctx.position(name)] = 1
-        zero = (0,) * ctx.arity
-        return MixedPolynomial(ctx, {(zero, tuple(e)): ComplexRational(1)})
+        return MixedPolynomial._gen(ctx, ctx.arity + ctx.position(name))
 
     @staticmethod
     def const(ctx: VarContext, c) -> "MixedPolynomial":
-        zero = (0,) * ctx.arity
-        return MixedPolynomial(ctx, {(zero, zero): ComplexRational.coerce(c)})
+        c = ComplexRational.coerce(c)
+        d = _doubled(ctx)
+        return MixedPolynomial._trusted(ctx, d.const(c.re), d.const(c.im))
 
     # -- queries ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[TermKey, ComplexRational]:
+        n = self.ctx.arity
+        re, im = self.re.terms, self.im.terms
+        return {(e[:n], e[n:]): ComplexRational(re.get(e, 0), im.get(e, 0))
+                for e in {**re, **im}}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.re.is_zero() and self.im.is_zero()
 
     def is_holomorphic(self) -> bool:
         """No conjugated variable survives expansion."""
-        return all(not any(mu) for _, mu in self.terms)
+        n = self.ctx.arity
+        return not any(any(e[n:]) for p in (self.re, self.im) for e in p.terms)
 
     def support(self) -> set[int]:
         """Indices of complex variables actually appearing."""
-        out = set()
-        for nu, mu in self.terms:
-            for i in range(self.ctx.arity):
-                if nu[i] or mu[i]:
-                    out.add(i)
-        return out
+        n = self.ctx.arity
+        return {i for p in (self.re, self.im) for e in p.terms
+                for i in range(n) if e[i] or e[n + i]}
 
     # -- arithmetic ------------------------------------------------------
 
-    def _req(self, other: "MixedPolynomial"):
-        assert self.ctx == other.ctx, "context mismatch"
+    def _coerce(self, other) -> "MixedPolynomial | None":
+        if isinstance(other, (int, Fraction, ComplexRational)):
+            return MixedPolynomial.const(self.ctx, other)
+        if not isinstance(other, MixedPolynomial):
+            return None
+        if other.ctx != self.ctx:
+            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = MixedPolynomial.const(self.ctx, other)
-        if not isinstance(other, MixedPolynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._req(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, ComplexRational(0)) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return MixedPolynomial(self.ctx, terms)
+        return MixedPolynomial._trusted(self.ctx, self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MixedPolynomial(self.ctx, {k: -c for k, c in self.terms.items()})
+        return MixedPolynomial._trusted(self.ctx, -self.re, -self.im)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = MixedPolynomial.const(self.ctx, other)
-        return self + (-other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return MixedPolynomial._trusted(self.ctx, self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            c = ComplexRational.coerce(other)
-            return MixedPolynomial(self.ctx, {k: c * v for k, v in self.terms.items()})
-        if not isinstance(other, MixedPolynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._req(other)
-        terms: dict[TermKey, ComplexRational] = {}
-        for (n1, m1), c1 in self.terms.items():
-            for (n2, m2), c2 in other.terms.items():
-                k = (
-                    tuple(a + b for a, b in zip(n1, n2)),
-                    tuple(a + b for a, b in zip(m1, m2)),
-                )
-                s = terms.get(k, ComplexRational(0)) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return MixedPolynomial(self.ctx, terms)
+        return _mixed_sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        assert isinstance(k, int) and k >= 0
-        out = MixedPolynomial.const(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, MixedPolynomial.const(self.ctx, 1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, ComplexRational)):
             other = MixedPolynomial.const(self.ctx, other)
         if not isinstance(other, MixedPolynomial):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.re == other.re and self.im == other.im
 
     def conj(self) -> "MixedPolynomial":
-        """Complex conjugate: swap nu and mu, conjugate coefficients."""
-        return MixedPolynomial(
-            self.ctx, {(mu, nu): c.conj() for (nu, mu), c in self.terms.items()}
-        )
+        """Complex conjugate: swap z and conj(z) exponents, negate im."""
+        n = self.ctx.arity
+        return MixedPolynomial._trusted(self.ctx, _swap(self.re, n), -_swap(self.im, n))
 
     # -- Wirtinger calculus ----------------------------------------------
 
+    def _diff(self, j: int) -> "MixedPolynomial":
+        v = self.re.ctx.names[j]
+        return MixedPolynomial._trusted(self.ctx, self.re.diff(v), self.im.diff(v))
+
     def dz(self, name: str) -> "MixedPolynomial":
         """Derivative in z_name, treating conj(z) as an independent symbol."""
-        i = self.ctx.position(name)
-        terms = {}
-        for (nu, mu), c in self.terms.items():
-            if nu[i]:
-                d = list(nu)
-                d[i] -= 1
-                k = (tuple(d), mu)
-                terms[k] = terms.get(k, ComplexRational(0)) + c * nu[i]
-        return MixedPolynomial(self.ctx, terms)
+        return self._diff(self.ctx.position(name))
 
     def dzbar(self, name: str) -> "MixedPolynomial":
-        i = self.ctx.position(name)
-        terms = {}
-        for (nu, mu), c in self.terms.items():
-            if mu[i]:
-                d = list(mu)
-                d[i] -= 1
-                k = (nu, tuple(d))
-                terms[k] = terms.get(k, ComplexRational(0)) + c * mu[i]
-        return MixedPolynomial(self.ctx, terms)
+        return self._diff(self.ctx.arity + self.ctx.position(name))
 
     def wirtinger(self) -> tuple[tuple["MixedPolynomial", ...], tuple["MixedPolynomial", ...]]:
         dzs = tuple(self.dz(n) for n in self.ctx.names)
@@ -286,81 +233,85 @@ class MixedPolynomial:
         """Real and imaginary parts over interleaved real coordinates.
 
         z_j = v_re + i*v_im where v is the complex variable's name; the real
-        context interleaves (v1_re, v1_im, v2_re, v2_im, ...).
+        context interleaves (v1_re, v1_im, v2_re, v2_im, ...).  In a term,
+        z_j^a * conj(z_j)^b is |z_j|^(2 min(a, b)) times z_j^d or conj(z_j)^d
+        with d = |a - b|.  Choosing the real or the imaginary part of each
+        such power gives one chain of cached real powers; the number k of
+        imaginary choices, plus one for the coefficient's imaginary part,
+        sends the chain to the real (k even) or imaginary (k odd) sum with
+        the sign of i^k.
         """
+        n = self.ctx.arity
         if real_ctx is None:
             real_ctx = realified_context(self.ctx)
-        if real_ctx.arity != 2 * self.ctx.arity:
+        if real_ctx.arity != 2 * n:
             raise ValueError(
-                f"real context {real_ctx!r} needs {2 * self.ctx.arity} variables")
-        pairs = []
-        for j in range(self.ctx.arity):
-            re = real_ctx.var(real_ctx.names[2 * j])
-            im = real_ctx.var(real_ctx.names[2 * j + 1])
-            pairs.append((re, im))
+                f"real context {real_ctx!r} needs {2 * n} variables")
+        gens = real_ctx.gens()
+        const = lru_cache(maxsize=None)(real_ctx.const)  # one factor per value
 
-        total_re = real_ctx.zero()
-        total_im = real_ctx.zero()
-        for (nu, mu), c in self.terms.items():
-            tre, tim = real_ctx.const(c.re), real_ctx.const(c.im)
-            for j, (re, im) in enumerate(pairs):
-                for _ in range(nu[j]):
-                    tre, tim = tre * re - tim * im, tre * im + tim * re
-                for _ in range(mu[j]):
-                    tre, tim = tre * re + tim * im, tim * re - tre * im
-            total_re = total_re + tre
-            total_im = total_im + tim
-        return total_re, total_im
+        @lru_cache(maxsize=None)
+        def modulus(j: int, m: int) -> Polynomial:
+            x, y = gens[2 * j], gens[2 * j + 1]
+            return (x * x + y * y) ** m
+
+        @lru_cache(maxsize=None)
+        def power(j: int, d: int) -> tuple[Polynomial, Polynomial]:
+            # (x + i*y)^d = sum_r C(d, r) * i^r * x^(d - r) * y^r
+            parts = ({}, {})
+            for r in range(d + 1):
+                e = [0] * (2 * n)
+                e[2 * j], e[2 * j + 1] = d - r, r
+                parts[r % 2][tuple(e)] = -comb(d, r) if r % 4 > 1 else comb(d, r)
+            return Polynomial(real_ctx, parts[0]), Polynomial(real_ctx, parts[1])
+
+        chains: tuple[list, list] = ([], [])
+        for k0, part in ((0, self.re), (1, self.im)):
+            for e, c in part.terms.items():
+                picks = [(k0, c, [])]  # (power of i, coefficient, factors)
+                for j in range(n):
+                    a, b = e[j], e[n + j]
+                    shared = [modulus(j, min(a, b))] if a and b else []
+                    if a == b:
+                        picks = [(k, s, f + shared) for k, s, f in picks]
+                        continue
+                    re, im = power(j, abs(a - b))
+                    flip = 1 if a > b else -1  # conj(z)^d has imaginary part -im
+                    picks = [(k + t, s * flip if t else s, f + shared + [g])
+                             for k, s, f in picks for t, g in ((0, re), (1, im))]
+                for k, s, f in picks:
+                    chains[k % 2].append([const(-s if k % 4 > 1 else s), *f])
+        return (_sum_of_products(real_ctx, chains[0]),
+                _sum_of_products(real_ctx, chains[1]))
 
     def evaluate(self, values: Sequence[complex]) -> complex:
         """Float evaluation at complex points; cross-checks only."""
-        assert len(values) == self.ctx.arity
-        total = 0j
-        for (nu, mu), c in self.terms.items():
-            term = complex(float(c.re), float(c.im))
-            for v, k in zip(values, nu):
-                term *= v**k
-            for v, k in zip(values, mu):
-                term *= v.conjugate() ** k
-            total += term
-        return total
+        if len(values) != self.ctx.arity:
+            raise ValueError(f"expected {self.ctx.arity} values, got {len(values)}")
+        both = list(values) + [v.conjugate() for v in values]
+        return complex(self.re.evaluate(both)) + 1j * complex(self.im.evaluate(both))
 
     # -- printing --------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical form mirroring the input syntax: conj(v) for zbar."""
-        if not self.terms:
-            return "0"
+        """Canonical form mirroring the input syntax: conj(v) for zbar.
+
+        Graded lex on the doubled exponent, whose names print each conj(z)
+        factor the way the parser reads it; a real coefficient prints as
+        in Polynomial.text.
+        """
+        d, re, im = self.re.ctx, self.re.terms, self.im.terms
         out = []
-        for key in sorted(self.terms, key=_mixed_key, reverse=True):
-            nu, mu = key
-            c = self.terms[key]
-            factors = []
-            for j, name in enumerate(self.ctx.names):
-                if nu[j]:
-                    factors.append(name if nu[j] == 1 else f"{name}^{nu[j]}")
-            for j, name in enumerate(self.ctx.names):
-                if mu[j]:
-                    factors.append(
-                        f"conj({name})" if mu[j] == 1 else f"conj({name})^{mu[j]}"
-                    )
-            mono = "*".join(factors)
-            if c.im:
-                body = c.text() if not mono else f"{c.text()}*{mono}"
-                out.append(body if not out else f"+ {body}")
+        for e in sorted({**re, **im}, key=_grlex, reverse=True):
+            c = ComplexRational(re.get(e, 0), im.get(e, 0))
+            if not c.im:
+                t = Polynomial._trusted(d, {e: c.re}).text()
+                out.append(t if not out else f"- {t[1:]}" if t[0] == "-" else f"+ {t}")
                 continue
-            mag = abs(c.re)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not out:
-                out.append(body if c.re > 0 else f"-{body}")
-            else:
-                out.append(f"+ {body}" if c.re > 0 else f"- {body}")
-        return " ".join(out)
+            mono = Polynomial._trusted(d, {e: Fraction(1)}).text()
+            body = c.text() if mono == "1" else f"{c.text()}*{mono}"
+            out.append(body if not out else f"+ {body}")
+        return " ".join(out) or "0"
 
     def __str__(self) -> str:
         return self.text()
@@ -370,18 +321,35 @@ class MixedPolynomial:
 
 
 def realified_context(ctx: VarContext) -> VarContext:
-    names = []
-    for n in ctx.names:
-        names.extend([f"{n}_re", f"{n}_im"])
-    return VarContext(names)
+    return VarContext([f"{n}_{part}" for n in ctx.names for part in ("re", "im")])
+
+
+def _mixed_sum_of_products(pairs: Sequence[tuple[MixedPolynomial, MixedPolynomial]]
+                           ) -> MixedPolynomial:
+    """sum a * b over the pairs, as one sum of products per part.
+
+    (a.re + i a.im)(b.re + i b.im) has real part a.re b.re - a.im b.im and
+    imaginary part a.re b.im + a.im b.re.
+    """
+    ctx = pairs[0][0].ctx
+    for pair in pairs:
+        for p in pair:
+            if p.ctx != ctx:
+                raise ValueError(f"context mismatch: {ctx!r} vs {p.ctx!r}")
+    d = _doubled(ctx)
+    minus = d.const(-1)
+    re = _sum_of_products(d, [c for a, b in pairs
+                              for c in ((a.re, b.re), (minus, a.im, b.im))])
+    im = _sum_of_products(d, [c for a, b in pairs
+                              for c in ((a.re, b.im), (a.im, b.re))])
+    return MixedPolynomial._trusted(ctx, re, im)
 
 
 def hermitian_pairing(us: Iterable[MixedPolynomial],
                       vs: Iterable[MixedPolynomial]) -> MixedPolynomial:
     """<u, v> = sum u_j * conj(v_j), conjugate-linear in the second slot."""
     us, vs = list(us), list(vs)
-    assert us and len(us) == len(vs)
-    acc = MixedPolynomial.const(us[0].ctx, 0)
-    for u, v in zip(us, vs):
-        acc = acc + u * v.conj()
-    return acc
+    if not us or len(us) != len(vs):
+        raise ValueError(f"pairing needs two nonempty vectors of one length, "
+                         f"got {len(us)} and {len(vs)}")
+    return _mixed_sum_of_products([(u, v.conj()) for u, v in zip(us, vs)])

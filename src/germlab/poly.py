@@ -170,6 +170,23 @@ def _sum_of_products(ctx: "VarContext",
     return Polynomial._trusted(ctx, {unpack(k): Fraction(c, den) for k, c in items})
 
 
+def _power(base, k: int, one):
+    """base**k by square-and-multiply from `one`, low bit first.
+
+    The one loop behind the `**` of Polynomial, MixedPolynomial and
+    LaurentPoly.
+    """
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return out
+
+
 class VarContext:
     """Ordered, immutable collection of variable names.
 
@@ -326,16 +343,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
-        out = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, self.ctx.one())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -195,3 +195,82 @@ def cleared_pullback(p: dict, nums: list[dict], dens: list[dict], arity: int) ->
                 chain.append(schoolbook_pow(dens[i], degs[i] - k, arity))
         chains.append(chain)
     return chained_sum(chains)
+
+
+# -- mixed polynomials --------------------------------------------------
+#
+# A mixed term dict maps (nu, mu) exponent pairs to (re, im) Fraction pairs,
+# standing for sum (re + i*im) * z^nu * conj(z)^mu.  These are the term-dict
+# loops germlab used before it stored a mixed polynomial as two Polynomials.
+
+
+def _plus(a: dict, b: dict, sign: int = 1) -> dict:
+    acc = dict(a)
+    _add_into(acc, b, sign)
+    return acc
+
+
+def mixed_mul(a: dict, b: dict) -> dict:
+    """Product of two mixed term dicts by the double loop over terms."""
+    terms: dict = {}
+    for (n1, m1), (r1, i1) in a.items():
+        for (n2, m2), (r2, i2) in b.items():
+            k = (tuple(x + y for x, y in zip(n1, n2)),
+                 tuple(x + y for x, y in zip(m1, m2)))
+            re, im = terms.get(k, (0, 0))
+            s = (re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2)
+            if any(s):
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+    return terms
+
+
+def mixed_conj(a: dict) -> dict:
+    """Swap nu and mu and conjugate each coefficient."""
+    return {(mu, nu): (re, -im) for (nu, mu), (re, im) in a.items()}
+
+
+def mixed_diff(a: dict, i: int, conj: bool = False) -> dict:
+    """d/dz_i of a mixed term dict, or d/dconj(z_i) when conj is set."""
+    terms = {}
+    for (nu, mu), (re, im) in a.items():
+        e = mu if conj else nu
+        if e[i]:
+            d = list(e)
+            d[i] -= 1
+            k = (nu, tuple(d)) if conj else (tuple(d), mu)
+            terms[k] = (re * e[i], im * e[i])
+    return terms
+
+
+def mixed_realify(a: dict, arity: int) -> tuple[dict, dict]:
+    """Real and imaginary term dicts over (x_1, y_1, x_2, y_2, ...).
+
+    Each term starts as its coefficient and is multiplied step by step by
+    x_j + i*y_j once per power of z_j and by x_j - i*y_j once per power of
+    conj(z_j); the terms are then summed in order.
+    """
+    zero = (0,) * (2 * arity)
+
+    def unit(k):
+        e = [0] * (2 * arity)
+        e[k] = 1
+        return {tuple(e): Fraction(1)}
+
+    total_re: dict = {}
+    total_im: dict = {}
+    for (nu, mu), (cre, cim) in a.items():
+        tre = {zero: cre} if cre else {}
+        tim = {zero: cim} if cim else {}
+        for j in range(arity):
+            x, y = unit(2 * j), unit(2 * j + 1)
+            for _ in range(nu[j]):
+                tre, tim = (_plus(schoolbook_mul(tre, x), schoolbook_mul(tim, y), -1),
+                            _plus(schoolbook_mul(tre, y), schoolbook_mul(tim, x)))
+            for _ in range(mu[j]):
+                tre, tim = (_plus(schoolbook_mul(tre, x), schoolbook_mul(tim, y)),
+                            _plus(schoolbook_mul(tim, x), schoolbook_mul(tre, y), -1))
+        _add_into(total_re, tre)
+        _add_into(total_im, tim)
+    return total_re, total_im

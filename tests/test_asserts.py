@@ -14,28 +14,15 @@ import germlab
 
 ALLOWED = (
     ("certify.py", "RegularityReport.chain.walk"),
-    ("curves.py", "LaurentPoly.__init__"),
-    ("curves.py", "LaurentPoly.__init__"),
     ("curves.py", "LaurentPoly.valuation"),
-    ("curves.py", "LaurentPoly.__pow__"),
-    ("curves.py", "LaurentPoly.__pow__"),
-    ("curves.py", "LaurentPoly.__pow__"),
     ("curves.py", "CurveFamily.__post_init__"),
     ("curves.py", "CurveFamily.__post_init__"),
     ("curves.py", "CurveFamily.pullback"),
     ("curves.py", "direction_limit"),
     ("germs.py", "Parametrization.evaluate"),
-    ("germs.py", "realify_mixed"),
-    ("germs.py", "realify_mixed"),
     ("hwc.py", "fgbar_check"),
     ("hwc.py", "product_pair"),
     ("hwc.py", "mixed_algorithm_build"),
-    ("mixed.py", "ComplexRational.__init__"),
-    ("mixed.py", "MixedPolynomial.__init__"),
-    ("mixed.py", "MixedPolynomial._req"),
-    ("mixed.py", "MixedPolynomial.__pow__"),
-    ("mixed.py", "MixedPolynomial.evaluate"),
-    ("mixed.py", "hermitian_pairing"),
     ("witness.py", "normal_vector_along_curve"),
     ("witness.py", "normal_vector_along_curve"),
     ("witness.py", "WitnessOutcome.nonzero_pairings"),

@@ -2,6 +2,8 @@ import random
 
 from hypothesis import given, strategies as st
 
+from oracles import mixed_conj, mixed_diff, mixed_mul, mixed_realify
+
 from germlab.mixed import (
     ComplexRational,
     I,
@@ -9,7 +11,7 @@ from germlab.mixed import (
     hermitian_pairing,
     realified_context,
 )
-from germlab.poly import VarContext
+from germlab.poly import Polynomial, VarContext
 
 CTX = VarContext(["x", "y"])
 RCTX = realified_context(CTX)
@@ -33,6 +35,33 @@ expo = st.tuples(st.integers(0, 2), st.integers(0, 2))
 mixed_polys = st.dictionaries(st.tuples(expo, expo), cnum, max_size=5).map(
     lambda d: MixedPolynomial(CTX, d)
 )
+
+
+def pairs(p):
+    """The oracles' form of p: (nu, mu) -> (re, im)."""
+    return {k: (c.re, c.im) for k, c in p.terms.items()}
+
+
+@given(mixed_polys, mixed_polys)
+def test_product_matches_term_dict_oracle(p, q):
+    assert pairs(p * q) == mixed_mul(pairs(p), pairs(q))
+
+
+@given(mixed_polys)
+def test_conj_and_wirtinger_match_term_dict_oracles(p):
+    assert pairs(p.conj()) == mixed_conj(pairs(p))
+    dzs, dzbars = p.wirtinger()
+    for i in range(CTX.arity):
+        assert pairs(dzs[i]) == mixed_diff(pairs(p), i)
+        assert pairs(dzbars[i]) == mixed_diff(pairs(p), i, conj=True)
+
+
+@given(mixed_polys)
+def test_realify_matches_step_by_step_oracle(p):
+    want = mixed_realify(pairs(p), CTX.arity)
+    for got, terms in zip(p.realify(RCTX), want):
+        assert got.terms == terms
+        assert got.text() == Polynomial(RCTX, terms).text()
 
 
 def test_holomorphy_is_structural():

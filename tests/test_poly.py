@@ -182,10 +182,44 @@ def test_exact_div_rejects_inexact():
     "from germlab.mixed import MixedPolynomial\n"
     "z = MixedPolynomial.var(VarContext(['z']), 'z')\n"
     "must_raise(ValueError, lambda: (z * z).realify(VarContext(['a', 'b', 'c', 'd'])))\n",
+    # w1 over (w1, w2) must not be read as z1 over (z1, z2).
+    "from germlab.germs import realify_mixed\n"
+    "from germlab.mixed import MixedPolynomial\n"
+    "zs, ws = VarContext(['z1', 'z2']), VarContext(['w1', 'w2'])\n"
+    "z1, z2 = (MixedPolynomial.var(zs, n) for n in zs.names)\n"
+    "w1 = MixedPolynomial.var(ws, 'w1')\n"
+    "must_raise(ValueError, lambda: realify_mixed([z1 * z2, w1 * w1]))\n"
+    "must_raise(ValueError, lambda: realify_mixed([]))\n",
+    "from germlab.mixed import MixedPolynomial, hermitian_pairing\n"
+    "x = MixedPolynomial.var(VarContext(['x', 'y']), 'x')\n"
+    "v = MixedPolynomial.var(VarContext(['u', 'v']), 'v')\n"
+    "must_raise(ValueError, lambda: x + v)\n"
+    "must_raise(ValueError, lambda: x * v)\n"
+    "must_raise(ValueError, lambda: hermitian_pairing([x], [v]))\n"
+    "must_raise(ValueError, lambda: hermitian_pairing([x], [x, x]))\n"
+    "must_raise(ValueError, lambda: MixedPolynomial(VarContext(['x', 'y']), {((1,), (0, 0)): 1}))\n",
+    "from germlab.mixed import ComplexRational, MixedPolynomial\n"
+    "must_raise(TypeError, lambda: ComplexRational(0.1))\n"
+    "must_raise(TypeError, lambda: ComplexRational(1, 0.5))\n"
+    "must_raise(TypeError, lambda: MixedPolynomial.const(VarContext(['x']), 0.1))\n",
+    "from germlab.mixed import MixedPolynomial\n"
+    "x = MixedPolynomial.var(VarContext(['x']), 'x')\n"
+    "must_raise(ValueError, lambda: x ** -1)\n"
+    "must_raise(ValueError, lambda: x ** 1.5)\n",
+    "from germlab.curves import LaurentPoly\n"
+    "s = VarContext(['s'])\n"
+    "t = LaurentPoly.t_power(s, 1)\n"
+    "must_raise(ValueError, lambda: t ** 1.5)\n"
+    "must_raise(ValueError, lambda: (t + 1) ** -1)\n"
+    "must_raise(ValueError, lambda: (s.var('s') * t) ** -1)\n"
+    "must_raise(ValueError, lambda: LaurentPoly(s, {0.5: s.one()}))\n"
+    "must_raise(ValueError, lambda: t * LaurentPoly.t_power(VarContext(['u']), 1))\n",
 ], ids=["inexact-division", "context-mismatch", "repeated-name",
         "nonvanishing-germ", "zero-denominator", "evaluate-arity",
         "float-coefficient", "exponent-vector", "negative-power",
-        "constant-value", "matrix-shape", "pullback-context", "realify-arity"])
+        "constant-value", "matrix-shape", "pullback-context", "realify-arity",
+        "realify-context", "mixed-context", "complex-float",
+        "mixed-negative-power", "laurent-power"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
     code = ("from germlab.germs import Parametrization, RealMapGerm\n"
