@@ -8,9 +8,14 @@ only on request.
 
 Exit codes: 0 success, 1 analysis rejection (structured reason in the
 JSON error document), 2 usage error (bad flags, unknown fact names,
-unreadable file, malformed DSL).  Reports carry no timestamps, so
-identical invocations produce byte-identical output; sampled modes embed
-their seed.
+unreadable file, malformed DSL), 3 internal error (any other exception,
+as a JSON error document with reason "internal"; the traceback goes to
+stderr).  Reports carry no timestamps, so identical invocations produce
+byte-identical output; sampled modes embed their seed.
+
+Only the sampled modes and `corpus run` load numpy and scipy: this module
+imports neither, nor the corpus runner, so an exact command starts
+without them.
 """
 from __future__ import annotations
 
@@ -20,11 +25,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from germlab import analyses
 from germlab.certify import FACTS, ContradictionError
-from germlab.corpus import corpus_report, run_corpus
 from germlab.dsl import (
     GermlabUsage,
     GermParseError,
@@ -46,9 +48,7 @@ MAX_MIXED_VARS = 5
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):  # numpy scalars and arrays
         return value.tolist()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -223,6 +223,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_corpus_run(args) -> int:
+    from germlab.corpus import corpus_report, run_corpus
+
     config = _config(args)
     results = run_corpus(args.filter or "", config)
     if not results:
@@ -362,6 +364,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"germlab: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        err = {"schema_version": SCHEMA_VERSION,
+               "error": {"reason": "internal", "type": type(exc).__name__,
+                         "message": str(exc)}}
+        sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -54,7 +54,8 @@ class LaurentPoly:
 
     def valuation(self) -> int:
         """Smallest power of t with a surviving coefficient."""
-        assert self.parts, "zero expansion has no valuation"
+        if not self.parts:
+            raise ValueError("zero expansion has no valuation")
         return min(self.parts)
 
     def leading(self) -> Polynomial:
@@ -173,15 +174,16 @@ class CurveFamily:
     coords: tuple[LaurentPoly, ...]
 
     def __post_init__(self):
-        assert len(self.coords) == self.target.arity, (
-            f"{len(self.coords)} coordinates for {self.target.arity} variables"
-        )
-        for c in self.coords:
-            assert c.ctx == self.params
+        if len(self.coords) != self.target.arity:
+            raise ValueError(f"{len(self.coords)} coordinates for "
+                             f"{self.target.arity} variables")
+        if any(c.ctx != self.params for c in self.coords):
+            raise ValueError("coordinate not over the curve's parameters")
 
     def pullback(self, p: Polynomial) -> LaurentPoly:
         """p(gamma(t)), exact in the Laurent ring."""
-        assert p.ctx == self.target, "polynomial not over the curve's target"
+        if p.ctx != self.target:
+            raise ValueError("polynomial not over the curve's target")
         v = p.evaluate(list(self.coords))
         if isinstance(v, Fraction):
             return LaurentPoly.const(self.params, v)
@@ -223,7 +225,8 @@ class DirectionLimit:
 
 def direction_limit(vec: Sequence[LaurentPoly]) -> DirectionLimit:
     nonzero = [v for v in vec if not v.is_zero()]
-    assert nonzero, "direction limit of the zero vector"
+    if not nonzero:
+        raise ValueError("direction limit of the zero vector")
     nu = min(v.valuation() for v in nonzero)
     ctx = vec[0].ctx
     leading = tuple(v.coefficient(nu) if not v.is_zero() else ctx.zero() for v in vec)

@@ -366,7 +366,7 @@ class Polynomial:
                 d = list(e)
                 d[i] -= 1
                 terms[tuple(d)] = c * e[i]
-        return Polynomial(self.ctx, terms)
+        return Polynomial._trusted(self.ctx, terms)
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.diff(n) for n in self.ctx.names)

@@ -5,6 +5,10 @@ cross-checks (finite differences, rank comparisons) and for the sampled
 probes, all of which must be reproducible bit-for-bit.  Every random draw
 goes through a Random instance derived from one master seed plus a task
 label, so a probe's stream never depends on what ran before it.
+
+The seeds, configuration and rational point helpers are pure Python, so
+the exact analyses import this module without numpy; numpy loads on the
+first float call (compile_float and the refinement helpers).
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from germlab.poly import Polynomial
 
@@ -97,6 +99,8 @@ def compile_float(polys: Sequence[Polynomial]):
     point only, so f(X)[i] equals f(X[i]) bit for bit: a batch gives the
     same floats as its points evaluated one at a time.
     """
+    import numpy as np
+
     exps, coeffs, slices = [], [], []
     for p in polys:
         start = len(exps)
@@ -142,6 +146,8 @@ def compile_scale(polys: Sequence[Polynomial]):
     Residual tolerances are taken relative to this envelope so that the
     acceptance threshold means the same thing at every sampled point.
     """
+    import numpy as np
+
     absd = [Polynomial(p.ctx, {e: abs(c) for e, c in p.terms.items()}) for p in polys]
     g = compile_float(absd)
 
@@ -159,6 +165,7 @@ def refine_on_variety(fn, x0: np.ndarray, extra_residual=None):
     continuation targets).  Deterministic: scipy's trf with fixed start,
     no stochastic restarts.
     """
+    import numpy as np
     from scipy.optimize import least_squares
 
     def resid(x):
@@ -182,6 +189,8 @@ def nearest_on_variety(fn, target: np.ndarray,
     constraint satisfaction against drifting toward small-residual
     regions such as the origin.
     """
+    import numpy as np
+
     t = np.asarray(target, dtype=float)
     return refine_on_variety(lambda x: weight * fn(x), t,
                              extra_residual=lambda x: x - t)
@@ -208,6 +217,8 @@ def refine_batch(fn, jac, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unconverged when its step is not finite or after 200 steps.
     Returns the refined rows and the per-row convergence flags.
     """
+    import numpy as np
+
     tol = 1e-14
     X = np.array(X0, dtype=float)
     if not len(X):

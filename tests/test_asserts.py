@@ -14,11 +14,6 @@ import germlab
 
 ALLOWED = (
     ("certify.py", "RegularityReport.chain.walk"),
-    ("curves.py", "LaurentPoly.valuation"),
-    ("curves.py", "CurveFamily.__post_init__"),
-    ("curves.py", "CurveFamily.__post_init__"),
-    ("curves.py", "CurveFamily.pullback"),
-    ("curves.py", "direction_limit"),
     ("germs.py", "Parametrization.evaluate"),
     ("hwc.py", "fgbar_check"),
     ("hwc.py", "product_pair"),

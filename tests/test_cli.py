@@ -1,10 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from germlab.cli import main
+import germlab
+import germlab.analyses
+from germlab.cli import _jsonable, main
 
 CORPUS = "src/germlab/corpus"
 
@@ -326,3 +332,74 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# The quick exact commands a user waits on, as perfbench's cli-cold runs them.
+EXACT_COMMANDS = (
+    ["parse", f"{CORPUS}/e21.germ"],
+    ["milnor", f"{CORPUS}/mfx1.germ"],
+    ["sing", f"{CORPUS}/ent1.germ"],
+    ["hwc", f"{CORPUS}/e21.germ"],
+    ["witness", f"{CORPUS}/ent1.germ"],
+    ["probe-b", f"{CORPUS}/mhx1.germ", "--witness", "fam"],
+    ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48", "--outer",
+     "G48", "--mode", "exact", "--set", "MH", "--claim", "closure"],
+    ["construct", "sum", f"{CORPUS}/esum.germ", "--left", "quart",
+     "--right", "bilin"],
+)
+
+
+def test_exact_commands_load_neither_numpy_nor_the_corpus_runner():
+    code = ("import sys\n"
+            "from germlab.cli import main\n"
+            f"for argv in {EXACT_COMMANDS!r}:\n"
+            "    if main(argv):\n"
+            "        raise SystemExit(f'{argv} failed')\n"
+            "loaded = [m for m in ('numpy', 'scipy', 'germlab.corpus')\n"
+            "          if m in sys.modules]\n"
+            "raise SystemExit(f'loaded {loaded}' if loaded else 0)\n")
+    src = str(Path(germlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, cwd=Path(src).parent,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def _isinstance_jsonable(value):
+    # The conversion _jsonable replaced, checking numpy types by name.
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _isinstance_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_isinstance_jsonable(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("value", [
+    np.float64(0.1),
+    np.int64(-7),
+    {"point": np.array([[0.5, -1.25], [1e-300, 2.0]]), "norm": np.float64(3.5)},
+    [np.array([1, 2, 3]), (np.int64(4), np.float64(1 / 3))],
+    Fraction(-3, 7),
+    {"nested": [{"x": Fraction(1, 2), "y": np.float64(np.inf)}]},
+])
+def test_jsonable_converts_numpy_values_as_before(value):
+    want = json.dumps(_isinstance_jsonable(value), sort_keys=True)
+    assert json.dumps(_jsonable(value), sort_keys=True) == want
+
+
+def test_internal_error_is_exit_3_with_a_json_document(capsys, monkeypatch):
+    def broken(decl):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(germlab.analyses, "milnor", broken)
+    code, out, err = run_cli(capsys, "milnor", f"{CORPUS}/mfx1.germ")
+    assert code == 3
+    assert json.loads(out) == {"schema_version": 1, "error": {
+        "reason": "internal", "type": "ZeroDivisionError", "message": "boom"}}
+    assert "ZeroDivisionError: boom" in err

@@ -214,21 +214,46 @@ def test_exact_div_rejects_inexact():
     "must_raise(ValueError, lambda: (s.var('s') * t) ** -1)\n"
     "must_raise(ValueError, lambda: LaurentPoly(s, {0.5: s.one()}))\n"
     "must_raise(ValueError, lambda: t * LaurentPoly.t_power(VarContext(['u']), 1))\n",
+    # Unchecked, min() of nothing raises a ValueError of its own, so the
+    # message tells the guard from the accident.
+    "from germlab.curves import LaurentPoly\n"
+    "must_raise(ValueError, lambda: LaurentPoly(VarContext(['s']), {}).valuation(),\n"
+    "           'no valuation')\n",
+    "from germlab.curves import CurveFamily, LaurentPoly\n"
+    "s = VarContext(['s'])\n"
+    "t = LaurentPoly.t_power(s, 1)\n"
+    "must_raise(ValueError, lambda: CurveFamily(VarContext(['x', 'y']), s, (t,)))\n",
+    "from germlab.curves import CurveFamily, LaurentPoly\n"
+    "s = VarContext(['s'])\n"
+    "t, u = LaurentPoly.t_power(s, 1), LaurentPoly.t_power(VarContext(['u']), 1)\n"
+    "must_raise(ValueError, lambda: CurveFamily(VarContext(['x', 'y']), s, (t, u)))\n",
+    # Unchecked, u is read as x: the pullback of u along (t, t^2) is t.
+    "from germlab.curves import CurveFamily, LaurentPoly\n"
+    "s = VarContext(['s'])\n"
+    "t = LaurentPoly.t_power(s, 1)\n"
+    "gamma = CurveFamily(VarContext(['x', 'y']), s, (t, t * t))\n"
+    "must_raise(ValueError, lambda: gamma.pullback(VarContext(['u', 'v']).var('u')))\n",
+    "from germlab.curves import LaurentPoly, direction_limit\n"
+    "zero = LaurentPoly(VarContext(['s']), {})\n"
+    "must_raise(ValueError, lambda: direction_limit([zero, zero]), 'zero vector')\n",
 ], ids=["inexact-division", "context-mismatch", "repeated-name",
         "nonvanishing-germ", "zero-denominator", "evaluate-arity",
         "float-coefficient", "exponent-vector", "negative-power",
         "constant-value", "matrix-shape", "pullback-context", "realify-arity",
         "realify-context", "mixed-context", "complex-float",
-        "mixed-negative-power", "laurent-power"])
+        "mixed-negative-power", "laurent-power", "laurent-valuation",
+        "curve-arity", "curve-params", "curve-pullback", "direction-zero"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
     code = ("from germlab.germs import Parametrization, RealMapGerm\n"
             "from germlab.poly import Polynomial, PolyMatrix, VarContext\n"
-            "def must_raise(exc, make):\n"
+            "def must_raise(exc, make, match=''):\n"
             "    try:\n"
             "        got = make()\n"
-            "    except exc:\n"
-            "        return\n"
+            "    except exc as e:\n"
+            "        if match in str(e):\n"
+            "            return\n"
+            "        raise SystemExit(f'raised {e!r}, not about {match!r}')\n"
             "    raise SystemExit(f'accepted, returned {got!r}')\n" + code)
     src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
