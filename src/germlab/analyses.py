@@ -205,7 +205,7 @@ def compose_check(inner, outer, mode: str = "exact",
         finding = composition_sampled_probe(outer.germ, inner.germ, config)
         return {**head, "suspicious": finding.suspicious,
                 "detail": finding.detail, "record": finding.record,
-                "seed": config.seed}
+                "samples": finding.samples, "seed": config.seed}
     if not set_name or set_name not in inner.sets:
         known = ", ".join(sorted(inner.sets)) or "none"
         raise GermlabUsage(

@@ -13,9 +13,9 @@ as a JSON error document with reason "internal"; the traceback goes to
 stderr).  Reports carry no timestamps, so identical invocations produce
 byte-identical output; sampled modes embed their seed.
 
-Only the sampled modes and `corpus run` load numpy and scipy: this module
-imports neither, nor the corpus runner, so an exact command starts
-without them.
+Only the sampled modes and `corpus run` load numpy, and no command loads
+scipy: this module imports neither numpy nor the corpus runner, so an
+exact command starts without them.
 """
 from __future__ import annotations
 

@@ -347,7 +347,8 @@ def inclusion_report(outer: RealMapGerm, inner: RealMapGerm,
 class SampledCompositionFinding:
     suspicious: bool
     detail: str
-    record: dict
+    record: dict | None
+    samples: dict
 
 
 def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
@@ -363,84 +364,113 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
     the point exactly on M(H) and pins the image component along the
     reference direction, so the image cannot follow sigma down the cone
     to the origin; near mere tangency those constraints are inconsistent
-    and the minor residuals stay large, which aborts the ladder.  A seed
-    is suspicious when its deepest rung keeps the image within tolerance
-    of a Sing G point of norm at least r_min.  The verdict is still
-    sampled evidence, not a certificate: no fact is ever installed.
+    and the minor residuals stay large, which ends that seed's ladder.  A
+    seed is suspicious when its deepest rung keeps the image within
+    tolerance of a Sing G point of norm at least r_min.  The verdict is
+    still sampled evidence, not a certificate: no fact is ever installed.
+
+    All seeds run as one batch: one landing, one projection, and per rung
+    one refinement and one projection of the seeds still on their
+    ladders.  The samples record says where each seed left: off target
+    at landing (sigma outside its window or the minors not small), near
+    the origin (rho below r_min), at a rung, or completed.
     """
     import numpy as np
 
     from germlab.sampling import (
-        RunConfig, compile_float, derive_rng, nearest_on_variety,
-        refine_on_variety,
+        RunConfig, compile_float, compile_jacobian, derive_rng,
+        nearest_on_variety, refine_on_variety,
     )
 
     config = config or RunConfig()
     h = compose_exact(outer, inner)
     a = h.stacked()
-    f_fn = compile_float(list(inner.components))
-    sigma_fn = compile_float(h.singular_minors())
-    mil_fn = compile_float(a.minors(a.rows))
-    sing_g_fn = compile_float(outer.singular_minors())
+    f_polys, sigma_polys = list(inner.components), h.singular_minors()
+    mil_polys, sing_g_polys = a.minors(a.rows), outer.singular_minors()
+    f_fn, f_jac = compile_float(f_polys), compile_jacobian(f_polys)
+    sigma_fn, sigma_jac = compile_float(sigma_polys), compile_jacobian(sigma_polys)
+    mil_fn, mil_jac = compile_float(mil_polys), compile_jacobian(mil_polys)
+    sing_g_fn, sing_g_jac = compile_float(sing_g_polys), compile_jacobian(sing_g_polys)
+
+    def sigma_of(X):
+        s = sigma_fn(X)
+        return np.sum(s * s, axis=-1)
+
+    def residual(X):
+        return np.max(np.abs(mil_fn(X)), axis=-1)
+
+    # Relative gap: at the origin every polynomial residual dies, so an
+    # absolute gap would read as converged and the continuation would
+    # collapse down the trivial cone.  Its gradient is 2 s^T J_sigma / tgt.
+    def gap(X, tgt):
+        return (sigma_of(X) / tgt - 1.0)[:, None]
+
+    def gap_jac(X, tgt):
+        return (2.0 * np.einsum("nk,nkm->nm", sigma_fn(X), sigma_jac(X))
+                / tgt)[:, None, :]
 
     rng = derive_rng(config.seed, f"compose:{h.label()}")
     m = inner.source_arity
+    seeds = 8
     top = 1e-4
     targets = [1e-6, 1e-8, 1e-10, 1e-12]
-    best = None
-    for k in range(8):
-        # Seeds at half radius leave room for the refinement to move
-        # without the continuation escaping the sampling ball.
-        x = np.array([rng.uniform(-config.radius / 2, config.radius / 2)
-                      for _ in range(m)])
+    # Seeds at half radius leave room for the refinement to move without
+    # the continuation escaping the sampling ball.
+    X = np.reshape([rng.uniform(-config.radius / 2, config.radius / 2)
+                    for _ in range(seeds * m)], (seeds, m))
+    X = refine_on_variety(mil_fn, mil_jac, X,
+                          extra=lambda X: gap(X, top),
+                          extra_jac=lambda X: gap_jac(X, top))
+    sigma = sigma_of(X)
+    landed = (top / 4 <= sigma) & (sigma <= 4 * top) & ~(residual(X) > 1e-7)
+    Q = nearest_on_variety(sing_g_fn, sing_g_jac, f_fn(X[landed]))
+    rho = np.linalg.norm(Q, axis=-1)
+    far = ~(rho < config.r_min)
+    X, rho = X[landed][far], rho[far]
+    U = Q[far] / rho[:, None]
 
-        # Relative gap: at the origin every polynomial residual dies, so
-        # an absolute gap would read as converged and the continuation
-        # would collapse down the trivial cone.
-        def top_gap(pt):
-            s = sigma_fn(pt)
-            return float(np.sum(s * s) / top - 1.0)
+    paths = [[] for _ in X]  # one list of rung records per seed on its ladder
+    left = []
+    for tgt in targets:
+        # The pin holds the image component along the reference direction
+        # u at rho: 10 (F(x) . u / rho - 1), with gradient 10 u^T J_F / rho.
+        def pinned(X, tgt=tgt, U=U, rho=rho):
+            pin = 10.0 * (np.sum(f_fn(X) * U, axis=-1) / rho - 1.0)
+            return np.concatenate([gap(X, tgt), pin[:, None]], axis=-1)
 
-        x = refine_on_variety(mil_fn, x, extra_residual=top_gap)
-        s = sigma_fn(x)
-        sigma = float(np.sum(s * s))
-        if not (top / 4 <= sigma <= 4 * top) or np.max(np.abs(mil_fn(x))) > 1e-7:
-            continue
-        q = nearest_on_variety(sing_g_fn, f_fn(x))
-        rho = float(np.linalg.norm(q))
-        if rho < config.r_min:
-            continue
-        uhat = q / rho
-        traj = []
-        for tgt in targets:
-            def pinned(pt, tgt=tgt, uhat=uhat):
-                s = sigma_fn(pt)
-                gap = float(np.sum(s * s) / tgt - 1.0)
-                pin = 10.0 * (float(np.dot(f_fn(pt), uhat)) / rho - 1.0)
-                return np.array([gap, pin])
+        def pinned_jac(X, tgt=tgt, U=U, rho=rho):
+            pin = 10.0 * np.einsum("nj,njm->nm", U, f_jac(X)) / rho[:, None]
+            return np.concatenate([gap_jac(X, tgt), pin[:, None, :]], axis=-2)
 
-            x = refine_on_variety(mil_fn, x, extra_residual=pinned)
-            s = sigma_fn(x)
-            sigma = float(np.sum(s * s))
-            res = np.max(np.abs(mil_fn(x)))
-            img = f_fn(x)
-            q = nearest_on_variety(sing_g_fn, img)
-            qn = float(np.linalg.norm(q))
-            dist = float(np.linalg.norm(q - img))
-            norm = float(np.linalg.norm(x))
-            if (not (tgt / 4 <= sigma <= 4 * tgt) or res > 1e-7
-                    or not (0.75 <= qn / rho <= 1.25)
-                    or not (config.r_min <= norm <= config.radius)):
-                break
-            uhat = q / qn
-            traj.append({
-                "sigma": sigma, "preimage_norm": norm,
-                "image_distance_to_sing": dist, "nearest_sing_norm": qn,
-                "point": x.tolist(), "image": img.tolist(),
+        X = refine_on_variety(mil_fn, mil_jac, X, extra=pinned,
+                              extra_jac=pinned_jac)
+        sigma = sigma_of(X)
+        img = f_fn(X)
+        Q = nearest_on_variety(sing_g_fn, sing_g_jac, img)
+        qn = np.linalg.norm(Q, axis=-1)
+        dist = np.linalg.norm(Q - img, axis=-1)
+        norm = np.linalg.norm(X, axis=-1)
+        stay = ((tgt / 4 <= sigma) & (sigma <= 4 * tgt) & ~(residual(X) > 1e-7)
+                & (0.75 <= qn / rho) & (qn / rho <= 1.25)
+                & (config.r_min <= norm) & (norm <= config.radius))
+        left.append(int((~stay).sum()))
+        for j in np.flatnonzero(stay):
+            paths[j].append({
+                "sigma": float(sigma[j]), "preimage_norm": float(norm[j]),
+                "image_distance_to_sing": float(dist[j]),
+                "nearest_sing_norm": float(qn[j]),
+                "point": X[j].tolist(), "image": img[j].tolist(),
             })
-        if len(traj) < len(targets):
-            continue
-        last = traj[-1]
+        paths = [path for path, s in zip(paths, stay) if s]
+        X, rho = X[stay], rho[stay]
+        U = Q[stay] / qn[stay][:, None]
+    samples = {"seeds": seeds, "off_target": int((~landed).sum()),
+               "near_origin": int((~far).sum()), "left_at_rung": left,
+               "completed": len(paths), "seed": config.seed}
+
+    best = None
+    for path in paths:
+        last = path[-1]
         if (last["image_distance_to_sing"] <= config.tol_accum
                 and last["nearest_sing_norm"] >= config.r_min
                 and (best is None or last["image_distance_to_sing"]
@@ -448,9 +478,9 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
             best = dict(
                 last,
                 distance_trajectory=[
-                    c["image_distance_to_sing"] for c in traj],
+                    c["image_distance_to_sing"] for c in path],
                 sing_norm_trajectory=[
-                    c["nearest_sing_norm"] for c in traj])
+                    c["nearest_sing_norm"] for c in path])
     if best is not None:
         return SampledCompositionFinding(
             suspicious=True,
@@ -458,9 +488,9 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
                    "M(H) and off Sing H, carry F-images within tolerance "
                    "of Sing G points away from 0; exact follow-up needed, "
                    "no fact installed",
-            record={"seed": config.seed, **best})
+            record={"seed": config.seed, **best}, samples=samples)
     return SampledCompositionFinding(
         suspicious=False,
         detail="no F-image approached Sing G at scale under pinned "
                "continuation",
-        record=None)
+        record=None, samples=samples)

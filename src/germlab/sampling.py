@@ -157,59 +157,72 @@ def compile_scale(polys: Sequence[Polynomial]):
     return f
 
 
-def refine_on_variety(fn, x0: np.ndarray, extra_residual=None):
-    """Least-squares refinement of x0 onto the common zero set of fn.
+def refine_on_variety(fn, jac, X0, extra=None, extra_jac=None):
+    """Rows of X0 refined by refine_batch onto the common zero set of fn.
 
-    fn is a compiled evaluator (see compile_float).  extra_residual, when
-    given, is a callable appended to the residual vector (used to pin
-    continuation targets).  Deterministic: scipy's trf with fixed start,
-    no stochastic restarts.
-    """
-    import numpy as np
-    from scipy.optimize import least_squares
-
-    def resid(x):
-        r = fn(x)
-        if extra_residual is not None:
-            r = np.concatenate([r, np.atleast_1d(extra_residual(x))])
-        return r
-
-    sol = least_squares(resid, np.asarray(x0, dtype=float), method="trf",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400)
-    return sol.x
-
-
-def nearest_on_variety(fn, target: np.ndarray,
-                       weight: float = 1e4) -> np.ndarray:
-    """Approximate metric projection of `target` onto the zero set of fn.
-
-    The variety residuals are weighted far above the distance pull so the
-    constraint binds first and the leftover degrees of freedom minimize
-    the distance to target; a weak pull would let the solver trade
-    constraint satisfaction against drifting toward small-residual
-    regions such as the origin.
+    fn and jac are compiled evaluators (see compile_float and
+    compile_jacobian).  extra, when given, appends per-row residuals
+    (N, e) to fn's, with Jacobians (N, e, m) from extra_jac; the ladders
+    use it to hold a gap or pin a continuation target.  Returns the
+    refined rows.
     """
     import numpy as np
 
-    t = np.asarray(target, dtype=float)
-    return refine_on_variety(lambda x: weight * fn(x), t,
-                             extra_residual=lambda x: x - t)
+    if extra is None:
+        return refine_batch(fn, jac, X0)[0]
+
+    def resid(X):
+        return np.concatenate([fn(X), extra(X)], axis=-1)
+
+    def resid_jac(X):
+        return np.concatenate([jac(X), extra_jac(X)], axis=-2)
+
+    return refine_batch(resid, resid_jac, X0)[0]
+
+
+def nearest_on_variety(fn, jac, T, start=None, weight: float = 1e4):
+    """Approximate metric projection of each row of T onto the zero set of fn.
+
+    The variety residuals are weighted far above the distance pull Y - T
+    so the constraint binds first and the leftover degrees of freedom
+    minimize the distance to the target; a weak pull would let the solver
+    trade constraint satisfaction against drifting toward small-residual
+    regions such as the origin.  The refinement starts from start, or
+    from T itself.
+    """
+    import numpy as np
+
+    T = np.asarray(T, dtype=float)
+    m = T.shape[-1]
+    return refine_on_variety(
+        lambda Y: weight * fn(Y), lambda Y: weight * jac(Y),
+        T if start is None else start,
+        extra=lambda Y: Y - T,
+        extra_jac=lambda Y: np.broadcast_to(np.eye(m), Y.shape[:-1] + (m, m)))
 
 
 def refine_batch(fn, jac, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Levenberg-Marquardt on every row of X0 at once.
+    """Trust-region Levenberg-Marquardt on every row of X0 at once.
 
     fn maps an (N, m) array to residuals (N, k) and jac to their Jacobians
     (N, k, m); both are called on the whole batch, so a residual may
-    depend on the row (a per-row target).  Each row keeps its own damping
-    lam (More, "The Levenberg-Marquardt algorithm: implementation and
-    theory", 1978): the step d solves (J^T J + lam I) d = -J^T r, through
-    d = -J^T (J J^T + lam I)^-1 r when k < m, and is taken only if it
-    lowers that row's sum of squares.  A taken step divides lam by 3, a
-    refused one multiplies it by 4, and lam never drops below 1e-12 of
-    the largest diagonal entry of the matrix it damps, which keeps
-    rank-deficient systems solvable.  A non-finite residual counts as a
-    refused step.
+    depend on the row (a per-row target).  Each row keeps its own trust
+    radius D, which bounds the step length in x (More, "The
+    Levenberg-Marquardt algorithm: implementation and theory", 1978,
+    sections 3-4), starting at |x0|, or 1 at the origin.  A step reads
+    the SVD J = U S V^T of the row's Jacobian.  The Gauss-Newton step
+    -V S^+ U^T r, with singular values below 1e-15 s_max max(k, m)
+    dropped, is tried when it fits inside D.  Otherwise the step is
+    -V S (S^2 + lam)^-1 U^T r, with lam > 0 from Newton iterations on the
+    secular equation |p(lam)| = D, scaled onto the boundary.  The step is
+    taken only if it lowers that row's sum of squares; a non-finite
+    residual counts as a refused step.  D then follows the ratio of the
+    actual to the predicted reduction: it becomes |p|/4 when the ratio is
+    under 1/4, and doubles when the ratio is over 3/4 with the step on
+    the boundary.  Because D controls the step length directly, a
+    residual row weighted far above the others does not stall the solve,
+    as a damping floor taken relative to the largest entry of J^T J
+    would.
 
     A row stops, converged, once its step is below 1e-14 relative to |x|
     (taken or not: no step can move it further), or a taken step lowers
@@ -225,45 +238,111 @@ def refine_batch(fn, jac, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return X, np.zeros(0, dtype=bool)
     R, J = fn(X), jac(X)
     cost = np.sum(R * R, axis=-1)
-    k, m = J.shape[-2:]
-    small = k < m
-    eye = np.eye(k if small else m)
-
-    def scale_of(J):
-        JJ = J @ J.swapaxes(-1, -2) if small else J.swapaxes(-1, -2) @ J
-        return JJ, np.maximum(np.max(np.diagonal(JJ, axis1=-2, axis2=-1),
-                                     axis=-1, initial=0.0), 1e-300)
-
-    JJ, top = scale_of(J)
-    lam = 1e-3 * top
+    norm = np.linalg.norm(X, axis=-1)
+    radius = np.where(norm > 0, norm, 1.0)
     converged = cost == 0
     active = np.isfinite(cost) & ~converged
     for _ in range(200):
         if not active.any():
             break
-        A = JJ + lam[:, None, None] * eye
-        A[~active] = eye
-        if small:
-            D = -(J.swapaxes(-1, -2) @ np.linalg.solve(A, R[..., None]))[..., 0]
-        else:
-            D = -np.linalg.solve(A, J.swapaxes(-1, -2) @ R[..., None])[..., 0]
-        D[~active] = 0.0
+        D = np.zeros_like(X)
+        pred = np.zeros(len(X))
+        edge = np.zeros(len(X), dtype=bool)
+        D[active], pred[active], edge[active] = _trust_region_step(
+            J[active], R[active], radius[active])
         Xn = X + D
         Rn = fn(Xn)
         cn = np.sum(Rn * Rn, axis=-1)
         take = active & (cn < cost)  # False for NaN
-        tiny = (np.linalg.norm(D, axis=-1)
-                <= tol * (tol + np.linalg.norm(X, axis=-1)))
+        step = np.linalg.norm(D, axis=-1)
+        tiny = step <= tol * (tol + np.linalg.norm(X, axis=-1))
         done = active & (tiny | take & ((cost - cn <= tol * cost) | (cn == 0)))
         stuck = ~take & ~np.all(np.isfinite(D), axis=-1)
         converged |= done
         active &= ~done & ~stuck
+        ratio = np.zeros(len(X))
+        good = active & take & (pred > 0)
+        ratio[good] = (cost[good] - cn[good]) / pred[good]
+        shrink = active & (ratio < 0.25)
+        radius[shrink] = 0.25 * step[shrink]
+        radius[active & (ratio > 0.75) & edge] *= 2.0
         if take.any():
             X[take], R[take], cost[take] = Xn[take], Rn[take], cn[take]
             J = np.where(take[:, None, None], jac(X), J)
-            JJ, top = scale_of(J)
-        lam = np.maximum(np.where(take, lam / 3, lam * 4), 1e-12 * top)
     return X, converged
+
+
+def _trust_region_step(J, R, radius):
+    """Steps p with |p| <= radius that minimize |r + J p|, one per row.
+
+    Returns the steps (N, m), the predicted reductions |r|^2 - |r + J p|^2
+    and whether each step lies on the boundary.  A row whose Jacobian is
+    not finite gets a NaN step.
+    """
+    import numpy as np
+
+    k, m = J.shape[-2:]
+    finite = np.all(np.isfinite(J), axis=(-2, -1))
+    U, S, Vt = np.linalg.svd(np.where(finite[:, None, None], J, 0.0),
+                             full_matrices=False)
+    uf = np.einsum("nkq,nk->nq", U, R)
+    keep = S > 1e-15 * max(k, m) * S[:, :1]
+    # The step is -V c; V has orthonormal columns, so |p| = |c|.
+    c = np.divide(uf, S, out=np.zeros_like(uf), where=keep)
+    edge = np.linalg.norm(c, axis=-1) > radius
+    if edge.any():
+        c[edge] = _secular_coefficients(S[edge], uf[edge], radius[edge],
+                                        keep[edge].all(axis=-1) & (k >= m))
+    Sc = S * c
+    pred = np.sum(Sc * (2 * uf - Sc), axis=-1)
+    p = -np.einsum("nqm,nq->nm", Vt, c)
+    p[~finite] = np.nan
+    return p, pred, edge
+
+
+def _secular_coefficients(S, uf, radius, full):
+    """c = S uf / (S^2 + lam) with |c| = radius, per row.
+
+    lam comes from at most 10 Newton iterations on phi(lam) = |c(lam)| -
+    radius in More's form, safeguarded by the bracket [lower, upper] and
+    stopped once |phi| < radius / 100; c is then scaled onto the sphere.
+    On a full-rank row phi(0) > 0 gives More's lower bound, elsewhere the
+    bracket starts at 0.  Each row reaching this point has a Gauss-Newton
+    step longer than its radius, so S uf is not zero.
+    """
+    import numpy as np
+
+    suf = S * uf
+    S2 = S * S
+    upper = np.linalg.norm(suf, axis=-1) / radius
+    lower = np.zeros_like(upper)
+    if full.any():
+        q = uf[full] / S[full]
+        qn = np.linalg.norm(q, axis=-1)
+        lower[full] = (qn - radius[full]) * qn / np.sum(q * q / S2[full], axis=-1)
+
+    def inside(lam):
+        # The bracket, and lam > 0 so that S^2 + lam never vanishes.
+        out = (lam <= 0) | (lam < lower) | (lam > upper)
+        return np.where(out, np.maximum(1e-3 * upper, np.sqrt(lower * upper)), lam)
+
+    lam = inside(np.zeros_like(upper))
+    todo = np.ones(len(S), dtype=bool)
+    for _ in range(10):
+        lam = inside(lam)
+        den = S2 + lam[:, None]
+        q = suf / den
+        qn = np.linalg.norm(q, axis=-1)
+        phi = qn - radius
+        ratio = phi * qn / -np.sum(q * q / den, axis=-1)  # phi / phi'
+        upper = np.where(todo & (phi < 0), lam, upper)
+        lower = np.where(todo, np.maximum(lower, lam - ratio), lower)
+        lam = np.where(todo, lam - (phi + radius) * ratio / radius, lam)
+        todo &= np.abs(phi) >= 1e-2 * radius
+        if not todo.any():
+            break
+    c = suf / (S2 + inside(lam)[:, None])
+    return c * (radius / np.linalg.norm(c, axis=-1))[:, None]
 
 
 def fd_gradient(p: Polynomial, point: Sequence[float], h: float = 1e-6) -> list[float]:

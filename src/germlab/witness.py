@@ -295,14 +295,14 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     """Numeric search for Milnor-set points accumulating on the fiber.
 
     All seeds are drawn at once and refined together onto the Milnor set
-    by a batched Levenberg-Marquardt solve on the maximal minors of the
-    stacked matrix.  A refined point is a hit when it passes three
+    by a batched trust-region solve (sampling.refine_batch) on the maximal
+    minors of the stacked matrix.  A refined point is a hit when it passes three
     filters: on the variety (minors small relative to their envelope),
     inside the ball (norm between r_min and the radius), and off the
     fiber (some component large relative to its envelope).  Each hit is
     then pulled toward its nearest fiber point through the relative
-    distances in APPROACH, every rung refined onto the Milnor set and
-    sent through the same filters; a rung that fails a filter ends that
+    distances in APPROACH, every rung projected onto the Milnor set by
+    sampling.nearest_on_variety and sent through the same filters; a rung that fails a filter ends that
     hit's ladder.  The probe reports the smallest distance-to-norm ratio
     among hits and ladder points, and a violation when it drops below
     the accumulation tolerance.  Findings are reported, never promoted
@@ -315,7 +315,7 @@ def condition_b_sampled_probe(germ: RealMapGerm,
 
     from germlab.sampling import (
         RunConfig, compile_float, compile_jacobian, compile_scale, derive_rng,
-        refine_batch,
+        nearest_on_variety, refine_batch,
     )
 
     config = config or RunConfig()
@@ -378,21 +378,11 @@ def condition_b_sampled_probe(germ: RealMapGerm,
         if not len(P):
             break
         # Aim at the point tau * |Q| off the nearest fiber point Q, in
-        # the direction of P, and settle on the Milnor set near it; the
-        # minors are weighted as in sampling.nearest_on_variety, so the
-        # constraint binds first and the pull acts along the variety.
+        # the direction of P, and settle on the Milnor set near it.
         off = P - Q
         T = Q + (tau * np.linalg.norm(Q, axis=-1)
                  / np.maximum(np.linalg.norm(off, axis=-1), 1e-300))[:, None] * off
-
-        def pulled(Y, T=T):
-            return np.concatenate([1e4 * minor_fn(Y), Y - T], axis=-1)
-
-        def pulled_jac(Y):
-            eye = np.broadcast_to(np.eye(m), Y.shape[:-1] + (m, m))
-            return np.concatenate([1e4 * minor_jac(Y), eye], axis=-2)
-
-        Y, _ = refine_batch(pulled, pulled_jac, P)
+        Y = nearest_on_variety(minor_fn, minor_jac, T, start=P)
         keep = np.logical_and.reduce(filters(Y))
         P = Y[keep]
         counts["approach"] += len(P)

@@ -3,7 +3,10 @@
 Everything here is written against raw nested lists of Fractions or raw
 term dicts (exponent tuple -> Fraction), with no imports from germlab
 internals beyond evaluation, so that agreement between a germlab routine and
-its oracle actually means two routes reached the same answer.
+its oracle actually means two routes reached the same answer.  The scipy
+composition ladder also takes the exact composition, the compiled float
+evaluators and the seed stream from germlab: it is an oracle for the
+solver and the batching, not for those.
 """
 
 from __future__ import annotations
@@ -274,3 +277,98 @@ def mixed_realify(a: dict, arity: int) -> tuple[dict, dict]:
         _add_into(total_re, tre)
         _add_into(total_im, tim)
     return total_re, total_im
+
+
+# -- the scipy composition ladder ------------------------------------------
+
+
+def scipy_composition_ladder(outer, inner, config) -> dict | None:
+    """The sampled composition probe, one seed and one rung at a time.
+
+    Each refinement is scipy's trf least_squares with finite-difference
+    Jacobians, the Sing G projection weights the minors by 1e4 against
+    the pull to the target, and the seeds, windows and filters are those
+    of germlab.compose.composition_sampled_probe, which must reach the
+    same verdict on its own batched solver.  Returns the record of the
+    closest completed ladder within tolerance of Sing G, or None.
+    """
+    import numpy as np
+    from scipy.optimize import least_squares
+
+    from germlab.compose import compose_exact
+    from germlab.sampling import compile_float, derive_rng
+
+    def refine(fn, x0, extra=None):
+        def resid(x):
+            r = fn(x)
+            return r if extra is None else np.concatenate([r, np.atleast_1d(extra(x))])
+
+        return least_squares(resid, np.asarray(x0, dtype=float), method="trf",
+                             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=400).x
+
+    def nearest(fn, t, weight=1e4):
+        t = np.asarray(t, dtype=float)
+        return refine(lambda x: weight * fn(x), t, extra=lambda x: x - t)
+
+    h = compose_exact(outer, inner)
+    a = h.stacked()
+    f_fn = compile_float(list(inner.components))
+    sigma_fn = compile_float(h.singular_minors())
+    mil_fn = compile_float(a.minors(a.rows))
+    sing_g_fn = compile_float(outer.singular_minors())
+
+    rng = derive_rng(config.seed, f"compose:{h.label()}")
+    m = inner.source_arity
+    top = 1e-4
+    best = None
+    for _ in range(8):
+        x = np.array([rng.uniform(-config.radius / 2, config.radius / 2)
+                      for _ in range(m)])
+
+        def top_gap(pt):
+            s = sigma_fn(pt)
+            return float(np.sum(s * s) / top - 1.0)
+
+        x = refine(mil_fn, x, extra=top_gap)
+        s = sigma_fn(x)
+        sigma = float(np.sum(s * s))
+        if not (top / 4 <= sigma <= 4 * top) or np.max(np.abs(mil_fn(x))) > 1e-7:
+            continue
+        q = nearest(sing_g_fn, f_fn(x))
+        rho = float(np.linalg.norm(q))
+        if rho < config.r_min:
+            continue
+        uhat = q / rho
+        traj = []
+        for tgt in (1e-6, 1e-8, 1e-10, 1e-12):
+            def pinned(pt, tgt=tgt, uhat=uhat):
+                s = sigma_fn(pt)
+                gap = float(np.sum(s * s) / tgt - 1.0)
+                pin = 10.0 * (float(np.dot(f_fn(pt), uhat)) / rho - 1.0)
+                return np.array([gap, pin])
+
+            x = refine(mil_fn, x, extra=pinned)
+            s = sigma_fn(x)
+            sigma = float(np.sum(s * s))
+            res = np.max(np.abs(mil_fn(x)))
+            img = f_fn(x)
+            q = nearest(sing_g_fn, img)
+            qn = float(np.linalg.norm(q))
+            dist = float(np.linalg.norm(q - img))
+            norm = float(np.linalg.norm(x))
+            if (not (tgt / 4 <= sigma <= 4 * tgt) or res > 1e-7
+                    or not (0.75 <= qn / rho <= 1.25)
+                    or not (config.r_min <= norm <= config.radius)):
+                break
+            uhat = q / qn
+            traj.append({"image_distance_to_sing": dist, "nearest_sing_norm": qn,
+                         "preimage_norm": norm})
+        if len(traj) < 4:
+            continue
+        last = traj[-1]
+        if (last["image_distance_to_sing"] <= config.tol_accum
+                and last["nearest_sing_norm"] >= config.r_min
+                and (best is None or last["image_distance_to_sing"]
+                     < best["image_distance_to_sing"])):
+            best = last
+    return best

@@ -204,6 +204,10 @@ def test_compose_sampled_mode(capsys):
     assert doc["record"]["image_distance_to_sing"] <= 1e-3
     assert doc["record"]["nearest_sing_norm"] >= 0.05
     assert doc["seed"] == 0xC0FFEE
+    got = doc["samples"]
+    assert got["seed"] == 0xC0FFEE and got["seeds"] == 8
+    assert (got["off_target"] + got["near_origin"] + sum(got["left_at_rung"])
+            + got["completed"]) == 8
 
 
 def test_compose_exact_needs_a_set(capsys):
@@ -361,6 +365,30 @@ def test_exact_commands_load_neither_numpy_nor_the_corpus_runner():
     src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, cwd=Path(src).parent,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+SAMPLED_COMMANDS = (
+    ["corpus", "run"],
+    ["compose-check", f"{CORPUS}/contra.germ", "--inner", "FC", "--outer",
+     "GC", "--mode", "sampled", "--radius", "0.5"],
+    ["probe-b", f"{CORPUS}/exaa.germ", "--set", "V"],
+)
+
+
+def test_sampled_commands_do_not_load_scipy():
+    code = ("import sys\n"
+            "from germlab.cli import main\n"
+            f"for argv in {SAMPLED_COMMANDS!r}:\n"
+            "    if main(argv):\n"
+            "        raise SystemExit(f'{argv} failed')\n"
+            "if 'numpy' not in sys.modules:\n"
+            "    raise SystemExit('no sampled probe ran')\n"
+            "raise SystemExit('loaded scipy' if 'scipy' in sys.modules else 0)\n")
+    src = str(Path(germlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, cwd=Path(src).parent,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
 

@@ -15,6 +15,7 @@ from germlab.compose import (
 from germlab.germs import GermlabRejection, Parametrization, RealMapGerm, milnor_data
 from germlab.poly import VarContext
 from germlab.sampling import RunConfig, derive_rng, rational_points
+from oracles import scipy_composition_ladder
 
 
 def _germ(names, build, name):
@@ -235,6 +236,36 @@ def test_sampled_probe_quiet_on_positive_example():
     finding = composition_sampled_probe(G48, F48, config=cfg)
     assert not finding.suspicious
     assert finding.record is None
+
+
+def assert_every_seed_accounted(samples, config):
+    assert samples["seeds"] == 8 and samples["seed"] == config.seed
+    assert len(samples["left_at_rung"]) == 4
+    assert (samples["off_target"] + samples["near_origin"]
+            + sum(samples["left_at_rung"]) + samples["completed"]) == 8
+
+
+def test_sampled_probe_accounts_for_every_seed():
+    cfg = RunConfig(radius=0.5)
+    found = composition_sampled_probe(GCONTRA, FCONTRA, config=cfg)
+    assert_every_seed_accounted(found.samples, cfg)
+    assert found.samples["completed"] > 0
+    quiet = composition_sampled_probe(G48, F48, config=cfg)
+    assert_every_seed_accounted(quiet.samples, cfg)
+    assert composition_sampled_probe(G48, F48, config=cfg) == quiet
+
+
+@pytest.mark.parametrize("seed", [0xC0FFEE, 1, 2])
+def test_sampled_probe_agrees_with_the_scipy_ladder(seed):
+    # The ladder as it ran one seed at a time on scipy's trf, against the
+    # batched trust-region ladder: the same verdict, and the best image
+    # distance within 1%.
+    cfg = RunConfig(seed=seed, radius=0.5)
+    finding = composition_sampled_probe(GCONTRA, FCONTRA, config=cfg)
+    want = scipy_composition_ladder(GCONTRA, FCONTRA, cfg)
+    assert finding.suspicious and want is not None
+    got = finding.record["image_distance_to_sing"]
+    assert got == pytest.approx(want["image_distance_to_sing"], rel=1e-2)
 
 
 def test_sampled_probe_installs_nothing():

@@ -7,6 +7,7 @@ batched solver and the fiber distance are checked against oracles:
 scipy's least_squares from the same seeds, and closed-form distances.
 """
 
+import warnings
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from scipy.optimize import least_squares
 
 import germlab
-from germlab.compose import compose_exact
+from germlab.compose import compose_exact, composition_sampled_probe
 from germlab.dsl import parse_path, parse_text
 from germlab.germs import Parametrization
 from germlab.poly import Polynomial, VarContext
@@ -24,7 +25,7 @@ from germlab.sampling import (
     RunConfig, compile_float, compile_jacobian, compile_scale, derive_rng,
     refine_batch,
 )
-from germlab.witness import _distance_to_components
+from germlab.witness import _distance_to_components, condition_b_sampled_probe
 
 CORPUS = Path(germlab.__file__).parent / "corpus"
 
@@ -188,6 +189,60 @@ def test_refine_batch_keeps_rows_apart():
     assert converged.tolist() == [True, True, False]
     assert np.isnan(X[2, 0]) and X[2, 1] == 1.0
     assert refine_batch(fn, jac, np.zeros((0, 2)))[0].shape == (0, 2)
+
+
+def test_refine_batch_stops_a_solved_row_at_once():
+    # A row that starts on its target (zero cost) beside rows that need
+    # many trust-region steps: Rosenbrock's valley from far away, with
+    # one residual weighted 10 times the other.
+    X0 = np.array([[1.0, 1.0], [-1.2, 1.0], [3.0, -4.0], [0.0, 0.0]])
+
+    def fn(X):
+        x, y = X.T
+        return np.stack([10.0 * (y - x * x), 1.0 - x], axis=-1)
+
+    def jac(X):
+        x = X[:, 0]
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 0], J[:, 0, 1], J[:, 1, 0] = -20.0 * x, 10.0, -1.0
+        return J
+
+    calls = []
+
+    def counted(X):
+        calls.append(X.copy())
+        return fn(X)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        X, converged = refine_batch(counted, jac, X0)
+    assert converged.all()
+    assert np.allclose(X, 1.0, atol=1e-10)
+    assert len(calls) > 10  # the far rows did take many steps
+    # The solved row was never moved: every trial left it in place.
+    assert all(np.array_equal(c[0], [1.0, 1.0]) for c in calls)
+
+
+def test_sampled_probes_raise_no_numpy_warnings():
+    contra = parse_path(CORPUS / "contra.germ")
+    comp48 = parse_path(CORPUS / "comp48.germ")
+    exaa = parse_path(CORPUS / "exaa.germ").single("exaa")
+    config = RunConfig(radius=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert composition_sampled_probe(
+            contra.single("GC").germ, contra.single("FC").germ, config).suspicious
+        assert not composition_sampled_probe(
+            comp48.single("G48").germ, comp48.single("F48").germ, config).suspicious
+        assert condition_b_sampled_probe(MHX1, mhx1_axes()).violates
+        assert condition_b_sampled_probe(exaa.germ, exaa.sets["V"]).violates is None
+
+
+def mhx1_axes() -> list[Parametrization]:
+    pc = VarContext(["s"])
+    s, zero = pc.gens()[0], pc.zero()
+    return [Parametrization.from_polys(MHX1.ctx, pc, [zero, s, zero], name="y-axis"),
+            Parametrization.from_polys(MHX1.ctx, pc, [s, zero, zero], name="x-axis")]
 
 
 def fibers_of(comps):
