@@ -152,6 +152,8 @@ def cmd_construct_mixed_algo(args) -> int:
     if len(names) > MAX_MIXED_VARS:
         raise GermlabUsage(f"--vars takes at most {MAX_MIXED_VARS} names, "
                            f"got {len(names)}")
+    if "i" in names:
+        raise GermlabUsage("--vars cannot name 'i', the imaginary unit")
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise GermlabUsage(f"--vars repeats {', '.join(repeated)}")
@@ -164,8 +166,7 @@ def cmd_construct_mixed_algo(args) -> int:
         for key in ("f", "g", "r", "h")
     }
     poly, frame = mixed_algorithm_build(
-        len(names), left, blocks["f"], blocks["g"], blocks["r"], blocks["h"],
-        ctx)
+        left, blocks["f"], blocks["g"], blocks["r"], blocks["h"], ctx)
     _emit({"command": "construct-mixed-algo",
            "variables": names, "left": left,
            "poly": poly.text(), "holds": frame.holds,

@@ -19,6 +19,14 @@ Resolution turns the syntax into exact objects (RealMapGerm, Parametrization,
 CurveFamily) and performs the semantic checks the syntax cannot: declared
 variables only, matching arities, vanishing at the origin, conj and i
 restricted to mixed declarations, negative powers restricted to t.
+
+One evaluator, eval_expr, reads every expression.  What differs between
+map and assert_poly lines (Polynomial), mixed components (MixedPolynomial),
+set lines (numerator/denominator pairs) and witness curves (LaurentPoly) is
+a policy record, _Algebra: the value of each name and of each conj(name),
+how a constant is read, how a divisor is inverted and whether a negative
+power is allowed.  The evaluator reports each refusal at the node's line
+and column.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Callable
 
 from germlab.curves import CurveFamily, LaurentPoly
 from germlab.germs import Parametrization, RealMapGerm, realify_mixed
-from germlab.mixed import ComplexRational, I, MixedPolynomial, realified_context
+from germlab.mixed import ComplexRational, I, MixedPolynomial
 from germlab.poly import Polynomial, VarContext
 
 KEYWORDS = {"map", "mixed", "vars", "assert_set", "assert_poly", "witness"}
@@ -86,9 +94,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -451,150 +459,84 @@ class _Parser:
 # -- semantic evaluation -------------------------------------------------
 
 
-def _collect_vars(node, out: list[str]):
-    tag = node[0]
-    if tag == "var":
-        if node[1] not in out:
-            out.append(node[1])
-    elif tag in ("neg",):
-        _collect_vars(node[1], out)
-    elif tag in ("add", "sub", "mul"):
-        _collect_vars(node[1], out)
-        _collect_vars(node[2], out)
-    elif tag == "div":
-        _collect_vars(node[1], out)
-        _collect_vars(node[2], out)
-    elif tag == "pow":
-        _collect_vars(node[1], out)
+class _Reject(Exception):
+    """An algebra refuses an operation; eval_expr adds the node's position."""
 
 
-def eval_expr(node, alg):
-    tag = node[0]
-    if tag == "int":
-        return alg.const(node[1])
-    if tag == "var":
-        return alg.var(node[1], node[2], node[3])
-    if tag == "conj":
-        return alg.conj(node[1], node[2], node[3])
-    if tag == "neg":
-        return -eval_expr(node[1], alg)
-    if tag == "add":
-        return eval_expr(node[1], alg) + eval_expr(node[2], alg)
-    if tag == "sub":
-        return eval_expr(node[1], alg) - eval_expr(node[2], alg)
-    if tag == "mul":
-        return eval_expr(node[1], alg) * eval_expr(node[2], alg)
-    if tag == "div":
-        a = eval_expr(node[1], alg)
-        b = eval_expr(node[2], alg)
-        return alg.div(a, b, node[3], node[4])
-    if tag == "pow":
-        return alg.pow(eval_expr(node[1], alg), node[2], node[3], node[4])
-    raise AssertionError(f"unknown node {tag}")
+@dataclass(frozen=True)
+class _Algebra:
+    names: dict  # name -> value
+    conj: dict | None  # name -> value of conj(name); None outside mixed
+    const: Callable  # Fraction -> value
+    invert: Callable  # b -> 1/b, or raises _Reject
+    negative_power: Callable | None = None  # v -> None or raises _Reject
 
 
-class _RealAlgebra:
+_NOT_CONSTANT = "division is only defined by nonzero constants here"
+
+
+def _real(ctx: VarContext) -> _Algebra:
     """Polynomial values over a fixed real context."""
 
-    def __init__(self, ctx: VarContext):
-        self.ctx = ctx
-
-    def const(self, c):
-        return self.ctx.const(c)
-
-    def var(self, name, line, col):
-        if name not in self.ctx.names:
-            raise GermParseError(f"undeclared variable {name!r}", line, col)
-        return self.ctx.var(name)
-
-    def conj(self, name, line, col):
-        raise GermParseError(
-            "conj() is only available in mixed declarations", line, col)
-
-    def div(self, a, b, line, col):
-        if not (isinstance(b, Polynomial) and b.is_constant()):
-            raise GermParseError(
-                "division is only defined by nonzero constants here", line, col)
+    def invert(b):
+        if not b.is_constant():
+            raise _Reject(_NOT_CONSTANT)
         c = b.constant_value()
         if c == 0:
-            raise GermParseError("division by zero", line, col)
-        return a * (Fraction(1) / c)
+            raise _Reject("division by zero")
+        return Fraction(1) / c
 
-    def pow(self, v, k, line, col):
-        if k < 0:
-            raise GermParseError(
-                "negative powers are only allowed on the tube variable t",
-                line, col)
-        return v**k
+    return _Algebra(dict(zip(ctx.names, ctx.gens())), None, ctx.const, invert)
 
 
-class _MixedAlgebra:
+def _mixed(ctx: VarContext) -> _Algebra:
     """MixedPolynomial values; i and conj are live here."""
+    zero = (0,) * ctx.arity
 
-    def __init__(self, ctx: VarContext):
-        self.ctx = ctx
-
-    def const(self, c):
-        return MixedPolynomial.const(self.ctx, c)
-
-    def var(self, name, line, col):
-        if name == "i":
-            return MixedPolynomial.const(self.ctx, I)
-        if name not in self.ctx.names:
-            raise GermParseError(f"undeclared variable {name!r}", line, col)
-        return MixedPolynomial.var(self.ctx, name)
-
-    def conj(self, name, line, col):
-        if name not in self.ctx.names:
-            raise GermParseError(f"undeclared variable {name!r}", line, col)
-        return MixedPolynomial.conj_var(self.ctx, name)
-
-    def div(self, a, b, line, col):
-        zero = (0,) * self.ctx.arity
+    def invert(b):
         c = b.terms.get((zero, zero)) if len(b.terms) == 1 else None
         if c is None:
-            raise GermParseError(
-                "division is only defined by nonzero constants here", line, col)
+            raise _Reject(_NOT_CONSTANT)
         norm = c.re * c.re + c.im * c.im
-        inv = ComplexRational(c.re / norm, -c.im / norm)
-        return a * inv
+        return ComplexRational(c.re / norm, -c.im / norm)
 
-    def pow(self, v, k, line, col):
-        if k < 0:
-            raise GermParseError(
-                "negative powers are only allowed on the tube variable t",
-                line, col)
-        return v**k
+    names = {n: MixedPolynomial.var(ctx, n) for n in ctx.names}
+    names["i"] = MixedPolynomial.const(ctx, I)
+    conj = {n: MixedPolynomial.conj_var(ctx, n) for n in ctx.names}
+    return _Algebra(names, conj, lambda c: MixedPolynomial.const(ctx, c), invert)
 
 
-class _RationalAlgebra:
+def _rational(ctx: VarContext) -> _Algebra:
     """(numerator, denominator) pairs over a parameter context."""
+    one = ctx.one()
 
-    def __init__(self, ctx: VarContext):
-        self.ctx = ctx
-
-    def const(self, c):
-        return _Rat(self.ctx.const(c), self.ctx.one())
-
-    def var(self, name, line, col):
-        return _Rat(self.ctx.var(name), self.ctx.one())
-
-    def conj(self, name, line, col):
-        raise GermParseError(
-            "conj() is only available in mixed declarations", line, col)
-
-    def div(self, a, b, line, col):
+    def invert(b):
         if b.num.is_zero():
-            raise GermParseError(
-                "division by an identically zero expression", line, col)
-        return _Rat(a.num * b.den, a.den * b.num)
+            raise _Reject("division by an identically zero expression")
+        return _Rat(b.den, b.num)
 
-    def pow(self, v, k, line, col):
-        if k < 0:
-            raise GermParseError(
-                "negative powers are only allowed on the tube variable t",
-                line, col)
-        return _Rat(v.num**k, v.den**k)
+    return _Algebra({n: _Rat(g, one) for n, g in zip(ctx.names, ctx.gens())},
+                    None, lambda c: _Rat(ctx.const(c), one), invert)
+
+
+def _laurent(ctx: VarContext) -> _Algebra:
+    """LaurentPoly values; the reserved name t is the tube variable."""
+
+    def invert(b):
+        parts = b.parts
+        if len(parts) != 1 or 0 not in parts or not parts[0].is_constant():
+            raise _Reject(_NOT_CONSTANT)
+        return LaurentPoly.const(ctx, Fraction(1) / parts[0].constant_value())
+
+    def negative_power(v):
+        if len(v.parts) != 1 or not next(iter(v.parts.values())).is_constant():
+            raise _Reject(
+                "negative powers require a constant multiple of a power of t")
+
+    names = {n: LaurentPoly.from_poly(g) for n, g in zip(ctx.names, ctx.gens())}
+    names["t"] = LaurentPoly.t_power(ctx, 1)
+    return _Algebra(names, None, lambda c: LaurentPoly.const(ctx, c), invert,
+                    negative_power)
 
 
 @dataclass(frozen=True)
@@ -616,41 +558,54 @@ class _Rat:
     def __neg__(self):
         return _Rat(-self.num, self.den)
 
+    def __pow__(self, k: int):
+        return _Rat(self.num**k, self.den**k)
 
-class _LaurentAlgebra:
-    """LaurentPoly values; the reserved name t is the tube variable."""
 
-    def __init__(self, ctx: VarContext):
-        self.ctx = ctx
+def _collect_vars(node):
+    """Names read as variables in node, conj() arguments excluded."""
+    if node[0] == "var":
+        yield node[1]
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            yield from _collect_vars(child)
 
-    def const(self, c):
-        return LaurentPoly.const(self.ctx, c)
 
-    def var(self, name, line, col):
-        if name == "t":
-            return LaurentPoly.t_power(self.ctx, 1)
-        return LaurentPoly.from_poly(self.ctx.var(name))
-
-    def conj(self, name, line, col):
-        raise GermParseError(
-            "conj() is only available in mixed declarations", line, col)
-
-    def div(self, a, b, line, col):
-        parts = b.parts
-        if len(parts) != 1 or 0 not in parts or not parts[0].is_constant():
+def eval_expr(node, alg: _Algebra):
+    tag = node[0]
+    if tag == "int":
+        return alg.const(node[1])
+    if tag in ("var", "conj"):
+        _, name, line, col = node
+        table = alg.names if tag == "var" else alg.conj
+        if table is None:
             raise GermParseError(
-                "division is only defined by nonzero constants here", line, col)
-        c = parts[0].constant_value()
-        return a * LaurentPoly.const(self.ctx, Fraction(1) / c)
-
-    def pow(self, v, k, line, col):
-        if k < 0:
-            ok = len(v.parts) == 1 and next(iter(v.parts.values())).is_constant()
-            if not ok:
-                raise GermParseError(
-                    "negative powers require a constant multiple of a power of t",
-                    line, col)
-        return v**k
+                "conj() is only available in mixed declarations", line, col)
+        if name not in table:
+            raise GermParseError(f"undeclared variable {name!r}", line, col)
+        return table[name]
+    if tag == "neg":
+        return -eval_expr(node[1], alg)
+    if tag == "add":
+        return eval_expr(node[1], alg) + eval_expr(node[2], alg)
+    if tag == "sub":
+        return eval_expr(node[1], alg) - eval_expr(node[2], alg)
+    if tag == "mul":
+        return eval_expr(node[1], alg) * eval_expr(node[2], alg)
+    try:
+        if tag == "div":
+            return eval_expr(node[1], alg) * alg.invert(eval_expr(node[2], alg))
+        if tag == "pow":
+            v, k = eval_expr(node[1], alg), node[2]
+            if k < 0:
+                if alg.negative_power is None:
+                    raise _Reject(
+                        "negative powers are only allowed on the tube variable t")
+                alg.negative_power(v)
+            return v**k
+    except _Reject as exc:
+        raise GermParseError(str(exc), node[3], node[4]) from None
+    raise AssertionError(f"unknown node {tag}")
 
 
 # -- resolved declarations -----------------------------------------------
@@ -734,13 +689,11 @@ class GermlabUsage(Exception):
 
 
 def _params_of(lines_asts: list, exclude=()) -> list[str]:
-    names: list[str] = []
-    for ast in lines_asts:
-        _collect_vars(ast, names)
+    names = dict.fromkeys(n for ast in lines_asts for n in _collect_vars(ast))
     return [n for n in names if n not in exclude]
 
 
-def _resolve_set(decl_name: str, sd: SetDecl, target: VarContext) -> list[Parametrization]:
+def _resolve_set(sd: SetDecl, target: VarContext) -> list[Parametrization]:
     comps = []
     for idx, tup in enumerate(sd.lines):
         if len(tup) != target.arity:
@@ -754,15 +707,12 @@ def _resolve_set(decl_name: str, sd: SetDecl, target: VarContext) -> list[Parame
                 f"set {sd.name!r} reuses germ variable {clash[0]!r} as a parameter",
                 sd.line, sd.col)
         ctx = VarContext(pnames if pnames else ["s0"])
-        alg = _RationalAlgebra(ctx)
-        nums, dens = [], []
-        for ast in tup:
-            r = eval_expr(ast, alg)
-            nums.append(r.num)
-            dens.append(r.den)
+        alg = _rational(ctx)
+        rats = [eval_expr(ast, alg) for ast in tup]
         comps.append(Parametrization(
             target=target, params=ctx,
-            numerators=tuple(nums), denominators=tuple(dens),
+            numerators=tuple(r.num for r in rats),
+            denominators=tuple(r.den for r in rats),
             name=f"{sd.name}[{idx}]"))
     return comps
 
@@ -802,7 +752,7 @@ def _resolve_witness(wd: WitnessDecl, target: VarContext,
             wd.line, wd.col)
     names = stratum_params + [n for n in inferred if n not in stratum_params]
     ctx = VarContext(names if names else ["s0"])
-    alg = _LaurentAlgebra(ctx)
+    alg = _laurent(ctx)
     gamma = CurveFamily(
         target=target, params=ctx,
         coords=tuple(eval_expr(ast, alg) for ast in wd.gamma))
@@ -828,59 +778,46 @@ def resolve(decl: RawDecl):
             raise GermParseError("'i' cannot be a default variable name",
                                  decl.line, decl.col)
 
+    ctx = VarContext(decl.var_names)
     if decl.kind == "map":
-        ctx = VarContext(decl.var_names)
-        alg = _RealAlgebra(ctx)
-        comps, cnames = [], []
+        alg = _real(ctx)
+        zero = (Fraction(0),) * ctx.arity
+        comps = []
         for cname, ast, line, col in decl.components:
             p = eval_expr(ast, alg)
-            if not isinstance(p, Polynomial):
-                p = ctx.const(p)
-            zero = (Fraction(0),) * ctx.arity
             if p.evaluate(zero) != 0:
                 raise GermParseError(
                     f"component {cname!r} does not vanish at the origin",
                     line, col)
             comps.append(p)
-            cnames.append(cname)
         germ = RealMapGerm(ctx=ctx, components=tuple(comps), name=decl.name)
-        sets = {n: _resolve_set(decl.name, sd, ctx) for n, sd in decl.sets.items()}
-        polys = {}
-        for pname, (ast, line, col) in decl.polys.items():
-            polys[pname] = eval_expr(ast, alg)
-        witnesses = {
-            n: _resolve_witness(wd, ctx, sets, germ.target_arity)
-            for n, wd in decl.witnesses.items()
-        }
-        return ResolvedMapGerm(name=decl.name, germ=germ,
-                               component_names=tuple(cnames), sets=sets,
-                               polys=polys, witnesses=witnesses)
+    else:
+        (cname, ast, line, col), = decl.components
+        f = eval_expr(ast, _mixed(ctx))
+        zero_key = ((0,) * ctx.arity, (0,) * ctx.arity)
+        if zero_key in f.terms:
+            raise GermParseError(
+                f"component {cname!r} does not vanish at the origin", line, col)
+        germ = realify_mixed([f], name=decl.name)
 
-    ctx = VarContext(decl.var_names)
-    alg = _MixedAlgebra(ctx)
-    (cname, ast, line, col), = decl.components
-    f = eval_expr(ast, alg)
-    if not isinstance(f, MixedPolynomial):
-        f = MixedPolynomial.const(ctx, f)
-    zero_key = ((0,) * ctx.arity, (0,) * ctx.arity)
-    if zero_key in f.terms:
-        raise GermParseError(
-            f"component {cname!r} does not vanish at the origin", line, col)
-    realified = realify_mixed([f], name=decl.name)
-    rctx = realified.ctx
-    ralg = _RealAlgebra(rctx)
-    sets = {n: _resolve_set(decl.name, sd, rctx) for n, sd in decl.sets.items()}
-    polys = {}
-    for pname, (past, pline, pcol) in decl.polys.items():
-        polys[pname] = eval_expr(past, ralg)
-    if decl.witnesses:
-        wd = next(iter(decl.witnesses.values()))
-        raise GermParseError(
-            "witness blocks attach to map declarations; realify first",
-            wd.line, wd.col)
-    return ResolvedMixedGerm(name=decl.name, ctx=ctx, component_name=cname,
-                             poly=f, realified=realified, sets=sets,
-                             polys=polys)
+    sets = {n: _resolve_set(sd, germ.ctx) for n, sd in decl.sets.items()}
+    alg = _real(germ.ctx)
+    polys = {pname: eval_expr(ast, alg) for pname, (ast, _, _) in decl.polys.items()}
+    if decl.kind == "mixed":
+        if decl.witnesses:
+            wd = next(iter(decl.witnesses.values()))
+            raise GermParseError(
+                "witness blocks attach to map declarations; realify first",
+                wd.line, wd.col)
+        return ResolvedMixedGerm(name=decl.name, ctx=ctx, component_name=cname,
+                                 poly=f, realified=germ, sets=sets, polys=polys)
+    witnesses = {
+        n: _resolve_witness(wd, ctx, sets, germ.target_arity)
+        for n, wd in decl.witnesses.items()
+    }
+    return ResolvedMapGerm(name=decl.name, germ=germ,
+                           component_names=tuple(c[0] for c in decl.components),
+                           sets=sets, polys=polys, witnesses=witnesses)
 
 
 def parse_text(text: str) -> GermFile:
@@ -913,4 +850,4 @@ def parse_mixed_expr(text: str, ctx: VarContext) -> MixedPolynomial:
     if tail.kind != "EOF":
         raise GermParseError(f"found {tail.value!r} after the expression",
                              tail.line, tail.col)
-    return eval_expr(ast, _MixedAlgebra(ctx))
+    return eval_expr(ast, _mixed(ctx))

@@ -262,7 +262,7 @@ def product_pair(germ4: RealMapGerm,
     return out, frame
 
 
-def mixed_algorithm_build(n: int, left_vars: list[str],
+def mixed_algorithm_build(left_vars: list[str],
                           f_blocks: list[MixedPolynomial],
                           g_blocks: list[MixedPolynomial],
                           r_blocks: list[MixedPolynomial],
@@ -274,9 +274,8 @@ def mixed_algorithm_build(n: int, left_vars: list[str],
     in the left variables only, g and h blocks holomorphic in the
     complement.  The assembled germ is re-verified, not trusted.
     """
-    assert ctx.arity == n
     left = {ctx.position(v) for v in left_vars}
-    right = set(range(n)) - left
+    right = set(range(ctx.arity)) - left
 
     def check_block(p: MixedPolynomial, allowed: set[int], tag: str):
         if not p.is_holomorphic():

@@ -306,11 +306,11 @@ class MixedPolynomial:
             c = ComplexRational(re.get(e, 0), im.get(e, 0))
             if not c.im:
                 t = Polynomial._trusted(d, {e: c.re}).text()
-                out.append(t if not out else f"- {t[1:]}" if t[0] == "-" else f"+ {t}")
-                continue
-            mono = Polynomial._trusted(d, {e: Fraction(1)}).text()
-            body = c.text() if mono == "1" else f"{c.text()}*{mono}"
-            out.append(body if not out else f"+ {body}")
+            else:
+                mono = Polynomial._trusted(d, {e: Fraction(1)}).text()
+                t = c.text() if mono == "1" else f"{c.text()}*{mono}"
+            # The parser takes a unary minus only at the start of an expression.
+            out.append(t if not out else f"- {t[1:]}" if t[0] == "-" else f"+ {t}")
         return " ".join(out) or "0"
 
     def __str__(self) -> str:

@@ -17,7 +17,6 @@ ALLOWED = (
     ("germs.py", "Parametrization.evaluate"),
     ("hwc.py", "fgbar_check"),
     ("hwc.py", "product_pair"),
-    ("hwc.py", "mixed_algorithm_build"),
     ("witness.py", "normal_vector_along_curve"),
     ("witness.py", "normal_vector_along_curve"),
     ("witness.py", "WitnessOutcome.nonzero_pairings"),

@@ -11,6 +11,7 @@ import pytest
 import germlab
 import germlab.analyses
 from germlab.cli import _jsonable, main
+from germlab.dsl import GermParseError, parse_text
 
 CORPUS = "src/germlab/corpus"
 
@@ -77,6 +78,19 @@ def test_malformed_dsl_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "parse", str(bad))
     assert code == 2
     assert "germlab:" in err
+
+
+def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    src = "map g : R^1 -> R^1\nG = x1*\u00b2\n"
+    with pytest.raises(GermParseError) as exc:
+        parse_text(src)
+    assert str(exc.value) == "line 2, col 8: unexpected character '\u00b2'"
+    bad = tmp_path / "digit.germ"
+    bad.write_text(src, encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"germlab: {exc.value}\n"
 
 
 def test_multi_decl_file_needs_germ_name(capsys):
@@ -276,6 +290,7 @@ def test_construct_mixed_algo_rejects_misplaced_variable(capsys):
     ("z1,z1", "z1", "z1"),
     ("z1,z2", "z1,w", "w"),
     ("z1,z2,z3,z4,z5,z6", "z1", "at most 5"),
+    ("i,w", "i", "imaginary"),
 ])
 def test_construct_mixed_algo_bad_variable_lists_are_usage_errors(
         capsys, vars_, left, needle):

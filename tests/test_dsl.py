@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from germlab.dsl import GermParseError, parse_text
+from germlab.dsl import GermParseError, parse_mixed_expr, parse_text
 from germlab.poly import VarContext
 
 
@@ -189,3 +190,175 @@ assert_set V {
     r = parse_one(src)
     comp = r.sets["V"][0]
     assert comp.target == VarContext(["x_re", "x_im", "y_re", "y_im"])
+
+
+# -- exact rejection texts -------------------------------------------------
+# Every rejection the expression evaluator makes, in each kind of expression
+# (map component, mixed component, assert_poly, set line, witness gamma/c),
+# with the full message and position.
+
+MAP2 = "map g : R^2 -> R^1\nvars x, y\n"
+MIXED1 = "mixed f : C^1 -> C\nvars z\n"
+MAP3 = "map g : R^3 -> R^2\nvars x, y, z\nG1 = x*y\nG2 = x*z\n"
+
+ERROR_TEXTS = [
+    ("map-undeclared", MAP2 + "G = x*w\n",
+     "line 3, col 7: undeclared variable 'w'"),
+    ("mixed-undeclared", MIXED1 + "f = z*w\n",
+     "line 3, col 7: undeclared variable 'w'"),
+    ("mixed-conj-undeclared", MIXED1 + "f = z*conj(w)\n",
+     "line 3, col 12: undeclared variable 'w'"),
+    ("mixed-conj-i", MIXED1 + "f = z*conj(i)\n",
+     "line 3, col 12: undeclared variable 'i'"),
+    ("poly-undeclared", MAP3 + "assert_poly P {\n  x*w\n}\n",
+     "line 6, col 5: undeclared variable 'w'"),
+    ("mixed-poly-undeclared", MIXED1 + "f = z^2\nassert_poly P {\n  z*x\n}\n",
+     "line 5, col 3: undeclared variable 'z'"),
+    ("first-error-wins", MAP2 + "G = w/y\n",
+     "line 3, col 5: undeclared variable 'w'"),
+    ("map-conj", MAP2 + "G = conj(x)*y\n",
+     "line 3, col 10: conj() is only available in mixed declarations"),
+    ("poly-conj", MAP3 + "assert_poly P {\n  conj(x)\n}\n",
+     "line 6, col 8: conj() is only available in mixed declarations"),
+    ("set-conj", MAP3 + "assert_set V {\n  (s, conj(s), 0)\n}\n",
+     "line 6, col 12: conj() is only available in mixed declarations"),
+    ("witness-conj", MAP3 + "witness w {\n  gamma (t, conj(s), 0)\n}\n",
+     "line 6, col 18: conj() is only available in mixed declarations"),
+    ("map-div-nonconst", MAP2 + "G = x/y\n",
+     "line 3, col 6: division is only defined by nonzero constants here"),
+    ("mixed-div-nonconst", MIXED1 + "f = z/z\n",
+     "line 3, col 6: division is only defined by nonzero constants here"),
+    ("witness-div-t", MAP3 + "witness w {\n  gamma (t, s/t, 0)\n}\n",
+     "line 6, col 14: division is only defined by nonzero constants here"),
+    ("witness-div-param", MAP3 + "witness w {\n  gamma (t, t/s, 0)\n}\n",
+     "line 6, col 14: division is only defined by nonzero constants here"),
+    ("map-div-zero", MAP2 + "G = x/0\n",
+     "line 3, col 6: division by zero"),
+    ("map-div-zero-expr", MAP2 + "G = x/(y-y)\n",
+     "line 3, col 6: division by zero"),
+    ("mixed-div-zero", MIXED1 + "f = z/0\n",
+     "line 3, col 6: division is only defined by nonzero constants here"),
+    ("set-div-zero", MAP3 + "assert_set V {\n  (s, s/(s-s), 0)\n}\n",
+     "line 6, col 8: division by an identically zero expression"),
+    ("map-negpow", MAP2 + "G = x^-1 * y\n",
+     "line 3, col 6: negative powers are only allowed on the tube variable t"),
+    ("map-negpow-const", MAP2 + "G = x*2^-1\n",
+     "line 3, col 8: negative powers are only allowed on the tube variable t"),
+    ("mixed-negpow", MIXED1 + "f = z^-2\n",
+     "line 3, col 6: negative powers are only allowed on the tube variable t"),
+    ("poly-negpow", MAP3 + "assert_poly P {\n  x^-1\n}\n",
+     "line 6, col 4: negative powers are only allowed on the tube variable t"),
+    ("set-negpow", MAP3 + "assert_set V {\n  (s^-1, 0, 0)\n}\n",
+     "line 6, col 5: negative powers are only allowed on the tube variable t"),
+    ("witness-negpow-sum", MAP3 + "witness w {\n  gamma (t, (t + s)^-1, 0)\n}\n",
+     "line 6, col 20: negative powers require a constant multiple of a power of t"),
+    ("witness-negpow-param", MAP3 + "witness w {\n  gamma (t, s^-1, 0)\n}\n",
+     "line 6, col 14: negative powers require a constant multiple of a power of t"),
+    ("witness-c-negpow", MAP3 + "witness w {\n  gamma (t, 0, s)\n  c ((t + 1)^-2, t)\n}\n",
+     "line 7, col 13: negative powers require a constant multiple of a power of t"),
+    ("mixed-witness-bad-set",
+     MIXED1 + "f = z^2\nassert_set V {\n  (s, conj(s))\n}\nwitness w {\n  gamma (t, 0)\n}\n",
+     "line 5, col 12: conj() is only available in mixed declarations"),
+    ("mixed-witness-bad-poly",
+     MIXED1 + "f = z^2\nassert_poly P {\n  q\n}\nwitness w {\n  gamma (t, 0)\n}\n",
+     "line 5, col 3: undeclared variable 'q'"),
+    ("mixed-witness",
+     MIXED1 + "f = z^2\nassert_set V {\n  (s, 0)\n}\nwitness w {\n  gamma (t, 0)\n}\n",
+     "line 7, col 1: witness blocks attach to map declarations; realify first"),
+]
+
+
+@pytest.mark.parametrize("src, text", [
+    pytest.param(src, text, id=case) for case, src, text in ERROR_TEXTS])
+def test_rejection_texts_are_exact(src, text):
+    assert str(error_of(src)) == text
+
+
+@pytest.mark.parametrize("src, text", [
+    ("z1*w", "line 1, col 4: undeclared variable 'w'"),
+    ("z1/z2", "line 1, col 3: division is only defined by nonzero constants here"),
+    ("conj(z1)^-1", "line 1, col 9: negative powers are only allowed on the tube variable t"),
+])
+def test_mixed_expression_rejection_texts_are_exact(src, text):
+    with pytest.raises(GermParseError) as exc:
+        parse_mixed_expr(src, VarContext(["z1", "z2"]))
+    assert str(exc.value) == text
+
+
+# -- generated inputs ------------------------------------------------------
+
+_HEADERS = [
+    "map g : R^2 -> R^1\nvars x, y\n",
+    "map g : R^3 -> R^2\n",
+    "mixed f : C^2 -> C\nvars z, w\n",
+]
+# Words of the DSL plus a few non-ASCII digits and letters.
+_WORDS = ["x", "y", "z", "w", "x1", "x2", "s", "t", "i", "conj", "G", "G1",
+          "0", "1", "2", "12", "²", "٣", "é", "α",
+          "+", "-", "*", "/", "^", "(", ")", ",", "=", "{", "}",
+          "\n", "assert_set", "assert_poly", "witness", "gamma", "c"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(alphabet="".join(_WORDS + [" ", ":", ">", "#"]), max_size=40),
+    st.builds(lambda head, body: head + "G = " + " ".join(body),
+              st.sampled_from(_HEADERS),
+              st.lists(st.sampled_from(_WORDS), max_size=14))))
+def test_parser_raises_only_parse_errors(src):
+    try:
+        parse_text(src)
+    except GermParseError:
+        pass
+
+
+def _expr(var, unit):
+    """Expression text that vanishes at the origin, over the names in var."""
+    const = st.one_of(st.integers(1, 9).map(str),
+                      st.builds("({}/{})".format,
+                                st.integers(-9, 9).filter(bool),
+                                st.integers(1, 9)),
+                      *([st.just(unit)] if unit else []))
+    return st.recursive(
+        var,
+        lambda e: st.one_of(
+            st.builds("{} + {}".format, e, e),
+            st.builds("{} - {}".format, e, e),
+            st.builds("(-({}))".format, e),
+            st.builds("{}*{}".format, const, e),
+            st.builds("({})*({})".format, e, st.one_of(e, const)),
+            st.builds("({})^{}".format, e, st.integers(1, 3)),
+            st.builds("({})/{}".format, e, const)),
+        max_leaves=6)
+
+
+@st.composite
+def _map_decls(draw):
+    m = draw(st.integers(1, 3))
+    p = draw(st.integers(1, m))
+    names = ["x", "y", "z"][:m]
+    comp = _expr(st.sampled_from(names), None)
+    lines = [f"map g : R^{m} -> R^{p}", "vars " + ", ".join(names)]
+    lines += [f"G{k + 1} = {draw(comp)}" for k in range(p)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _mixed_decls(draw):
+    n = draw(st.integers(1, 2))
+    names = ["z", "w"][:n]
+    var = st.one_of(st.sampled_from(names),
+                    st.sampled_from(names).map("conj({})".format))
+    return (f"mixed f : C^{n} -> C\nvars {', '.join(names)}\n"
+            f"f = {draw(_expr(var, 'i'))}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_map_decls(), _mixed_decls()))
+# A negative imaginary coefficient after the first term.
+@example("mixed f : C^1 -> C\nvars z\nf = z - i*conj(z)\n")
+def test_canonical_text_roundtrips_generated_declarations(src):
+    d = parse_one(src)
+    again = parse_one(d.canonical_text())
+    assert again == d
+    assert again.canonical_text() == d.canonical_text()

@@ -277,7 +277,7 @@ def z(n):
 
 def test_mixed_algorithm_builds_the_worked_five_variable_sum():
     acc, frame = mixed_algorithm_build(
-        5, ["z1", "z3", "z5"],
+        ["z1", "z3", "z5"],
         f_blocks=[z("z1") ** 4 * z("z5") ** 3, z("z3") ** 2],
         g_blocks=[z("z2") ** 5, z("z4")],
         r_blocks=[z("z1") ** 4, -z("z3") ** 6],
@@ -294,7 +294,7 @@ def test_mixed_algorithm_builds_the_worked_five_variable_sum():
 def test_mixed_algorithm_rejects_misplaced_variables():
     with pytest.raises(GermlabRejection) as exc:
         mixed_algorithm_build(
-            5, ["z1", "z3", "z5"],
+            ["z1", "z3", "z5"],
             f_blocks=[z("z2") ** 2], g_blocks=[z("z4")],
             r_blocks=[], h_blocks=[], ctx=C5)
     assert exc.value.details["variables"] == ["z2"]
@@ -303,7 +303,7 @@ def test_mixed_algorithm_rejects_misplaced_variables():
 def test_mixed_algorithm_rejects_nonholomorphic_blocks():
     with pytest.raises(GermlabRejection, match="holomorphic"):
         mixed_algorithm_build(
-            5, ["z1", "z3", "z5"],
+            ["z1", "z3", "z5"],
             f_blocks=[z("z1") * z("z1").conj()], g_blocks=[z("z2")],
             r_blocks=[], h_blocks=[], ctx=C5)
 
@@ -311,7 +311,7 @@ def test_mixed_algorithm_rejects_nonholomorphic_blocks():
 def test_mixed_algorithm_rejects_unpaired_blocks():
     with pytest.raises(GermlabRejection, match="counts differ"):
         mixed_algorithm_build(
-            5, ["z1", "z3", "z5"],
+            ["z1", "z3", "z5"],
             f_blocks=[z("z1")], g_blocks=[],
             r_blocks=[], h_blocks=[], ctx=C5)
 
