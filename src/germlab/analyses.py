@@ -119,8 +119,7 @@ def construct_sum(left, right, declare_thom_summands: bool = False,
     """`germlab construct sum` of two map declarations."""
     out, frame = separable_sum(left.germ, right.germ)
     rep = separable_sum_report(
-        left.germ, right.germ, out, frame,
-        declared_thom_summands=declare_thom_summands,
+        out, frame, declared_thom_summands=declare_thom_summands,
         declared_codim_matches=declare_codim_matches)
     return {"command": "construct-sum", "left": left.name,
             "right": right.name, "germ": out.label(),
@@ -197,11 +196,14 @@ def compose_check(inner, outer, mode: str = "exact",
                   set_name: str | None = None, claim: str | None = None,
                   declare_inner=(), declare_outer=(),
                   config: RunConfig | None = None) -> dict:
-    """`germlab compose-check` of outer o inner: exact, inclusion or sampled."""
+    """`germlab compose-check` of outer o inner: exact, inclusion or sampled.
+
+    config seeds the sampled probe and the exact mode's closure separation.
+    """
+    config = config or RunConfig()
     head = {"command": "compose-check", "mode": mode,
             "inner": inner.name, "outer": outer.name}
     if mode == "sampled":
-        config = config or RunConfig()
         finding = composition_sampled_probe(outer.germ, inner.germ, config)
         return {**head, "suspicious": finding.suspicious,
                 "detail": finding.detail, "record": finding.record,
@@ -229,7 +231,7 @@ def compose_check(inner, outer, mode: str = "exact",
                     f"(file has: {known})")
             poly = outer.polys[claim]
         chk = composition_milnor_check(outer.germ, inner.germ, comps,
-                                       closure_claim=poly)
+                                       closure_claim=poly, config=config)
         rep = composition_report(outer.germ, inner.germ, chk, **declared)
         body = {"components": [dataclasses.asdict(f) for f in chk.components],
                 "violation": chk.violation, "flagged": list(chk.flagged),

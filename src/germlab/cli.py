@@ -6,6 +6,13 @@ PATH the report goes to the file instead and stdout gets a one-line
 summary; `corpus run` always prints its pass/fail table and writes JSON
 only on request.
 
+Only `probe-b`, `compose-check` and `corpus run` sample, so only they
+take --seed, --samples and --radius (defaults 0xC0FFEE, 200, 2.0); the
+seed is --seed, else GERMLAB_SEED, read here alone.  `compose-check
+--mode exact --claim` samples too: the closure must miss Sing G off 0 at
+--samples x 5 rational points of the --radius cube, drawn from the
+seed's stream "closure-sep", and then on a sparse grid.
+
 Exit codes: 0 success, 1 analysis rejection (structured reason in the
 JSON error document), 2 usage error (bad flags, unknown fact names,
 unreadable file, malformed DSL), 3 internal error (any other exception,
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,14 +43,13 @@ from germlab.dsl import (
 )
 from germlab.germs import GermlabRejection
 from germlab.hwc import mixed_algorithm_build
-from germlab.poly import VarContext
+from germlab.poly import MAX_ARITY, VarContext
 from germlab.sampling import RunConfig
 
 SCHEMA_VERSION = 1
 FACT_NAMES = sorted(FACTS)
-# As for `mixed ... : C^n` in the DSL: the realified context has 2n
-# variables, and a context holds at most 10.
-MAX_MIXED_VARS = 5
+# As for `mixed ... : C^n` in the DSL: the realified context has 2n variables.
+MAX_MIXED_VARS = MAX_ARITY // 2
 
 
 def _jsonable(value):
@@ -58,11 +65,11 @@ def _jsonable(value):
 
 
 def _config(args) -> RunConfig:
-    kw = {}
-    for name in ("seed", "samples", "radius"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
+    """The sampling flags given, GERMLAB_SEED, then RunConfig's defaults."""
+    env = os.environ.get("GERMLAB_SEED")
+    kw = {"seed": int(env, 0)} if env else {}
+    flags = {name: getattr(args, name) for name in ("seed", "samples", "radius")}
+    kw.update((name, v) for name, v in flags.items() if v is not None)
     return RunConfig(**kw)
 
 
@@ -247,15 +254,22 @@ def cmd_corpus_run(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _add_common(p, germ=True):
+def _command(group, name, fn, file=True, germ=True, sampling=False):
+    """Subcommand `name` running fn, with the options it shares with others."""
+    p = group.add_parser(name)
+    p.set_defaults(fn=fn)
+    if file:
+        p.add_argument("file", help="germ file in the declaration DSL")
     if germ:
         p.add_argument("--germ", help="germ name when the file has several")
-    p.add_argument("--seed", type=lambda s: int(s, 0),
-                   help="sampling seed (default GERMLAB_SEED or 0xC0FFEE)")
-    p.add_argument("--samples", type=int, help="sample count for probes")
-    p.add_argument("--radius", type=float, help="sampling cube radius")
+    if sampling:
+        p.add_argument("--seed", type=lambda s: int(s, 0),
+                       help="sampling seed (default GERMLAB_SEED or 0xC0FFEE)")
+        p.add_argument("--samples", type=int, help="sample count (default 200)")
+        p.add_argument("--radius", type=float, help="cube radius (default 2.0)")
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the JSON report here; print a summary instead")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,37 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="germlab",
         description="Exact regularity analysis for polynomial map germs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, file=True, germ=True):
-        p = sub.add_parser(name)
-        if file:
-            p.add_argument("file", help="germ file in the declaration DSL")
-        _add_common(p, germ=germ)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("parse", cmd_parse)
-    add("milnor", cmd_milnor)
-    add("sing", cmd_sing)
-    add("hwc", cmd_hwc)
+    _command(sub, "parse", cmd_parse)
+    _command(sub, "milnor", cmd_milnor)
+    _command(sub, "sing", cmd_sing)
+    _command(sub, "hwc", cmd_hwc)
 
     construct = sub.add_parser("construct")
     csub = construct.add_subparsers(dest="construction", required=True)
-    p = csub.add_parser("sum")
-    p.add_argument("file")
+    p = _command(csub, "sum", cmd_construct_sum, germ=False)
     p.add_argument("--left", help="name of the first summand")
     p.add_argument("--right", help="name of the second summand")
     p.add_argument("--declare-thom-summands", action="store_true",
                    help="both summands are declared Thom regular")
     p.add_argument("--declare-codim-matches", action="store_true",
                    help="declared matching fiber codimensions")
-    _add_common(p, germ=False)
-    p.set_defaults(fn=cmd_construct_sum)
-    p = csub.add_parser("product")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_construct_product)
-    p = csub.add_parser("mixed-algo")
+    _command(csub, "product", cmd_construct_product)
+    p = _command(csub, "mixed-algo", cmd_construct_mixed_algo, file=False,
+                 germ=False)
     p.add_argument("--vars", required=True,
                    help="comma-separated complex variable names")
     p.add_argument("--left", required=True,
@@ -302,20 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
                      ("r", "left-side free term"), ("h", "conjugated term")):
         p.add_argument(f"--{key}", action="append", metavar="EXPR",
                        help=f"{txt} block (repeatable)")
-    _add_common(p, germ=False)
-    p.set_defaults(fn=cmd_construct_mixed_algo)
 
-    p = add("witness", cmd_witness)
+    p = _command(sub, "witness", cmd_witness)
     p.add_argument("--witness", help="run one named witness block")
 
-    p = add("probe-b", cmd_probe_b)
+    p = _command(sub, "probe-b", cmd_probe_b, sampling=True)
     p.add_argument("--witness", help="verify this declared family exactly")
     p.add_argument("--set", help="sample against this declared fiber set")
     p.add_argument("--declare", action="append", metavar="FACT",
                    choices=FACT_NAMES,
                    help="install a declared fact (repeatable)")
 
-    p = add("compose-check", cmd_compose_check, germ=False)
+    p = _command(sub, "compose-check", cmd_compose_check, germ=False,
+                 sampling=True)
     p.add_argument("--inner", required=True, help="inner germ name")
     p.add_argument("--outer", required=True, help="outer germ name")
     p.add_argument("--mode", choices=("exact", "inclusion", "sampled"),
@@ -328,18 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--declare-outer", action="append", metavar="FACT",
                    choices=FACT_NAMES)
 
-    p = add("certify", cmd_certify)
+    p = _command(sub, "certify", cmd_certify)
     p.add_argument("--declare", action="append", metavar="FACT",
                    choices=FACT_NAMES,
                    help="install a declared fact (repeatable)")
 
     corpus = sub.add_parser("corpus")
     osub = corpus.add_subparsers(dest="corpus_command", required=True)
-    p = osub.add_parser("run")
+    p = _command(osub, "run", cmd_corpus_run, file=False, germ=False,
+                 sampling=True)
     p.add_argument("--filter", default="",
                    help="run only entries whose id contains this substring")
-    _add_common(p, germ=False)
-    p.set_defaults(fn=cmd_corpus_run)
 
     return parser
 

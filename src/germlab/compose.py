@@ -31,8 +31,7 @@ from germlab.germs import (
 from germlab.poly import Polynomial, VarContext
 
 
-def compose_exact(outer: RealMapGerm, inner: RealMapGerm,
-                  name: str = "") -> RealMapGerm:
+def compose_exact(outer: RealMapGerm, inner: RealMapGerm) -> RealMapGerm:
     """H = outer o inner, expanded exactly over inner's source context."""
     if outer.source_arity != inner.target_arity:
         raise GermlabRejection(
@@ -44,12 +43,12 @@ def compose_exact(outer: RealMapGerm, inner: RealMapGerm,
         c if isinstance(c, Polynomial) else inner.ctx.const(c) for c in comps
     )
     return RealMapGerm(ctx=inner.ctx, components=comps,
-                       name=name or f"{outer.label()}o{inner.label()}")
+                       name=f"{outer.label()}o{inner.label()}")
 
 
 def compose_parametrization(inner: RealMapGerm, phi: Parametrization,
-                            target: VarContext | None = None) -> Parametrization:
-    """F o phi as a rational parametrization into F's target coordinates.
+                            target: VarContext) -> Parametrization:
+    """F o phi as a rational parametrization into the target coordinates.
 
     Component i clears to the common denominator prod_j d_j^{deg_j F_i};
     exactness of the cleared numerator is the pullback identity used
@@ -64,8 +63,6 @@ def compose_parametrization(inner: RealMapGerm, phi: Parametrization,
             if k:
                 d = d * phi.denominators[j] ** k
         dens.append(d)
-    if target is None:
-        target = VarContext([f"y{i + 1}" for i in range(inner.target_arity)])
     return Parametrization(
         target=target, params=phi.params,
         numerators=tuple(nums), denominators=tuple(dens),
@@ -104,8 +101,8 @@ def composition_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
     accumulates on it, which this exact pass cannot decide (the sampled
     probe hunts for that).  When a closure claim is supplied it must
     annihilate every F-image of the components off Sing H; its
-    intersection with Sing G is then probed at seeded points of the
-    Sing G locus - a sampled statement, flagged as such.
+    intersection with Sing G is then probed at points drawn from config
+    (RunConfig() when None) - a sampled statement, flagged as such.
     """
     h = compose_exact(outer, inner)
     md_h = milnor_data(h)
@@ -173,33 +170,24 @@ def _closure_meets_sing_g_only_at_0(outer: RealMapGerm,
                                     config) -> bool:
     """Sampled separation of the claimed closure from Sing G.
 
-    Seeded points on Sing G (where some coordinate subset vanishes is not
-    assumed; the locus is taken as the common zeros of the maximal minors,
-    approached by exact evaluation on random rational points of the
-    ambient space filtered through the minors) away from the origin must
-    not satisfy the closure equation.  With no such point found the
-    separation holds at the sampled scale.
+    No candidate off the origin where G's maximal minors all vanish may
+    satisfy the closure equation.  The candidates are config.samples * 5
+    rational points of the config.radius cube from config.seed's stream
+    "closure-sep", which rarely land on a proper subvariety, and then the
+    sparse grid, which hits axis-aligned strata.  With no such point found
+    the separation holds at the sampled scale.
     """
-    from germlab.sampling import RunConfig, derive_rng, rational_points
+    from germlab.sampling import RunConfig, derive_rng, rational_points, sparse_grid
 
     config = config or RunConfig()
     minors = outer.singular_minors()
     rng = derive_rng(config.seed, "closure-sep")
     pts = rational_points(rng, outer.source_arity, config.samples * 5,
                           radius=config.radius)
-    for pt in pts:
+    for pt in pts + sparse_grid(outer.source_arity):
         if any(m.evaluate(pt) != 0 for m in minors):
             continue
         if all(v == 0 for v in pt):
-            continue
-        if closure_claim.evaluate(pt) == 0:
-            return False
-    # Random rational points rarely land on a proper subvariety; probe the
-    # sparse grid as well so axis-aligned strata get exercised.
-    from germlab.sampling import sparse_grid
-
-    for pt in sparse_grid(outer.source_arity):
-        if any(m.evaluate(pt) != 0 for m in minors):
             continue
         if closure_claim.evaluate(pt) == 0:
             return False
@@ -366,20 +354,20 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
     to the origin; near mere tangency those constraints are inconsistent
     and the minor residuals stay large, which ends that seed's ladder.  A
     seed is suspicious when its deepest rung keeps the image within
-    tolerance of a Sing G point of norm at least r_min.  The verdict is
+    tolerance of a Sing G point of norm at least R_MIN.  The verdict is
     still sampled evidence, not a certificate: no fact is ever installed.
 
     All seeds run as one batch: one landing, one projection, and per rung
     one refinement and one projection of the seeds still on their
     ladders.  The samples record says where each seed left: off target
     at landing (sigma outside its window or the minors not small), near
-    the origin (rho below r_min), at a rung, or completed.
+    the origin (rho below R_MIN), at a rung, or completed.
     """
     import numpy as np
 
     from germlab.sampling import (
-        RunConfig, compile_float, compile_jacobian, derive_rng,
-        nearest_on_variety, refine_on_variety,
+        R_MIN, TOL_ACCUM, RunConfig, compile_float, compile_jacobian,
+        derive_rng, nearest_on_variety, refine_on_variety,
     )
 
     config = config or RunConfig()
@@ -425,7 +413,7 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
     landed = (top / 4 <= sigma) & (sigma <= 4 * top) & ~(residual(X) > 1e-7)
     Q = nearest_on_variety(sing_g_fn, sing_g_jac, f_fn(X[landed]))
     rho = np.linalg.norm(Q, axis=-1)
-    far = ~(rho < config.r_min)
+    far = ~(rho < R_MIN)
     X, rho = X[landed][far], rho[far]
     U = Q[far] / rho[:, None]
 
@@ -452,7 +440,7 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
         norm = np.linalg.norm(X, axis=-1)
         stay = ((tgt / 4 <= sigma) & (sigma <= 4 * tgt) & ~(residual(X) > 1e-7)
                 & (0.75 <= qn / rho) & (qn / rho <= 1.25)
-                & (config.r_min <= norm) & (norm <= config.radius))
+                & (R_MIN <= norm) & (norm <= config.radius))
         left.append(int((~stay).sum()))
         for j in np.flatnonzero(stay):
             paths[j].append({
@@ -471,8 +459,8 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
     best = None
     for path in paths:
         last = path[-1]
-        if (last["image_distance_to_sing"] <= config.tol_accum
-                and last["nearest_sing_norm"] >= config.r_min
+        if (last["image_distance_to_sing"] <= TOL_ACCUM
+                and last["nearest_sing_norm"] >= R_MIN
                 and (best is None or last["image_distance_to_sing"]
                      < best["image_distance_to_sing"])):
             best = dict(

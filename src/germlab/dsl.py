@@ -38,7 +38,7 @@ from typing import Callable
 from germlab.curves import CurveFamily, LaurentPoly
 from germlab.germs import Parametrization, RealMapGerm, realify_mixed
 from germlab.mixed import ComplexRational, I, MixedPolynomial
-from germlab.poly import Polynomial, VarContext
+from germlab.poly import MAX_ARITY, Polynomial, VarContext
 
 KEYWORDS = {"map", "mixed", "vars", "assert_set", "assert_poly", "witness"}
 PUNCT = {":", ",", "^", "+", "-", "*", "/", "(", ")", "{", "}", "="}
@@ -311,7 +311,7 @@ class _Parser:
         else:
             tgt_tok = src_tok
             tgt = 1
-        limit = 10 if kind == "map" else 5
+        limit = MAX_ARITY if kind == "map" else MAX_ARITY // 2
         if not 1 <= src <= limit:
             raise GermParseError(f"source arity {src} out of range 1..{limit}",
                                  src_tok.line, src_tok.col)
@@ -693,6 +693,14 @@ def _params_of(lines_asts: list, exclude=()) -> list[str]:
     return [n for n in names if n not in exclude]
 
 
+def _param_context(names: list[str], what: str, line: int, col: int) -> VarContext:
+    """The parameters of a set line or witness, s0 when there are none."""
+    if len(names) > MAX_ARITY:
+        raise GermParseError(f"{what} has {len(names)} parameters; a "
+                             f"context holds at most {MAX_ARITY}", line, col)
+    return VarContext(names or ["s0"])
+
+
 def _resolve_set(sd: SetDecl, target: VarContext) -> list[Parametrization]:
     comps = []
     for idx, tup in enumerate(sd.lines):
@@ -706,7 +714,8 @@ def _resolve_set(sd: SetDecl, target: VarContext) -> list[Parametrization]:
             raise GermParseError(
                 f"set {sd.name!r} reuses germ variable {clash[0]!r} as a parameter",
                 sd.line, sd.col)
-        ctx = VarContext(pnames if pnames else ["s0"])
+        ctx = _param_context(pnames, f"set {sd.name!r} line {idx + 1}",
+                             sd.line, sd.col)
         alg = _rational(ctx)
         rats = [eval_expr(ast, alg) for ast in tup]
         comps.append(Parametrization(
@@ -751,7 +760,7 @@ def _resolve_witness(wd: WitnessDecl, target: VarContext,
             f"witness {wd.name!r} reuses germ variable {clash[0]!r} as a parameter",
             wd.line, wd.col)
     names = stratum_params + [n for n in inferred if n not in stratum_params]
-    ctx = VarContext(names if names else ["s0"])
+    ctx = _param_context(names, f"witness {wd.name!r}", wd.line, wd.col)
     alg = _laurent(ctx)
     gamma = CurveFamily(
         target=target, params=ctx,
@@ -837,7 +846,11 @@ def parse_text(text: str) -> GermFile:
 def parse_path(path) -> GermFile:
     from pathlib import Path
 
-    return parse_text(Path(path).read_text())
+    try:
+        return parse_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise GermlabUsage(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                           f"{exc.start})") from None
 
 
 def parse_mixed_expr(text: str, ctx: VarContext) -> MixedPolynomial:

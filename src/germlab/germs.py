@@ -14,7 +14,7 @@ by exact pullback, with denominators cleared monomial by monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -88,7 +88,7 @@ class MilnorData:
     milnor_poly: Polynomial
     square_det: Polynomial | None  # det of the stacked matrix when square
 
-    def to_json_dict(self, seed: int | None = None) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "germ": self.germ.label(),
             "milnor_poly": self.milnor_poly.text(),
@@ -97,8 +97,6 @@ class MilnorData:
         }
         if self.square_det is not None:
             out["square_det"] = self.square_det.text()
-        if seed is not None:
-            out["seed"] = seed
         return out
 
 
@@ -182,7 +180,8 @@ class Parametrization:
         out = []
         for n, d in zip(self.numerators, self.denominators):
             dv = d.evaluate(svals)
-            assert dv != 0, f"denominator {d} vanishes at {svals}"
+            if dv == 0:
+                raise ValueError(f"denominator {d.text()} vanishes at {svals}")
             out.append(n.evaluate(svals) / dv)
         return out
 
@@ -248,19 +247,18 @@ def pullback_numerator(p: Polynomial, phi: Parametrization) -> Polynomial:
     return _sum_of_products(phi.params, chains)
 
 
-def pullback_vanishes(p: Polynomial, phi: Parametrization,
-                      rng=None) -> PullbackResult:
+def pullback_vanishes(p: Polynomial, phi: Parametrization) -> PullbackResult:
     """Exact vanishing of p along phi, with a rational witness otherwise."""
     num = pullback_numerator(p, phi)
     if num.is_zero():
         return PullbackResult(vanishes=True, numerator=num)
-    witness = _nonzero_point(num, avoid=list(phi.denominators), rng=rng)
+    witness = _nonzero_point(num, avoid=list(phi.denominators))
     value = num.evaluate(witness)
     return PullbackResult(vanishes=False, numerator=num,
                           witness=witness, witness_value=value)
 
 
-def _nonzero_point(p: Polynomial, avoid: list[Polynomial], rng=None):
+def _nonzero_point(p: Polynomial, avoid: list[Polynomial]):
     """Rational point where p != 0 and every avoid-polynomial is nonzero.
 
     Such points are dense, so the seeded search terminates fast; the
@@ -268,7 +266,7 @@ def _nonzero_point(p: Polynomial, avoid: list[Polynomial], rng=None):
     """
     from germlab.sampling import derive_rng, rational_point, DEFAULT_SEED
 
-    rng = rng or derive_rng(DEFAULT_SEED, "pullback-witness")
+    rng = derive_rng(DEFAULT_SEED, "pullback-witness")
     arity = p.ctx.arity
     for _ in range(400):
         pt = rational_point(rng, arity, radius=2)

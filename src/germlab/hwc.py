@@ -13,8 +13,7 @@ so the test suite can compare them rather than trusting one route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from germlab.certify import RegularityReport
 from germlab.germs import (
@@ -23,11 +22,9 @@ from germlab.germs import (
     RealMapGerm,
     milnor_data,
     pullback_numerator,
-    pullback_vanishes,
-    realify_mixed,
 )
 from germlab.mixed import MixedPolynomial, hermitian_pairing
-from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
+from germlab.poly import Polynomial, VarContext, _sum_of_products
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
     (|grad u|^2 - |grad v|^2)/4 and imaginary part -<grad u, grad v>/2, so
     its vanishing is the frame condition for the realified pair.  The
     verdict is computed purely on this route; the conformal factor, a real
-    object, is read off the realified gradients afterwards.
+    object, is read off the gradient of the realified real part afterwards.
     """
     dzs, dzbars = f.wirtinger()
     pairing = hermitian_pairing([d.conj() for d in dzs], list(dzbars))
@@ -107,7 +104,8 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
     holds = pairing.is_zero()
     factor = None
     if holds:
-        u, _ = f.realify()
+        ctx, (chains, _) = f._realify_chains()
+        u = _sum_of_products(ctx, chains)
         factor = _sum_of_products(u.ctx, [(g, g) for g in u.gradient()])
     return ConformalFrameResult(holds=holds, conformal_factor=factor,
                                 residuals=residuals)
@@ -157,8 +155,8 @@ def _first_conj_term(f: MixedPolynomial) -> str:
 # -- constructions -------------------------------------------------------
 
 
-def separable_sum(left: RealMapGerm, right: RealMapGerm,
-                  name: str = "") -> tuple[RealMapGerm, ConformalFrameResult]:
+def separable_sum(left: RealMapGerm,
+                  right: RealMapGerm) -> tuple[RealMapGerm, ConformalFrameResult]:
     """Sum of two germs in disjoint variables, re-verified exactly.
 
     Components add pairwise after lifting to the concatenated context.
@@ -180,13 +178,11 @@ def separable_sum(left: RealMapGerm, right: RealMapGerm,
         for a, b in zip(left.components, right.components)
     )
     out = RealMapGerm(ctx=ctx, components=comps,
-                      name=name or f"{left.label()}+{right.label()}")
+                      name=f"{left.label()}+{right.label()}")
     return out, hwc_check(out)
 
 
-def separable_sum_report(left: RealMapGerm, right: RealMapGerm,
-                         out: RealMapGerm,
-                         frame: ConformalFrameResult,
+def separable_sum_report(out: RealMapGerm, frame: ConformalFrameResult,
                          declared_thom_summands: bool = False,
                          declared_codim_matches: bool = False) -> RegularityReport:
     """Facts for a separable sum.
@@ -210,8 +206,7 @@ def separable_sum_report(left: RealMapGerm, right: RealMapGerm,
     return report
 
 
-def product_pair(germ4: RealMapGerm,
-                 name: str = "") -> tuple[RealMapGerm, ConformalFrameResult]:
+def product_pair(germ4: RealMapGerm) -> tuple[RealMapGerm, ConformalFrameResult]:
     """Complex-multiplication pairing of two frame pairs.
 
     Input: a four-component germ (G1, G2, G3, G4) over one context, read
@@ -256,7 +251,7 @@ def product_pair(germ4: RealMapGerm,
     h1 = g1 * g3 - g2 * g4
     h2 = g1 * g4 + g2 * g3
     out = RealMapGerm(ctx=germ4.ctx, components=(h1, h2),
-                      name=name or f"{germ4.label()}~product")
+                      name=f"{germ4.label()}~product")
     frame = hwc_check(out)
     assert frame.holds, "product of verified pairs lost the frame property"
     return out, frame

@@ -241,6 +241,11 @@ class MixedPolynomial:
         sends the chain to the real (k even) or imaginary (k odd) sum with
         the sign of i^k.
         """
+        real_ctx, (re, im) = self._realify_chains(real_ctx)
+        return _sum_of_products(real_ctx, re), _sum_of_products(real_ctx, im)
+
+    def _realify_chains(self, real_ctx: VarContext | None = None):
+        """realify's context and its (real, imaginary) lists of chains."""
         n = self.ctx.arity
         if real_ctx is None:
             real_ctx = realified_context(self.ctx)
@@ -281,8 +286,7 @@ class MixedPolynomial:
                              for k, s, f in picks for t, g in ((0, re), (1, im))]
                 for k, s, f in picks:
                     chains[k % 2].append([const(-s if k % 4 > 1 else s), *f])
-        return (_sum_of_products(real_ctx, chains[0]),
-                _sum_of_products(real_ctx, chains[1]))
+        return real_ctx, chains
 
     def evaluate(self, values: Sequence[complex]) -> complex:
         """Float evaluation at complex points; cross-checks only."""

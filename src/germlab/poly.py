@@ -28,6 +28,7 @@ from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+MAX_ARITY = 10  # variables in one context; exponents are dense tuples
 
 
 def _grlex(e: Exponents) -> tuple[int, Exponents]:
@@ -202,9 +203,8 @@ class VarContext:
             raise ValueError("need at least one variable")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable in {names!r}")
-        # Dense exponent vectors; fine for the small arities used here.
-        if len(names) > 10:
-            raise ValueError(f"arity {len(names)} > 10 not supported")
+        if len(names) > MAX_ARITY:
+            raise ValueError(f"arity {len(names)} > {MAX_ARITY} not supported")
         self.names = names
         self._pos = {n: i for i, n in enumerate(names)}
 

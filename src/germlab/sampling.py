@@ -13,32 +13,26 @@ first float call (compile_float and the refinement helpers).
 
 from __future__ import annotations
 
-import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from germlab.poly import Polynomial
 
 DEFAULT_SEED = 0xC0FFEE
-
-
-def default_seed() -> int:
-    env = os.environ.get("GERMLAB_SEED")
-    return int(env, 0) if env else DEFAULT_SEED
+TOL_VARIETY = 1e-9  # point-on-variety acceptance, relative to the envelope
+TOL_ACCUM = 1e-3    # accumulation detection, relative
+R_MIN = 0.05        # witnesses must keep this norm
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Frozen defaults shared by every probe and report."""
+    """The settings a sampled probe reads: its seed, sample count and radius."""
 
-    seed: int = field(default_factory=default_seed)
+    seed: int = DEFAULT_SEED
     samples: int = 200
     radius: float = 2.0
-    tol_variety: float = 1e-9     # point-on-variety acceptance, scaled
-    tol_accum: float = 1e-3       # accumulation detection, relative
-    r_min: float = 0.05           # witnesses must keep this norm
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
@@ -46,37 +40,35 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-def rational_point(rng: random.Random, arity: int, radius=2,
-                   max_den: int = 64) -> tuple[Fraction, ...]:
-    """One rational point in the closed cube [-radius, radius]^arity."""
+def rational_point(rng: random.Random, arity: int, radius=2) -> tuple[Fraction, ...]:
+    """One rational point in [-radius, radius]^arity, denominators 1..64."""
     out = []
     bound = Fraction(radius).limit_denominator(10**6)
     for _ in range(arity):
-        den = rng.randint(1, max_den)
+        den = rng.randint(1, 64)
         hi = int(bound * den)
         out.append(Fraction(rng.randint(-hi, hi), den))
     return tuple(out)
 
 
-def rational_points(rng: random.Random, arity: int, count: int, radius=2,
-                    max_den: int = 64) -> list[tuple[Fraction, ...]]:
-    return [rational_point(rng, arity, radius, max_den) for _ in range(count)]
+def rational_points(rng: random.Random, arity: int, count: int,
+                    radius=2) -> list[tuple[Fraction, ...]]:
+    return [rational_point(rng, arity, radius) for _ in range(count)]
 
 
-def sparse_grid(arity: int, values: Sequence[Fraction] | None = None,
-                max_support: int = 2) -> list[tuple[Fraction, ...]]:
-    """Deterministic grid of points supported on few coordinates.
+def sparse_grid(arity: int) -> list[tuple[Fraction, ...]]:
+    """Deterministic grid of points supported on one or two coordinates.
 
-    Vanishing loci of interest (axes, coordinate planes) are invisible to
-    generic random points; this grid hits them.  The origin is excluded.
+    Each nonzero coordinate takes a value in +-1, +-2, +-1/2.  Vanishing
+    loci of interest (axes, coordinate planes) are invisible to generic
+    random points; this grid hits them.  The origin is excluded.
     """
     from itertools import combinations, product
 
-    if values is None:
-        values = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
+    values = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
     out = []
     zero = tuple([Fraction(0)] * arity)
-    for k in range(1, min(max_support, arity) + 1):
+    for k in range(1, min(2, arity) + 1):
         for support in combinations(range(arity), k):
             for vals in product(values, repeat=k):
                 pt = list(zero)
@@ -180,10 +172,10 @@ def refine_on_variety(fn, jac, X0, extra=None, extra_jac=None):
     return refine_batch(resid, resid_jac, X0)[0]
 
 
-def nearest_on_variety(fn, jac, T, start=None, weight: float = 1e4):
+def nearest_on_variety(fn, jac, T, start=None):
     """Approximate metric projection of each row of T onto the zero set of fn.
 
-    The variety residuals are weighted far above the distance pull Y - T
+    The variety residuals are weighted 1e4 above the distance pull Y - T
     so the constraint binds first and the leftover degrees of freedom
     minimize the distance to the target; a weak pull would let the solver
     trade constraint satisfaction against drifting toward small-residual
@@ -195,7 +187,7 @@ def nearest_on_variety(fn, jac, T, start=None, weight: float = 1e4):
     T = np.asarray(T, dtype=float)
     m = T.shape[-1]
     return refine_on_variety(
-        lambda Y: weight * fn(Y), lambda Y: weight * jac(Y),
+        lambda Y: 1e4 * fn(Y), lambda Y: 1e4 * jac(Y),
         T if start is None else start,
         extra=lambda Y: Y - T,
         extra_jac=lambda Y: np.broadcast_to(np.eye(m), Y.shape[:-1] + (m, m)))

@@ -30,11 +30,11 @@ from germlab.poly import Polynomial, VarContext
 def normal_vector_along_curve(germ: RealMapGerm, gamma: CurveFamily,
                               coeffs) -> list[LaurentPoly]:
     """n(t) = sum_i c_i(t) grad G_i(gamma(t)), one LaurentPoly per coordinate."""
-    assert gamma.target == germ.ctx
+    if gamma.target != germ.ctx:
+        raise ValueError(f"curve targets {gamma.target!r}, germ lives in {germ.ctx!r}")
     coeffs = list(coeffs)
-    assert len(coeffs) == germ.target_arity, (
-        f"{len(coeffs)} coefficients for {germ.target_arity} components"
-    )
+    if len(coeffs) != germ.target_arity:
+        raise ValueError(f"{len(coeffs)} coefficients for {germ.target_arity} components")
     out = []
     for j, name in enumerate(germ.ctx.names):
         acc = LaurentPoly.const(gamma.params, 0)
@@ -56,7 +56,8 @@ class WitnessOutcome:
     detail: str
 
     def nonzero_pairings(self) -> dict[str, Polynomial]:
-        assert self.pairings is not None
+        if self.pairings is None:
+            raise ValueError(f"no pairings: {self.detail}")
         return {k: v for k, v in self.pairings.items() if not v.is_zero()}
 
 
@@ -167,8 +168,8 @@ def witness_report(germ: RealMapGerm, spec: WitnessSpec,
 
 
 def lift_witness_to_sum(f_germ: RealMapGerm, f_spec: WitnessSpec,
-                        g_germ: RealMapGerm, g_curve: CurveFamily,
-                        name: str = "") -> tuple[RealMapGerm, WitnessSpec]:
+                        g_germ: RealMapGerm,
+                        g_curve: CurveFamily) -> tuple[RealMapGerm, WitnessSpec]:
     """Transport a witness of f to the separable sum f + g.
 
     g_curve must avoid g's central fiber and land at a singular point of g
@@ -183,7 +184,7 @@ def lift_witness_to_sum(f_germ: RealMapGerm, f_spec: WitnessSpec,
 
     if f_spec.stratum is None or f_spec.coeffs is None:
         raise GermlabRejection("lift needs a complete witness on the f side")
-    summed, _frame = separable_sum(f_germ, g_germ, name=name)
+    summed, _frame = separable_sum(f_germ, g_germ)
     ctx = summed.ctx
 
     g_pulled = [g_curve.pullback(g) for g in g_germ.components]
@@ -298,7 +299,7 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     by a batched trust-region solve (sampling.refine_batch) on the maximal
     minors of the stacked matrix.  A refined point is a hit when it passes three
     filters: on the variety (minors small relative to their envelope),
-    inside the ball (norm between r_min and the radius), and off the
+    inside the ball (norm between R_MIN and the radius), and off the
     fiber (some component large relative to its envelope).  Each hit is
     then pulled toward its nearest fiber point through the relative
     distances in APPROACH, every rung projected onto the Milnor set by
@@ -314,8 +315,8 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     import numpy as np
 
     from germlab.sampling import (
-        RunConfig, compile_float, compile_jacobian, compile_scale, derive_rng,
-        nearest_on_variety, refine_batch,
+        R_MIN, TOL_ACCUM, TOL_VARIETY, RunConfig, compile_float, compile_jacobian,
+        compile_scale, derive_rng, nearest_on_variety, refine_batch,
     )
 
     config = config or RunConfig()
@@ -338,11 +339,11 @@ def condition_b_sampled_probe(germ: RealMapGerm,
 
     def filters(X):
         on_variety = np.max(np.abs(minor_fn(X)) / minor_scale(X),
-                            axis=-1) <= config.tol_variety
+                            axis=-1) <= TOL_VARIETY
         norm = np.linalg.norm(X, axis=-1)
-        in_ball = (norm >= config.r_min) & (norm <= config.radius)
+        in_ball = (norm >= R_MIN) & (norm <= config.radius)
         off_fiber = np.max(np.abs(comp_fn(X)) / comp_scale(X),
-                           axis=-1) >= config.tol_variety * 10
+                           axis=-1) >= TOL_VARIETY * 10
         return on_variety, in_ball, off_fiber
 
     seeds = np.reshape([seed_rng.uniform(-config.radius, config.radius)
@@ -389,7 +390,7 @@ def condition_b_sampled_probe(germ: RealMapGerm,
         Q = rank(P)
 
     samples = {**counts, "seed": config.seed}
-    if best is not None and best[0] < config.tol_accum:
+    if best is not None and best[0] < TOL_ACCUM:
         return FiberLimitFinding(
             violates=True,
             detail="sampled Milnor-set points off the fiber approach the "

@@ -5,8 +5,8 @@ term dicts (exponent tuple -> Fraction), with no imports from germlab
 internals beyond evaluation, so that agreement between a germlab routine and
 its oracle actually means two routes reached the same answer.  The scipy
 composition ladder also takes the exact composition, the compiled float
-evaluators and the seed stream from germlab: it is an oracle for the
-solver and the batching, not for those.
+evaluators, the tolerances and the seed stream from germlab: it is an
+oracle for the solver and the batching, not for those.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def scipy_composition_ladder(outer, inner, config) -> dict | None:
     from scipy.optimize import least_squares
 
     from germlab.compose import compose_exact
-    from germlab.sampling import compile_float, derive_rng
+    from germlab.sampling import R_MIN, TOL_ACCUM, compile_float, derive_rng
 
     def refine(fn, x0, extra=None):
         def resid(x):
@@ -336,7 +336,7 @@ def scipy_composition_ladder(outer, inner, config) -> dict | None:
             continue
         q = nearest(sing_g_fn, f_fn(x))
         rho = float(np.linalg.norm(q))
-        if rho < config.r_min:
+        if rho < R_MIN:
             continue
         uhat = q / rho
         traj = []
@@ -358,7 +358,7 @@ def scipy_composition_ladder(outer, inner, config) -> dict | None:
             norm = float(np.linalg.norm(x))
             if (not (tgt / 4 <= sigma <= 4 * tgt) or res > 1e-7
                     or not (0.75 <= qn / rho <= 1.25)
-                    or not (config.r_min <= norm <= config.radius)):
+                    or not (R_MIN <= norm <= config.radius)):
                 break
             uhat = q / qn
             traj.append({"image_distance_to_sing": dist, "nearest_sing_norm": qn,
@@ -366,8 +366,8 @@ def scipy_composition_ladder(outer, inner, config) -> dict | None:
         if len(traj) < 4:
             continue
         last = traj[-1]
-        if (last["image_distance_to_sing"] <= config.tol_accum
-                and last["nearest_sing_norm"] >= config.r_min
+        if (last["image_distance_to_sing"] <= TOL_ACCUM
+                and last["nearest_sing_norm"] >= R_MIN
                 and (best is None or last["image_distance_to_sing"]
                      < best["image_distance_to_sing"])):
             best = last

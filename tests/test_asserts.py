@@ -14,12 +14,8 @@ import germlab
 
 ALLOWED = (
     ("certify.py", "RegularityReport.chain.walk"),
-    ("germs.py", "Parametrization.evaluate"),
     ("hwc.py", "fgbar_check"),
     ("hwc.py", "product_pair"),
-    ("witness.py", "normal_vector_along_curve"),
-    ("witness.py", "normal_vector_along_curve"),
-    ("witness.py", "WitnessOutcome.nonzero_pairings"),
 )
 
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ import pytest
 
 import germlab
 import germlab.analyses
-from germlab.cli import _jsonable, main
+import germlab.sampling
+from germlab.cli import _jsonable, build_parser, main
 from germlab.dsl import GermParseError, parse_text
 
 CORPUS = "src/germlab/corpus"
@@ -93,6 +96,16 @@ def test_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
     assert err == f"germlab: {exc.value}\n"
 
 
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.germ"
+    bad.write_bytes(b"map g : R^1 -> R^1\nG = x1*\xff\n")
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == (f"germlab: {bad}: not UTF-8 text "
+                   "(invalid start byte at byte 26)\n")
+
+
 def test_multi_decl_file_needs_germ_name(capsys):
     code, _, err = run_cli(capsys, "milnor", f"{CORPUS}/comp48.germ")
     assert code == 2
@@ -156,6 +169,73 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     doc = run_json(capsys, "probe-b", f"{CORPUS}/exaa.germ", "--set", "V",
                    "--seed", "0x5")
     assert doc["samples"]["seed"] == 5
+
+
+def _options(parser, path=()):
+    """(command, option) for every option but --help, walking subcommands."""
+    out = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out += _options(sub, path + (name,))
+        elif action.option_strings and action.dest != "help":
+            out.append((" ".join(path), action.dest))
+    return out
+
+
+def test_sampling_flags_only_where_something_samples():
+    options = _options(build_parser())
+    assert len(options) == 52
+    sampling = {}
+    for command, dest in options:
+        if dest in ("seed", "samples", "radius"):
+            sampling.setdefault(command, []).append(dest)
+    assert sampling == {command: ["seed", "samples", "radius"] for command
+                        in ("probe-b", "compose-check", "corpus run")}
+    fields = [f.name for f in dataclasses.fields(germlab.sampling.RunConfig)]
+    assert fields == ["seed", "samples", "radius"]
+
+
+def test_exact_commands_refuse_sampling_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["milnor", f"{CORPUS}/mfx1.germ", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env, flags", [
+    (None, ["--seed", "0x5"]),
+    ("0x5", []),
+    ("99", ["--seed", "0x5"]),
+])
+def test_compose_exact_closure_separation_reads_the_seed(
+        capsys, monkeypatch, env, flags):
+    seeds = []
+    derive_rng = germlab.sampling.derive_rng
+
+    def spy(seed, label):
+        if label == "closure-sep":
+            seeds.append(seed)
+        return derive_rng(seed, label)
+
+    monkeypatch.setattr(germlab.sampling, "derive_rng", spy)
+    if env is None:
+        monkeypatch.delenv("GERMLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GERMLAB_SEED", env)
+    doc = run_json(capsys, "compose-check", f"{CORPUS}/comp48.germ",
+                   "--inner", "F48", "--outer", "G48", "--mode", "exact",
+                   "--set", "MH", "--claim", "closure", *flags)
+    assert seeds == [5]
+    assert doc["closure_meets_sing_g_only_at_0"] is True
+
+
+def test_only_the_cli_reads_the_environment():
+    root = Path(germlab.__file__).resolve().parent
+    readers = [path.relative_to(root).as_posix()
+               for path in sorted(root.rglob("*.py"))
+               if "environ" in path.read_text() or "getenv" in path.read_text()]
+    assert readers == ["cli.py"]
 
 
 def test_probe_b_family_mode(capsys):

@@ -14,7 +14,7 @@ from germlab.compose import (
 )
 from germlab.germs import GermlabRejection, Parametrization, RealMapGerm, milnor_data
 from germlab.poly import VarContext
-from germlab.sampling import RunConfig, derive_rng, rational_points
+from germlab.sampling import R_MIN, TOL_ACCUM, RunConfig, derive_rng, rational_points
 from oracles import scipy_composition_ladder
 
 
@@ -82,7 +82,7 @@ def test_compose_arity_mismatch_rejected():
 def test_compose_parametrization_denominator_identity():
     # (F o phi)(s) must equal num/den at every sample where den != 0.
     phi = cone48()
-    image = compose_parametrization(F48, phi)
+    image = compose_parametrization(F48, phi, G48.ctx)
     rng = derive_rng(0xC0FFEE, "compose:paramdenom")
     for pt in rational_points(rng, 3, 50):
         xs = phi.evaluate(pt)
@@ -223,8 +223,8 @@ def test_sampled_probe_detects_contra_accumulation():
     finding = composition_sampled_probe(GCONTRA, FCONTRA, config=cfg)
     assert finding.suspicious
     rec = finding.record
-    assert rec["image_distance_to_sing"] <= cfg.tol_accum
-    assert rec["nearest_sing_norm"] >= cfg.r_min
+    assert rec["image_distance_to_sing"] <= TOL_ACCUM
+    assert rec["nearest_sing_norm"] >= R_MIN
     assert rec["preimage_norm"] <= cfg.radius
     # Sequence of deepening rungs should show the image distance collapsing.
     traj = rec["distance_trajectory"]

@@ -265,6 +265,12 @@ ERROR_TEXTS = [
     ("mixed-witness",
      MIXED1 + "f = z^2\nassert_set V {\n  (s, 0)\n}\nwitness w {\n  gamma (t, 0)\n}\n",
      "line 7, col 1: witness blocks attach to map declarations; realify first"),
+    ("set-eleven-params",
+     MAP3 + "assert_set V {\n  (0, 0, 0)\n  (a*b*c*d*e*f*g*h*j*k*l, 0, 0)\n}\n",
+     "line 5, col 1: set 'V' line 2 has 11 parameters; a context holds at most 10"),
+    ("witness-eleven-params",
+     MAP3 + "witness w {\n  gamma (t, a*b*c*d*e*f*g*h*j*k*l, 0)\n}\n",
+     "line 5, col 1: witness 'w' has 11 parameters; a context holds at most 10"),
 ]
 
 

@@ -227,7 +227,7 @@ vars a, b, c, d
 G1 = a*c + b*d
 G2 = -a*d + b*c
 """)
-    out, frame = separable_sum(left, right, name="e21")
+    out, frame = separable_sum(left, right)
     assert [p.text() for p in out.components] == [
         p.text() for p in E21.components
     ]
@@ -254,11 +254,10 @@ def test_separable_sum_thom_transfer_only_from_declarations():
     left = germ("map l : R^2 -> R^2\nvars x,y\nG1 = x\nG2 = y\n")
     right = germ("map r : R^2 -> R^2\nvars u,v\nG1 = u\nG2 = v\n")
     out, frame = separable_sum(left, right)
-    plain = separable_sum_report(left, right, out, frame)
+    plain = separable_sum_report(out, frame)
     assert "thom_regular" in plain.facts  # via the re-verified frame
     assert "thom_regular" not in plain.declared
-    declared = separable_sum_report(left, right, out, frame,
-                                    declared_thom_summands=True,
+    declared = separable_sum_report(out, frame, declared_thom_summands=True,
                                     declared_codim_matches=True)
     assert declared.provenance["thom_regular"]["rule"] == "separable-thom"
     assert "thom_regular" in declared.declared

@@ -236,13 +236,31 @@ def test_exact_div_rejects_inexact():
     "from germlab.curves import LaurentPoly, direction_limit\n"
     "zero = LaurentPoly(VarContext(['s']), {})\n"
     "must_raise(ValueError, lambda: direction_limit([zero, zero]), 'zero vector')\n",
+    "s = VarContext(['s'])\n"
+    "phi = Parametrization(VarContext(['x']), s, (s.var('s'),), (s.var('s') - 1,))\n"
+    "must_raise(ValueError, lambda: phi.evaluate([1]), 'denominator s - 1 vanishes')\n",
+    # Unchecked, zip drops the coefficients past the component count.
+    "from germlab.dsl import parse_text\n"
+    "from germlab.witness import normal_vector_along_curve\n"
+    "r = parse_text('map g : R^2 -> R^1\\nG = x1*x2\\n'\n"
+    "               'witness w {\\n  gamma (t, s)\\n  c (t^-1)\\n}\\n').single()\n"
+    "w = r.witnesses['w']\n"
+    "must_raise(ValueError, lambda: normal_vector_along_curve(r.germ, w.gamma, w.coeffs * 2),\n"
+    "           '2 coefficients for 1 components')\n"
+    "h = parse_text('map h : R^2 -> R^1\\nvars u, v\\nG = u*v\\n').single().germ\n"
+    "must_raise(ValueError, lambda: normal_vector_along_curve(h, w.gamma, w.coeffs),\n"
+    "           'curve targets')\n",
+    "from germlab.witness import WitnessOutcome\n"
+    "out = WitnessOutcome(False, None, None, None, 'normal candidate vanishes')\n"
+    "must_raise(ValueError, out.nonzero_pairings, 'no pairings: normal candidate')\n",
 ], ids=["inexact-division", "context-mismatch", "repeated-name",
         "nonvanishing-germ", "zero-denominator", "evaluate-arity",
         "float-coefficient", "exponent-vector", "negative-power",
         "constant-value", "matrix-shape", "pullback-context", "realify-arity",
         "realify-context", "mixed-context", "complex-float",
         "mixed-negative-power", "laurent-power", "laurent-valuation",
-        "curve-arity", "curve-params", "curve-pullback", "direction-zero"])
+        "curve-arity", "curve-params", "curve-pullback", "direction-zero",
+        "parametrization-evaluate", "normal-vector", "nonzero-pairings"])
 def test_exact_div_rejects_inexact_under_optimize(code):
     # Checks that correctness depends on must not be asserts that -O strips.
     code = ("from germlab.germs import Parametrization, RealMapGerm\n"

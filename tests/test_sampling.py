@@ -22,8 +22,8 @@ from germlab.dsl import parse_path, parse_text
 from germlab.germs import Parametrization
 from germlab.poly import Polynomial, VarContext
 from germlab.sampling import (
-    RunConfig, compile_float, compile_jacobian, compile_scale, derive_rng,
-    refine_batch,
+    TOL_VARIETY, RunConfig, compile_float, compile_jacobian, compile_scale,
+    derive_rng, refine_batch,
 )
 from germlab.witness import _distance_to_components, condition_b_sampled_probe
 
@@ -166,7 +166,7 @@ def test_refine_batch_accepts_where_scipy_does(seed, name, minors):
                       max_nfev=400).x for s in seeds])
 
     def on_variety(Z):
-        return np.max(np.abs(f(Z)) / scale(Z), axis=-1) <= RunConfig().tol_variety
+        return np.max(np.abs(f(Z)) / scale(Z), axis=-1) <= TOL_VARIETY
 
     assert on_variety(scipy_x).any()
     assert np.all(on_variety(X) | ~on_variety(scipy_x))

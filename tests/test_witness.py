@@ -7,7 +7,7 @@ from germlab.curves import CurveFamily, LaurentPoly, direction_limit
 from germlab.dsl import WitnessSpec, parse_text
 from germlab.germs import GermlabRejection, Parametrization
 from germlab.poly import VarContext
-from germlab.sampling import RunConfig
+from germlab.sampling import TOL_ACCUM, RunConfig
 from germlab.witness import (
     condition_b_family_check,
     condition_b_sampled_probe,
@@ -302,7 +302,7 @@ def test_sampled_verdicts_hold_on_held_out_seeds(seed):
     config = RunConfig(seed=seed)
     flagged = condition_b_sampled_probe(*_mhx1_probe(), config)
     assert flagged.violates is True
-    assert flagged.samples["ratio"] < config.tol_accum
+    assert flagged.samples["ratio"] < TOL_ACCUM
     for name in ("exaa", "mfx1"):
         quiet = condition_b_sampled_probe(*_cone_probe(name), config)
         assert quiet.violates is None
