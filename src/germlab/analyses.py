@@ -1,11 +1,14 @@
 """One function per CLI analysis, shared by the CLI and the corpus runner.
 
-Each function takes resolved declarations (see `germlab.dsl`) and plain
-options, and returns the JSON-ready dict that the matching `germlab`
-subcommand prints, without `schema_version`.  A request the inputs
-cannot serve raises `GermlabUsage` with the text the CLI shows; failed
-analysis preconditions raise `GermlabRejection`.  The corpus reads its
-checks out of these same dicts, so a green corpus vouches for the CLI.
+Each function in `COMMANDS`, keyed by its subcommand name, takes the
+parsed germ file, the request under the CLI's option names (`germ`,
+`set`, `claim`, `declare_inner`, ...; absent ones read as None) and the
+sampling config; it picks its own declarations and returns the JSON-ready
+dict the subcommand prints, without `schema_version`.  The CLI passes its
+parsed arguments and the corpus a manifest row, so a green corpus vouches
+for the CLI.  A request the inputs cannot serve, or an option the chosen
+mode would drop, raises `GermlabUsage` with the text the CLI shows;
+failed analysis preconditions raise `GermlabRejection`.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from germlab.compose import (
     inclusion_report,
 )
 from germlab.dsl import GermlabUsage
-from germlab.germs import MilnorData, milnor_data
+from germlab.germs import milnor_data
 from germlab.hwc import (
     certify_frame,
     hwc_check,
@@ -53,6 +56,14 @@ def _declare_and_derive(rep: RegularityReport, facts) -> None:
     rep.derive()
 
 
+def _pick(table: dict, name: str, what: str, where: str = ""):
+    """table[name], or a usage error listing the names the file has."""
+    if name not in table:
+        known = ", ".join(sorted(table)) or "none"
+        raise GermlabUsage(f"no {what} named {name!r}{where} (file has: {known})")
+    return table[name]
+
+
 def parse_row(decl) -> dict:
     """One declaration as `germlab parse` lists it."""
     row = {"name": decl.name, "kind": decl.kind,
@@ -69,16 +80,22 @@ def parse_row(decl) -> dict:
     return row
 
 
-def milnor(decl, data: MilnorData | None = None) -> dict:
-    """`germlab milnor`; pass `data` when milnor_data(decl.germ) is at hand."""
-    if data is None:
-        data = milnor_data(decl.germ)
+def parse(gf, opts, config=None) -> dict:
+    """`germlab parse`: every declaration, or the one named by --germ."""
+    decls = [gf.single(opts["germ"])] if opts.get("germ") else gf.decls
+    return {"command": "parse", "file": str(opts["file"]),
+            "germs": [parse_row(d) for d in decls]}
+
+
+def milnor(gf, opts, config=None) -> dict:
+    """`germlab milnor`: the Milnor set polynomial and its routes."""
+    data = milnor_data(gf.single(opts.get("germ")).germ)
     return {"command": "milnor", **data.to_json_dict()}
 
 
-def sing(decl) -> dict:
+def sing(gf, opts, config=None) -> dict:
     """`germlab sing`: the maximal Jacobian minors cutting out Sing G."""
-    germ = decl.germ
+    germ = gf.single(opts.get("germ")).germ
     minors = germ.singular_minors()
     empty = any(m.is_constant() and m.constant_value() != 0 for m in minors)
     return {"command": "sing", "germ": germ.label(),
@@ -87,8 +104,9 @@ def sing(decl) -> dict:
             "singular_set_empty": empty}
 
 
-def hwc(decl) -> dict:
+def hwc(gf, opts, config=None) -> dict:
     """`germlab hwc`: the exact frame check; mixed germs run both routes."""
+    decl = gf.single(opts.get("germ"))
     if decl.kind == "map":
         res = hwc_check(decl.germ)
         return {"command": "hwc", "germ": decl.germ.label(),
@@ -104,23 +122,32 @@ def hwc(decl) -> dict:
             "routes_agree": res.holds == real_res.holds}
 
 
-def certify(decl, declared=()) -> dict:
+def certify(gf, opts, config=None) -> dict:
     """`germlab certify`: the frame certificate plus declared facts, closed."""
-    germ = decl.germ
+    germ = gf.single(opts.get("germ")).germ
     res = hwc_check(germ)
     rep = certify_frame(germ, res)
-    _declare_and_derive(rep, declared)
+    _declare_and_derive(rep, opts.get("declare") or ())
     return {"command": "certify", "germ": germ.label(), "hwc": res.holds,
             **_certificate(rep)}
 
 
-def construct_sum(left, right, declare_thom_summands: bool = False,
-                  declare_codim_matches: bool = False) -> dict:
-    """`germlab construct sum` of two map declarations."""
+def construct_sum(gf, opts, config=None) -> dict:
+    """`germlab construct sum` of --left and --right, or of a two-germ file."""
+    names = opts.get("left"), opts.get("right")
+    if any(names):
+        if not all(names):
+            raise GermlabUsage("construct sum needs both --left and --right")
+        left, right = map(gf.single, names)
+    elif len(gf.decls) == 2:
+        left, right = gf.decls
+    else:
+        raise GermlabUsage(
+            "construct sum needs a two-germ file or --left/--right names")
     out, frame = separable_sum(left.germ, right.germ)
     rep = separable_sum_report(
-        out, frame, declared_thom_summands=declare_thom_summands,
-        declared_codim_matches=declare_codim_matches)
+        out, frame, declared_thom_summands=opts.get("declare_thom_summands"),
+        declared_codim_matches=opts.get("declare_codim_matches"))
     return {"command": "construct-sum", "left": left.name,
             "right": right.name, "germ": out.label(),
             "components": [c.text() for c in out.components],
@@ -128,26 +155,23 @@ def construct_sum(left, right, declare_thom_summands: bool = False,
             "report": rep.to_json_dict()}
 
 
-def construct_product(decl) -> dict:
+def construct_product(gf, opts, config=None) -> dict:
     """`germlab construct product` of a four-component declaration."""
+    decl = gf.single(opts.get("germ"))
     out, frame = product_pair(decl.germ)
     return {"command": "construct-product", "germ": decl.name,
             "components": [c.text() for c in out.components],
             "holds": frame.holds, "conformal_factor": _factor(frame)}
 
 
-def witness(decl, name: str | None = None) -> dict:
+def witness(gf, opts, config=None) -> dict:
     """`germlab witness`: every declared witness block, or the named one."""
+    decl = gf.single(opts.get("germ"))
     if decl.kind != "map":
         raise GermlabUsage("witness blocks only exist on map germs")
-    if name:
-        if name not in decl.witnesses:
-            known = ", ".join(sorted(decl.witnesses)) or "none"
-            raise GermlabUsage(
-                f"no witness named {name!r} (file has: {known})")
-        specs = {name: decl.witnesses[name]}
-    else:
-        specs = decl.witnesses
+    name = opts.get("witness")
+    specs = ({name: _pick(decl.witnesses, name, "witness")} if name
+             else decl.witnesses)
     if not specs:
         raise GermlabUsage(f"germ {decl.name!r} declares no witness blocks")
     results = {}
@@ -165,71 +189,67 @@ def witness(decl, name: str | None = None) -> dict:
             "results": results}
 
 
-def probe_b(decl, witness_name: str | None = None,
-            set_name: str | None = None, declared=(),
-            config: RunConfig | None = None) -> dict:
+def probe_b(gf, opts, config=None) -> dict:
     """`germlab probe-b`: an exact declared family, or a sampled probe."""
+    decl = gf.single(opts.get("germ"))
     germ = decl.germ
     rep = RegularityReport(germ_name=germ.label())
+    witness_name, set_name = opts.get("witness"), opts.get("set")
     if witness_name:
+        if set_name:
+            raise GermlabUsage("--set has no effect with --witness")
         if decl.kind != "map" or witness_name not in decl.witnesses:
             raise GermlabUsage(f"no witness named {witness_name!r}")
         spec = decl.witnesses[witness_name]
         finding = condition_b_family_check(germ, spec.gamma, report=rep)
         out = {"mode": "family", "family": finding.family}
     elif set_name:
-        if set_name not in decl.sets:
-            known = ", ".join(sorted(decl.sets)) or "none"
-            raise GermlabUsage(
-                f"no set named {set_name!r} (file has: {known})")
-        finding = condition_b_sampled_probe(germ, decl.sets[set_name], config)
+        finding = condition_b_sampled_probe(
+            germ, _pick(decl.sets, set_name, "set"), config)
         out = {"mode": "sampled", "samples": finding.samples}
     else:
         raise GermlabUsage("probe-b needs --witness NAME or --set NAME")
-    _declare_and_derive(rep, declared)
+    _declare_and_derive(rep, opts.get("declare") or ())
     return {**out, "command": "probe-b", "germ": germ.label(),
             "violates": finding.violates, "detail": finding.detail,
             **_certificate(rep)}
 
 
-def compose_check(inner, outer, mode: str = "exact",
-                  set_name: str | None = None, claim: str | None = None,
-                  declare_inner=(), declare_outer=(),
-                  config: RunConfig | None = None) -> dict:
+def compose_check(gf, opts, config=None) -> dict:
     """`germlab compose-check` of outer o inner: exact, inclusion or sampled.
 
     config seeds the sampled probe and the exact mode's closure separation.
     """
     config = config or RunConfig()
+    mode = opts["mode"]
+    inner, outer = gf.single(opts["inner"]), gf.single(opts["outer"])
     head = {"command": "compose-check", "mode": mode,
             "inner": inner.name, "outer": outer.name}
+    if mode != "exact" and opts.get("claim"):
+        raise GermlabUsage(f"--claim has no effect with --mode {mode}")
     if mode == "sampled":
         finding = composition_sampled_probe(outer.germ, inner.germ, config)
         return {**head, "suspicious": finding.suspicious,
                 "detail": finding.detail, "record": finding.record,
                 "samples": finding.samples, "seed": config.seed}
+    set_name = opts.get("set")
     if not set_name or set_name not in inner.sets:
         known = ", ".join(sorted(inner.sets)) or "none"
         raise GermlabUsage(
             f"compose-check {mode} needs --set naming a component "
             f"set on the inner germ (file has: {known})")
     comps = inner.sets[set_name]
-    declared = {"declared_inner": set(declare_inner),
-                "declared_outer": set(declare_outer)}
+    declared = {"declared_inner": set(opts.get("declare_inner") or ()),
+                "declared_outer": set(opts.get("declare_outer") or ())}
     if mode == "inclusion":
         chk = image_in_milnor_check(outer.germ, inner.germ, comps)
         rep = inclusion_report(outer.germ, inner.germ, chk, **declared)
         body = {"verified": list(chk.verified), "failed": list(chk.failed),
                 "no_data": chk.no_data}
     else:
-        poly = None
-        if claim:
-            if claim not in outer.polys:
-                known = ", ".join(sorted(outer.polys)) or "none"
-                raise GermlabUsage(
-                    f"no assert_poly named {claim!r} on the outer germ "
-                    f"(file has: {known})")
-            poly = outer.polys[claim]
+        claim = opts.get("claim")
+        poly = (_pick(outer.polys, claim, "assert_poly", " on the outer germ")
+                if claim else None)
         chk = composition_milnor_check(outer.germ, inner.germ, comps,
                                        closure_claim=poly, config=config)
         rep = composition_report(outer.germ, inner.germ, chk, **declared)
@@ -239,3 +259,10 @@ def compose_check(inner, outer, mode: str = "exact",
                     chk.closure_meets_sing_g_only_at_0,
                 "detail": chk.detail}
     return {**head, **body, **_certificate(rep)}
+
+
+# Every subcommand that analyses one germ file, by its name on the CLI.
+COMMANDS = {"parse": parse, "milnor": milnor, "sing": sing, "hwc": hwc,
+            "certify": certify, "construct-sum": construct_sum,
+            "construct-product": construct_product, "witness": witness,
+            "probe-b": probe_b, "compose-check": compose_check}

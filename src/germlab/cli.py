@@ -1,24 +1,27 @@
 """Command line front end.
 
-Subcommands parse germ files, run one analysis each from
-`germlab.analyses`, and print its JSON report to stdout.  With --json
-PATH the report goes to the file instead and stdout gets a one-line
-summary; `corpus run` always prints its pass/fail table and writes JSON
+Each subcommand that reads a germ file parses it, calls the
+`germlab.analyses.COMMANDS` entry of its name with the parsed options,
+and prints the JSON report to stdout.  With --json PATH the report goes
+to the file instead and stdout gets a one-line summary read off the
+report; `corpus run` always prints its pass/fail table and writes JSON
 only on request.
 
 Only `probe-b`, `compose-check` and `corpus run` sample, so only they
-take --seed, --samples and --radius (defaults 0xC0FFEE, 200, 2.0); the
-seed is --seed, else GERMLAB_SEED, read here alone.  `compose-check
---mode exact --claim` samples too: the closure must miss Sing G off 0 at
---samples x 5 rational points of the --radius cube, drawn from the
-seed's stream "closure-sep", and then on a sparse grid.
+take --seed, --samples and --radius (defaults 0xC0FFEE, 200, 2.0;
+--samples and --radius must be finite and above zero); the seed is
+--seed, else GERMLAB_SEED, read here alone and only by those three.
+`compose-check --mode exact --claim` samples too: the closure must miss
+Sing G off 0 at --samples x 5 rational points of the --radius cube,
+drawn from the seed's stream "closure-sep", and then on a sparse grid.
 
 Exit codes: 0 success, 1 analysis rejection (structured reason in the
-JSON error document), 2 usage error (bad flags, unknown fact names,
-unreadable file, malformed DSL), 3 internal error (any other exception,
-as a JSON error document with reason "internal"; the traceback goes to
-stderr).  Reports carry no timestamps, so identical invocations produce
-byte-identical output; sampled modes embed their seed.
+JSON error document), 2 usage error (bad flags or GERMLAB_SEED, an
+option the chosen mode never reads, unknown fact names, unreadable file,
+malformed DSL), 3 internal error (any other exception, as a JSON error
+document with reason "internal"; the traceback goes to stderr).  Reports
+carry no timestamps, so identical invocations produce byte-identical
+output; sampled modes embed their seed.
 
 Only the sampled modes and `corpus run` load numpy, and no command loads
 scipy: this module imports neither numpy nor the corpus runner, so an
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -67,10 +71,27 @@ def _jsonable(value):
 def _config(args) -> RunConfig:
     """The sampling flags given, GERMLAB_SEED, then RunConfig's defaults."""
     env = os.environ.get("GERMLAB_SEED")
-    kw = {"seed": int(env, 0)} if env else {}
+    try:
+        kw = {"seed": int(env, 0)} if env else {}
+    except ValueError:
+        raise GermlabUsage(f"GERMLAB_SEED must be an integer, got {env!r}") from None
     flags = {name: getattr(args, name) for name in ("seed", "samples", "radius")}
     kw.update((name, v) for name, v in flags.items() if v is not None)
     return RunConfig(**kw)
+
+
+def _above_zero(kind):
+    """An argparse type: a finite `kind` greater than zero."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {kind.__name__} > 0, got {text!r}")
+        return value
+    return convert
 
 
 def _emit(payload: dict, args, summary: str) -> None:
@@ -84,66 +105,56 @@ def _emit(payload: dict, args, summary: str) -> None:
         sys.stdout.write(doc)
 
 
-def _decl(args):
-    gf = parse_path(args.file)
-    return gf.single(getattr(args, "germ", None))
-
-
-def cmd_parse(args) -> int:
-    gf = parse_path(args.file)
-    decls = [gf.single(args.germ)] if args.germ else list(gf.decls)
-    out = [analyses.parse_row(d) for d in decls]
-    _emit({"command": "parse", "file": str(args.file), "germs": out},
-          args, f"parsed {len(out)} germ(s) from {args.file}")
-    return 0
-
-
-def cmd_milnor(args) -> int:
-    decl = _decl(args)
-    out = analyses.milnor(decl)
-    _emit(out, args, f"milnor_poly({decl.name}) = {out['milnor_poly']}")
-    return 0
-
-
-def cmd_sing(args) -> int:
-    decl = _decl(args)
-    out = analyses.sing(decl)
-    _emit(out, args, f"{len(out['minors'])} maximal minor(s) for {decl.name}")
-    return 0
+def _fail(code: int, **error) -> int:
+    """Print a JSON error document; return the exit code."""
+    doc = {"schema_version": SCHEMA_VERSION, "error": _jsonable(error)}
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 def _verdict(out: dict) -> str:
     return "holds" if out["holds"] else "fails"
 
 
-def cmd_hwc(args) -> int:
-    decl = _decl(args)
-    out = analyses.hwc(decl)
-    _emit(out, args, f"hwc {_verdict(out)} for {decl.name}")
-    return 0
+def _compose_summary(out: dict) -> str:
+    if out["mode"] == "sampled":
+        return ("sampled composition probe: "
+                f"{'suspicious' if out['suspicious'] else 'quiet'}")
+    if out["mode"] == "inclusion":
+        return (f"inclusion: {len(out['verified'])} verified, "
+                f"{len(out['failed'])} failed")
+    return "exact composition check: " + (
+        f"violation on {out['violation']}" if out["violation"]
+        else f"{len(out['flagged'])} flagged, no violation")
 
 
-def cmd_construct_sum(args) -> int:
+# The line --json PATH prints instead of the report, read off the report.
+SUMMARIES = {
+    "parse": lambda r: f"parsed {len(r['germs'])} germ(s) from {r['file']}",
+    "milnor": lambda r: f"milnor_poly({r['germ']}) = {r['milnor_poly']}",
+    "sing": lambda r: f"{len(r['minors'])} maximal minor(s) for {r['germ']}",
+    "hwc": lambda r: f"hwc {_verdict(r)} for {r['germ']}",
+    "certify": lambda r:
+        f"certified {r['germ']}: facts {r['report']['facts'] or 'none'}",
+    "construct-sum": lambda r: f"sum {r['germ']}: hwc {_verdict(r)}",
+    "construct-product": lambda r:
+        f"product pair from {r['germ']}: hwc {_verdict(r)}",
+    "witness": lambda r:
+        f"{sum(w['is_witness'] for w in r['results'].values())}"
+        f"/{len(r['results'])} witness(es) verified for {r['germ']}",
+    "probe-b": lambda r: f"condition (b) probe on {r['germ']}: " + (
+        "inconclusive" if r["violates"] is None
+        else "violation" if r["violates"] else "no violation"),
+    "compose-check": _compose_summary,
+}
+
+
+def cmd_analysis(args) -> int:
+    """Run the `analyses.COMMANDS` entry the subcommand names."""
     gf = parse_path(args.file)
-    if args.left or args.right:
-        if not (args.left and args.right):
-            raise GermlabUsage("construct sum needs both --left and --right")
-        left, right = gf.single(args.left), gf.single(args.right)
-    elif len(gf.decls) == 2:
-        left, right = gf.decls
-    else:
-        raise GermlabUsage(
-            "construct sum needs a two-germ file or --left/--right names")
-    out = analyses.construct_sum(left, right, args.declare_thom_summands,
-                                 args.declare_codim_matches)
-    _emit(out, args, f"sum {out['germ']}: hwc {_verdict(out)}")
-    return 0
-
-
-def cmd_construct_product(args) -> int:
-    decl = _decl(args)
-    out = analyses.construct_product(decl)
-    _emit(out, args, f"product pair from {decl.name}: hwc {_verdict(out)}")
+    config = _config(args) if "seed" in vars(args) else None
+    out = analyses.COMMANDS[args.analysis](gf, vars(args), config)
+    _emit(out, args, SUMMARIES[args.analysis](out))
     return 0
 
 
@@ -174,59 +185,10 @@ def cmd_construct_mixed_algo(args) -> int:
     }
     poly, frame = mixed_algorithm_build(
         left, blocks["f"], blocks["g"], blocks["r"], blocks["h"], ctx)
-    _emit({"command": "construct-mixed-algo",
-           "variables": names, "left": left,
-           "poly": poly.text(), "holds": frame.holds,
-           "conformal_factor":
-               frame.conformal_factor.text() if frame.conformal_factor else None},
-          args, f"mixed build: hwc {'holds' if frame.holds else 'fails'}")
-    return 0
-
-
-def cmd_witness(args) -> int:
-    decl = _decl(args)
-    out = analyses.witness(decl, args.witness)
-    fired = sum(1 for r in out["results"].values() if r["is_witness"])
-    _emit(out, args,
-          f"{fired}/{len(out['results'])} witness(es) verified for {decl.name}")
-    return 0
-
-
-def cmd_probe_b(args) -> int:
-    decl = _decl(args)
-    out = analyses.probe_b(decl, args.witness, args.set, args.declare or (),
-                           _config(args))
-    verdict = {True: "violation", False: "no violation", None: "inconclusive"}
-    _emit(out, args,
-          f"condition (b) probe on {decl.name}: {verdict[out['violates']]}")
-    return 0
-
-
-def cmd_compose_check(args) -> int:
-    gf = parse_path(args.file)
-    out = analyses.compose_check(
-        gf.single(args.inner), gf.single(args.outer), args.mode, args.set,
-        args.claim, args.declare_inner or (), args.declare_outer or (),
-        _config(args))
-    if args.mode == "sampled":
-        summary = ("sampled composition probe: "
-                   f"{'suspicious' if out['suspicious'] else 'quiet'}")
-    elif args.mode == "inclusion":
-        summary = (f"inclusion: {len(out['verified'])} verified, "
-                   f"{len(out['failed'])} failed")
-    else:
-        summary = "exact composition check: " + (
-            f"violation on {out['violation']}" if out["violation"]
-            else f"{len(out['flagged'])} flagged, no violation")
-    _emit(out, args, summary)
-    return 0
-
-
-def cmd_certify(args) -> int:
-    decl = _decl(args)
-    out = analyses.certify(decl, args.declare or ())
-    _emit(out, args,
-          f"certified {decl.name}: facts {out['report']['facts'] or 'none'}")
+    out = {"command": "construct-mixed-algo", "variables": names,
+           "left": left, "poly": poly.text(), "holds": frame.holds,
+           "conformal_factor": analyses._factor(frame)}
+    _emit(out, args, f"mixed build: hwc {_verdict(out)}")
     return 0
 
 
@@ -254,10 +216,14 @@ def cmd_corpus_run(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _command(group, name, fn, file=True, germ=True, sampling=False):
-    """Subcommand `name` running fn, with the options it shares with others."""
+def _command(group, name, fn=None, file=True, germ=True, sampling=False,
+             analysis=None):
+    """Subcommand `name` running fn, else `analyses.COMMANDS[analysis or name]`."""
     p = group.add_parser(name)
-    p.set_defaults(fn=fn)
+    if fn:
+        p.set_defaults(fn=fn)
+    else:
+        p.set_defaults(fn=cmd_analysis, analysis=analysis or name)
     if file:
         p.add_argument("file", help="germ file in the declaration DSL")
     if germ:
@@ -265,8 +231,10 @@ def _command(group, name, fn, file=True, germ=True, sampling=False):
     if sampling:
         p.add_argument("--seed", type=lambda s: int(s, 0),
                        help="sampling seed (default GERMLAB_SEED or 0xC0FFEE)")
-        p.add_argument("--samples", type=int, help="sample count (default 200)")
-        p.add_argument("--radius", type=float, help="cube radius (default 2.0)")
+        p.add_argument("--samples", type=_above_zero(int),
+                       help="sample count (default 200)")
+        p.add_argument("--radius", type=_above_zero(float),
+                       help="cube radius (default 2.0)")
     p.add_argument("--json", dest="json_path", metavar="PATH",
                    help="write the JSON report here; print a summary instead")
     return p
@@ -277,21 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="germlab",
         description="Exact regularity analysis for polynomial map germs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "parse", cmd_parse)
-    _command(sub, "milnor", cmd_milnor)
-    _command(sub, "sing", cmd_sing)
-    _command(sub, "hwc", cmd_hwc)
+    for name in ("parse", "milnor", "sing", "hwc"):
+        _command(sub, name)
 
     construct = sub.add_parser("construct")
     csub = construct.add_subparsers(dest="construction", required=True)
-    p = _command(csub, "sum", cmd_construct_sum, germ=False)
+    p = _command(csub, "sum", germ=False, analysis="construct-sum")
     p.add_argument("--left", help="name of the first summand")
     p.add_argument("--right", help="name of the second summand")
     p.add_argument("--declare-thom-summands", action="store_true",
                    help="both summands are declared Thom regular")
     p.add_argument("--declare-codim-matches", action="store_true",
                    help="declared matching fiber codimensions")
-    _command(csub, "product", cmd_construct_product)
+    _command(csub, "product", analysis="construct-product")
     p = _command(csub, "mixed-algo", cmd_construct_mixed_algo, file=False,
                  germ=False)
     p.add_argument("--vars", required=True,
@@ -303,18 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key}", action="append", metavar="EXPR",
                        help=f"{txt} block (repeatable)")
 
-    p = _command(sub, "witness", cmd_witness)
+    p = _command(sub, "witness")
     p.add_argument("--witness", help="run one named witness block")
 
-    p = _command(sub, "probe-b", cmd_probe_b, sampling=True)
+    p = _command(sub, "probe-b", sampling=True)
     p.add_argument("--witness", help="verify this declared family exactly")
     p.add_argument("--set", help="sample against this declared fiber set")
     p.add_argument("--declare", action="append", metavar="FACT",
                    choices=FACT_NAMES,
                    help="install a declared fact (repeatable)")
 
-    p = _command(sub, "compose-check", cmd_compose_check, germ=False,
-                 sampling=True)
+    p = _command(sub, "compose-check", germ=False, sampling=True)
     p.add_argument("--inner", required=True, help="inner germ name")
     p.add_argument("--outer", required=True, help="outer germ name")
     p.add_argument("--mode", choices=("exact", "inclusion", "sampled"),
@@ -327,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--declare-outer", action="append", metavar="FACT",
                    choices=FACT_NAMES)
 
-    p = _command(sub, "certify", cmd_certify)
+    p = _command(sub, "certify")
     p.add_argument("--declare", action="append", metavar="FACT",
                    choices=FACT_NAMES,
                    help="install a declared fact (repeatable)")
@@ -347,31 +312,18 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except GermlabRejection as exc:
-        err = {"schema_version": SCHEMA_VERSION,
-               "error": {"reason": exc.reason,
-                         "details": _jsonable(exc.details)}}
-        sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
-        return 1
+        return _fail(1, reason=exc.reason, details=exc.details)
     except ContradictionError as exc:
-        err = {"schema_version": SCHEMA_VERSION,
-               "error": {"reason": str(exc)}}
-        sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
-        return 1
-    except (GermlabUsage, GermParseError) as exc:
-        print(f"germlab: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _fail(1, reason=str(exc))
+    except (GermlabUsage, GermParseError, OSError) as exc:
         print(f"germlab: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         import traceback
 
         traceback.print_exc()
-        err = {"schema_version": SCHEMA_VERSION,
-               "error": {"reason": "internal", "type": type(exc).__name__,
-                         "message": str(exc)}}
-        sys.stdout.write(json.dumps(err, indent=2, sort_keys=True) + "\n")
-        return 3
+        return _fail(3, reason="internal", type=type(exc).__name__,
+                     message=str(exc))
 
 
 if __name__ == "__main__":

@@ -6,13 +6,16 @@ Every check carries a provenance tag (literature, derived, trivial);
 literature rows restate a published worked example and point at it
 through an anchor string.
 
-A row runs the `germlab.analyses` function behind the matching CLI
-command, with the row's fields as its options, so each check reads a
-value out of the report that command prints.  A check name is a dotted
-path into that report; `LEGACY_PATHS` keeps six older names (`facts`,
-`exact_facts`, `declared`, `limit`, `rule`, `separated`) pointing at
-their place in it.  Only the `isolated` and `empty-interior` rows and
-milnor's `gram_is_square` have no command behind them.
+A row names the CLI command it runs as its `analysis` and carries that
+command's options under their argparse names (`germ`, `set`, `mode`,
+`declare_inner`, ...), so it runs the `germlab.analyses.COMMANDS` entry
+the CLI runs and each check reads a value out of the report that command
+prints.  A check name is a dotted path into that report; `LEGACY_PATHS`
+keeps six older names (`facts`, `exact_facts`, `declared`, `limit`,
+`rule`, `separated`) pointing at their place in it.  The other views in
+`_ANALYSES` read what no command prints: milnor's `gram_is_square`, one
+witness block, a rejected product, `hwc-mixed`, `compose-probe`,
+`isolated` and `empty-interior`.
 
 Entries are independent: the runner executes them one after another and
 sorts the results by entry id, and an entry that raises becomes an error
@@ -95,31 +98,24 @@ def check_value(report: dict, name: str):
 
 
 def _milnor(gf, row, config):
-    decl = gf.single(row.get("germ"))
-    md = milnor_data(decl.germ)
-    out = analyses.milnor(decl, md)
-    if md.square_det is not None:
+    out = analyses.milnor(gf, row)
+    if "square_det" in out:
         # milnor_data squares det(A) for a square A, so compare that with
         # the Gram route det(A A^T) rather than with itself.
-        a = decl.germ.stacked()
+        md = milnor_data(gf.single(row.get("germ")).germ)
+        a = md.stacked
         out["gram_is_square"] = ((a @ a.transpose()).det()
                                  == md.square_det * md.square_det)
     return out
 
 
-def _hwc(gf, row, config):
-    return analyses.hwc(gf.single(row.get("germ")))
-
-
-def _hwc_mixed(gf, row, config):
-    return {d.name: {**analyses.parse_row(d), **analyses.hwc(d)}
-            for d in gf.decls}
+def _witness(gf, row, config):
+    return analyses.witness(gf, row)["results"][row["witness"]]
 
 
 def _product(gf, row, config):
-    decl = gf.single(row.get("germ"))
     try:
-        return analyses.construct_product(decl)
+        return analyses.construct_product(gf, row)
     except GermlabRejection as exc:
         # The CLI prints a rejection as an error document and exits 1.
         return {
@@ -129,42 +125,17 @@ def _product(gf, row, config):
         }
 
 
-def _sum(gf, row, config):
-    return analyses.construct_sum(gf.single(row["left"]),
-                                  gf.single(row["right"]))
-
-
-def _witness(gf, row, config):
-    out = analyses.witness(gf.single(row.get("germ")), row["witness"])
-    return out["results"][row["witness"]]
-
-
-def _family(gf, row, config):
-    return analyses.probe_b(gf.single(row.get("germ")),
-                            witness_name=row["witness"])
-
-
-def _probe_b(gf, row, config):
-    return analyses.probe_b(gf.single(row.get("germ")), set_name=row["set"],
-                            declared=row.get("declare", ()), config=config)
-
-
-def _compose(mode):
-    def run(gf, row, config):
-        return analyses.compose_check(
-            gf.single(row["inner"]), gf.single(row["outer"]), mode,
-            row["set"], row.get("claim"), row.get("declare_inner", ()),
-            row.get("declare_outer", ()), config)
-    return run
+def _hwc_mixed(gf, row, config):
+    return {d.name: {**analyses.parse_row(d),
+                     **analyses.hwc(gf, {"germ": d.name})}
+            for d in gf.decls}
 
 
 def _compose_probe(gf, row, config):
-    exact = _compose("exact")(gf, row, config)
+    exact = analyses.compose_check(gf, {**row, "mode": "exact"}, config)
     if "radius" in row:
         config = dataclasses.replace(config, radius=row["radius"])
-    sampled = analyses.compose_check(gf.single(row["inner"]),
-                                     gf.single(row["outer"]), "sampled",
-                                     config=config)
+    sampled = analyses.compose_check(gf, {**row, "mode": "sampled"}, config)
     # The exact run's flags and report, the sampled run's verdict.
     return {**exact, **sampled}
 
@@ -173,9 +144,7 @@ def _isolated(gf, row, config):
     decl = gf.single(row.get("germ"))
     rep = RegularityReport(germ_name=decl.germ.label())
     finding = isolated_singularity_probe(decl.germ, report=rep)
-    for fact in row.get("declare", ()):
-        rep.declare(fact, "corpus entry declaration")
-    rep.derive()
+    analyses._declare_and_derive(rep, row.get("declare", ()))
     return {"found": finding.isolated, "report": rep.to_json_dict()}
 
 
@@ -193,19 +162,14 @@ def _empty_interior(gf, row, config):
 
 
 _ANALYSES = {
+    **analyses.COMMANDS,
     "milnor": _milnor,
-    "hwc": _hwc,
-    "product": _product,
     "witness": _witness,
-    "family": _family,
-    "probe-b": _probe_b,
-    "isolated": _isolated,
-    "compose-closure": _compose("exact"),
-    "compose-inclusion": _compose("inclusion"),
-    "compose-probe": _compose_probe,
+    "product": _product,
     "hwc-mixed": _hwc_mixed,
+    "compose-probe": _compose_probe,
+    "isolated": _isolated,
     "empty-interior": _empty_interior,
-    "sum": _sum,
 }
 
 

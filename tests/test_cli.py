@@ -196,6 +196,56 @@ def test_sampling_flags_only_where_something_samples():
     assert fields == ["seed", "samples", "radius"]
 
 
+def test_bad_seed_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GERMLAB_SEED", "abc")
+    code, out, err = run_cli(capsys, "probe-b", f"{CORPUS}/mhx1.germ",
+                             "--witness", "fam")
+    assert (code, out) == (2, "")
+    assert "GERMLAB_SEED" in err and "'abc'" in err
+    # Exact commands never read the variable.
+    assert run_json(capsys, "milnor", f"{CORPUS}/mfx1.germ")["germ"] == "mfx1"
+
+
+COMPOSE_EXACT = ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48",
+                 "--outer", "G48", "--mode", "exact", "--set", "MH",
+                 "--claim", "closure"]
+PROBE_SAMPLED = ["probe-b", f"{CORPUS}/exaa.germ", "--set", "V"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*COMPOSE_EXACT, "--radius", "nan"],
+    [*COMPOSE_EXACT, "--radius", "inf"],
+    [*COMPOSE_EXACT, "--radius", "-1"],
+    [*PROBE_SAMPLED, "--radius", "nan"],
+    [*PROBE_SAMPLED, "--radius", "0"],
+    [*PROBE_SAMPLED, "--samples", "-5"],
+    [*PROBE_SAMPLED, "--samples", "1.5"],
+    ["corpus", "run", "--filter", "e21", "--samples", "0"],
+])
+def test_samples_and_radius_must_be_finite_and_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: expected a finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, mode", [
+    (["probe-b", f"{CORPUS}/mhx1.germ", "--witness", "fam", "--set", "V"],
+     "--set", "--witness"),
+    (["compose-check", f"{CORPUS}/incl.germ", "--inner", "FI", "--outer",
+      "GI", "--mode", "inclusion", "--set", "MH", "--claim", "closure"],
+     "--claim", "--mode inclusion"),
+    (["compose-check", f"{CORPUS}/contra.germ", "--inner", "FC", "--outer",
+      "GC", "--mode", "sampled", "--claim", "closure"],
+     "--claim", "--mode sampled"),
+])
+def test_an_option_the_mode_never_reads_is_a_usage_error(
+        capsys, argv, flag, mode):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"germlab: {flag} has no effect with {mode}\n"
+
+
 def test_exact_commands_refuse_sampling_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["milnor", f"{CORPUS}/mfx1.germ", "--seed", "7"])
@@ -517,10 +567,10 @@ def test_jsonable_converts_numpy_values_as_before(value):
 
 
 def test_internal_error_is_exit_3_with_a_json_document(capsys, monkeypatch):
-    def broken(decl):
+    def broken(gf, opts, config=None):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(germlab.analyses, "milnor", broken)
+    monkeypatch.setitem(germlab.analyses.COMMANDS, "milnor", broken)
     code, out, err = run_cli(capsys, "milnor", f"{CORPUS}/mfx1.germ")
     assert code == 3
     assert json.loads(out) == {"schema_version": 1, "error": {

@@ -1,9 +1,12 @@
+import argparse
 import copy
 import dataclasses
 import json
 
 import pytest
 
+from germlab import analyses
+from germlab.cli import build_parser
 from germlab.corpus import (
     DATA_DIR,
     check_value,
@@ -157,6 +160,53 @@ def _cli_json(capsys, *argv):
     return json.loads(capsys.readouterr().out)
 
 
+def _command_parsers(parser=None, prefix=()):
+    """{analysis name: (argv prefix, subparser)} for each analysis command."""
+    out = {}
+    for action in (parser or build_parser())._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub.get_default("analysis"):
+                    out[sub.get_default("analysis")] = (prefix + (name,), sub)
+                out.update(_command_parsers(sub, prefix + (name,)))
+    return out
+
+
+COMMAND_PARSERS = _command_parsers()
+ROW_ONLY_KEYS = {"analysis", "file", "checks"}
+
+
+def test_every_analysis_command_is_a_cli_subcommand():
+    assert sorted(COMMAND_PARSERS) == sorted(analyses.COMMANDS)
+    for name, (prefix, _) in COMMAND_PARSERS.items():
+        assert "-".join(prefix) == name
+
+
+def test_command_rows_use_only_their_commands_option_names(manifest):
+    rows = {entry_id: row for entry_id, row in manifest["entries"].items()
+            if row["analysis"] in analyses.COMMANDS}
+    assert sorted(rows) == ["comp48", "e21", "ent1", "esum", "ex1", "exaa",
+                            "incl", "mfx1", "mhx1"]
+    for entry_id, row in rows.items():
+        _, parser = COMMAND_PARSERS[row["analysis"]]
+        dests = {action.dest for action in parser._actions}
+        assert set(row) - dests - ROW_ONLY_KEYS == set(), entry_id
+
+
+def _row_argv(row):
+    """The germlab argv for a row naming a command, its keys as options."""
+    prefix, parser = COMMAND_PARSERS[row["analysis"]]
+    flags = {action.dest: action.option_strings[0]
+             for action in parser._actions if action.option_strings}
+    argv = [*prefix, str(DATA_DIR / row["file"])]
+    for key, value in row.items():
+        if key in ROW_ONLY_KEYS:
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            argv += [flags[key]] if item is True else [flags[key], str(item)]
+    return argv
+
+
 def _cli_view(capsys, row):
     """What the CLI prints for a corpus row, with the row's options."""
     path = str(DATA_DIR / row["file"])
@@ -165,27 +215,10 @@ def _cli_view(capsys, row):
         return {g["name"]: {**g, **_cli_json(capsys, "hwc", path,
                                              "--germ", g["name"])}
                 for g in _cli_json(capsys, "parse", path)["germs"]}
-    if kind in ("milnor", "hwc"):
-        return _cli_json(capsys, kind, path)
     if kind == "product":
         return _cli_json(capsys, "construct", "product", path)
-    if kind == "sum":
-        return _cli_json(capsys, "construct", "sum", path,
-                         "--left", row["left"], "--right", row["right"])
-    if kind == "witness":
-        doc = _cli_json(capsys, "witness", path, "--witness", row["witness"])
-        return doc["results"][row["witness"]]
-    if kind == "family":
-        return _cli_json(capsys, "probe-b", path, "--witness", row["witness"])
-    mode = {"compose-closure": "exact", "compose-inclusion": "inclusion"}[kind]
-    argv = ["compose-check", path, "--inner", row["inner"],
-            "--outer", row["outer"], "--mode", mode, "--set", row["set"]]
-    if "claim" in row:
-        argv += ["--claim", row["claim"]]
-    for side in ("inner", "outer"):
-        for fact in row.get(f"declare_{side}", ()):
-            argv += [f"--declare-{side}", fact]
-    return _cli_json(capsys, *argv)
+    doc = _cli_json(capsys, *_row_argv(row))
+    return doc["results"][row["witness"]] if kind == "witness" else doc
 
 
 @pytest.mark.parametrize("entry", FAST_ROWS)
