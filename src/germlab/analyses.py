@@ -56,6 +56,16 @@ def _declare_and_derive(rep: RegularityReport, facts) -> None:
     rep.derive()
 
 
+SAMPLING = ("seed", "samples", "radius")
+
+
+def _refuse(opts, names, where: str) -> None:
+    """A usage error for the first option in names given in opts."""
+    given = [name for name in names if opts.get(name) is not None]
+    if given:
+        raise GermlabUsage(f"--{given[0].replace('_', '-')} has no effect with {where}")
+
+
 def _pick(table: dict, name: str, what: str, where: str = ""):
     """table[name], or a usage error listing the names the file has."""
     if name not in table:
@@ -196,8 +206,7 @@ def probe_b(gf, opts, config=None) -> dict:
     rep = RegularityReport(germ_name=germ.label())
     witness_name, set_name = opts.get("witness"), opts.get("set")
     if witness_name:
-        if set_name:
-            raise GermlabUsage("--set has no effect with --witness")
+        _refuse(opts, ("set", *SAMPLING), "--witness")
         if decl.kind != "map" or witness_name not in decl.witnesses:
             raise GermlabUsage(f"no witness named {witness_name!r}")
         spec = decl.witnesses[witness_name]
@@ -225,13 +234,19 @@ def compose_check(gf, opts, config=None) -> dict:
     inner, outer = gf.single(opts["inner"]), gf.single(opts["outer"])
     head = {"command": "compose-check", "mode": mode,
             "inner": inner.name, "outer": outer.name}
-    if mode != "exact" and opts.get("claim"):
-        raise GermlabUsage(f"--claim has no effect with --mode {mode}")
     if mode == "sampled":
+        # The probe draws a fixed number of seeds, so --samples sizes nothing.
+        _refuse(opts, ("claim", "set", "declare_inner", "declare_outer",
+                       "samples"), "--mode sampled")
         finding = composition_sampled_probe(outer.germ, inner.germ, config)
         return {**head, "suspicious": finding.suspicious,
                 "detail": finding.detail, "record": finding.record,
                 "samples": finding.samples, "seed": config.seed}
+    if mode == "inclusion":
+        _refuse(opts, ("claim", *SAMPLING), "--mode inclusion")
+    elif not opts.get("claim"):
+        # In exact mode only the closure separation of --claim samples.
+        _refuse(opts, SAMPLING, "--mode exact without --claim")
     set_name = opts.get("set")
     if not set_name or set_name not in inner.sets:
         known = ", ".join(sorted(inner.sets)) or "none"

@@ -14,6 +14,9 @@ take --seed, --samples and --radius (defaults 0xC0FFEE, 200, 2.0;
 `compose-check --mode exact --claim` samples too: the closure must miss
 Sing G off 0 at --samples x 5 rational points of the --radius cube,
 drawn from the seed's stream "closure-sep", and then on a sparse grid.
+A mode that samples nothing (`probe-b --witness`, `compose-check --mode
+inclusion`, `--mode exact` without --claim) refuses the three flags, and
+`--mode sampled`, which draws a fixed 8 seeds, refuses --samples.
 
 Exit codes: 0 success, 1 analysis rejection (structured reason in the
 JSON error document), 2 usage error (bad flags or GERMLAB_SEED, an

@@ -372,9 +372,8 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
 
     config = config or RunConfig()
     h = compose_exact(outer, inner)
-    a = h.stacked()
-    f_polys, sigma_polys = list(inner.components), h.singular_minors()
-    mil_polys, sing_g_polys = a.minors(a.rows), outer.singular_minors()
+    mil_polys, sigma_polys = h.milnor_minors(), h.singular_minors()
+    f_polys, sing_g_polys = list(inner.components), outer.singular_minors()
     f_fn, f_jac = compile_float(f_polys), compile_jacobian(f_polys)
     sigma_fn, sigma_jac = compile_float(sigma_polys), compile_jacobian(sigma_polys)
     mil_fn, mil_jac = compile_float(mil_polys), compile_jacobian(mil_polys)

@@ -132,10 +132,12 @@ def _hwc_mixed(gf, row, config):
 
 
 def _compose_probe(gf, row, config):
-    exact = analyses.compose_check(gf, {**row, "mode": "exact"}, config)
+    # Each run gets only the options its mode reads.
+    exact = analyses.compose_check(gf, {**row, "mode": "exact", "radius": None}, config)
     if "radius" in row:
         config = dataclasses.replace(config, radius=row["radius"])
-    sampled = analyses.compose_check(gf, {**row, "mode": "sampled"}, config)
+    sampled = analyses.compose_check(
+        gf, {"inner": row["inner"], "outer": row["outer"], "mode": "sampled"}, config)
     # The exact run's flags and report, the sampled run's verdict.
     return {**exact, **sampled}
 

@@ -70,7 +70,17 @@ class RealMapGerm:
 
     def singular_minors(self) -> list[Polynomial]:
         """All p x p minors of the Jacobian; their common zeros are Sing G."""
-        return self.jacobian().minors(self.target_arity)
+        return self.jacobian().minors()
+
+    def milnor_minors(self) -> list[Polynomial]:
+        """The stacked matrix's maximal minors, cutting out M(G); none for m = p."""
+        a = self.stacked()
+        if a.rows > a.cols:
+            raise GermlabRejection(
+                f"stacked matrix of {self.label()} is {a.rows} x {a.cols}: "
+                "no maximal minors cut out its Milnor set",
+                stacked_shape=list(a.shape))
+        return a.minors()
 
     def evaluate(self, values: Sequence) -> list:
         return [g.evaluate(values) for g in self.components]
@@ -120,13 +130,9 @@ def cauchy_binet_sum(germ: RealMapGerm) -> Polynomial:
     """Sum of squared maximal minors of the stacked matrix.
 
     Equal to the Gram determinant; kept as an independent route for
-    property tests and as the residual vector source for sampled probes.
+    property tests.
     """
-    a = germ.stacked()
-    acc = germ.ctx.zero()
-    for m in a.minors(a.rows):
-        acc = acc + m * m
-    return acc
+    return _sum_of_products(germ.ctx, [(m, m) for m in germ.stacked().minors()])
 
 
 # -- rational parametrizations ------------------------------------------

@@ -3,7 +3,8 @@
 Everything downstream (Jacobians, Milnor determinants, pullbacks) reduces to
 the handful of operations defined here, so the module stays deliberately
 small: a term map from exponent tuples to Fractions, graded-lex ordering for
-printing, and a fraction-free determinant.  No floats in any identity.
+printing, and one routine for determinants and maximal minors, first-row
+expansion with memoized sub-minors.  No floats in any identity.
 
 The two hot loops, sums of products and exact division, run on packed
 integers (Monagan & Pearce, "Sparse polynomial division using a heap",
@@ -13,7 +14,7 @@ product is one integer add and a graded-lex comparison is one integer
 compare.  Each factor is scaled to integer numerators over one common
 denominator, so the loops multiply and add ints, not Fractions.  One
 kernel, `_sum_of_products`, serves a single product, a matrix product
-entry, a cofactor determinant and a cleared pullback: every chain of
+entry, one expansion step of a minor and a cleared pullback: every chain of
 factors is multiplied in packed ints and summed in one integer
 accumulator, and the term map is rebuilt once at the end.
 """
@@ -533,72 +534,47 @@ class PolyMatrix:
              for j in range(other.cols)]
             for row in self.entries])
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def minors(self, k: int) -> list[Polynomial]:
-        """All k x k minors, row/column index sets in lexicographic order."""
-        if not 0 < k <= min(self.rows, self.cols):
-            raise ValueError(f"no {k} x {k} minors in a {self.shape} matrix")
-        out = []
-        for ri in combinations(range(self.rows), k):
-            for ci in combinations(range(self.cols), k):
-                out.append(self.submatrix(ri, ci).det())
-        return out
+    def minors(self) -> list[Polynomial]:
+        """All maximal minors, column subsets in lexicographic order."""
+        if self.rows > self.cols:
+            raise ValueError(f"no {self.rows} x {self.rows} minors in a {self.shape} matrix")
+        return _laplace_minors(self.entries, self.ctx, combinations(range(self.cols), self.rows))
 
     def det(self) -> Polynomial:
-        """Exact determinant, fraction-free.
-
-        Cofactor expansion below size 4; Bareiss elimination from size 4 on.
-        All intermediate divisions in the Bareiss sweep are exact in the
-        polynomial ring, so no rational functions ever appear.
-        """
+        """Exact determinant: the one maximal minor of a square matrix."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.shape}")
-        n = self.rows
-        if n < 4:
-            return _cofactor_det(self.entries, self.ctx)
-        return _bareiss_det(self.entries, self.ctx)
+        return _laplace_minors(self.entries, self.ctx, [tuple(range(self.cols))])[0]
 
 
-def _cofactor_det(m: list[list[Polynomial]], ctx: VarContext) -> Polynomial:
+def _laplace_minors(m: list[list[Polynomial]], ctx: VarContext,
+                    column_sets: Iterable[tuple[int, ...]]) -> list[Polynomial]:
+    """The minors of all rows of m on each column set, by first-row expansion.
+
+    A minor on k columns is one `_sum_of_products` over row len(m) - k:
+    chains [entry, sub-minor], led by -1 at odd positions, none for a zero
+    entry.  Sub-minors are memoized by column tuple, so each is built once
+    (Gentleman & Johnson, ACM TOMS 1976).  No division.
+    """
     n = len(m)
-    if n == 1:
-        return m[0][0]
     minus = ctx.const(-1)
-    chains = []
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        sub = [[row[k] for k in range(n) if k != j] for row in m[1:]]
-        chain = [m[0][j], _cofactor_det(sub, ctx)]
-        chains.append(chain if j % 2 == 0 else [minus, *chain])
-    return _sum_of_products(ctx, chains)
+    memo: dict[tuple[int, ...], Polynomial] = {}
 
-
-def _bareiss_det(m: list[list[Polynomial]], ctx: VarContext) -> Polynomial:
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = ctx.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            # Pivot search; a row swap flips the sign.
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
+    def minor(cols: tuple[int, ...]) -> Polynomial:
+        got = memo.get(cols)
+        if got is None:
+            row = m[n - len(cols)]
+            if len(cols) == 1:
+                got = row[cols[0]]
             else:
-                return ctx.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                elt = m[k][k] * m[i][j]
-                if not (m[i][k].is_zero() or m[k][j].is_zero()):
-                    elt = elt - m[i][k] * m[k][j]
-                if k:
-                    elt = elt.exact_div(prev)
-                m[i][j] = elt
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else -d
+                chains = []
+                for t, j in enumerate(cols):
+                    if row[j].is_zero():
+                        continue
+                    chain = [row[j], minor(cols[:t] + cols[t + 1:])]
+                    chains.append([minus, *chain] if t % 2 else chain)
+                got = _sum_of_products(ctx, chains)
+            memo[cols] = got
+        return got
+
+    return [minor(cols) for cols in column_sets]

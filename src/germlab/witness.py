@@ -24,7 +24,7 @@ from germlab.germs import (
     milnor_data,
     pullback_numerator,
 )
-from germlab.poly import Polynomial, VarContext
+from germlab.poly import Polynomial, VarContext, _sum_of_products
 
 
 def normal_vector_along_curve(germ: RealMapGerm, gamma: CurveFamily,
@@ -118,10 +118,9 @@ def thom_irregularity_witness(germ: RealMapGerm, spec: WitnessSpec) -> WitnessOu
     pairings: dict[str, Polynomial] = {}
     for pname in phi.params.names:
         tangent = phi.tangent_numerators(pname)
-        acc = gamma.params.zero()
-        for lead, tnum in zip(limit.leading, tangent):
-            acc = acc + lead * tnum.lift(gamma.params)
-        pairings[pname] = acc
+        pairings[pname] = _sum_of_products(
+            gamma.params, [(lead, tnum.lift(gamma.params))
+                           for lead, tnum in zip(limit.leading, tangent)])
 
     nonzero = {k: v for k, v in pairings.items() if not v.is_zero()}
     if nonzero:
@@ -268,10 +267,7 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
             raise GermlabRejection(
                 "family limit leaves the central fiber",
                 component=g.text())
-    acc = at_zero[0].ctx.zero()
-    for p in at_zero:
-        acc = acc + p * p
-    if acc.is_zero():
+    if _sum_of_products(at_zero[0].ctx, [(p, p) for p in at_zero]).is_zero():
         raise GermlabRejection(
             "family limit is the origin for every spectator value; "
             "no accumulation away from 0")
@@ -320,8 +316,7 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     )
 
     config = config or RunConfig()
-    a = germ.stacked()
-    minors = a.minors(a.rows)
+    minors = germ.milnor_minors()
     comps = list(germ.components)
     comp_fn, comp_scale = compile_float(comps), compile_scale(comps)
     minor_fn, minor_jac = compile_float(minors), compile_jacobian(minors)

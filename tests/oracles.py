@@ -311,10 +311,9 @@ def scipy_composition_ladder(outer, inner, config) -> dict | None:
         return refine(lambda x: weight * fn(x), t, extra=lambda x: x - t)
 
     h = compose_exact(outer, inner)
-    a = h.stacked()
     f_fn = compile_float(list(inner.components))
     sigma_fn = compile_float(h.singular_minors())
-    mil_fn = compile_float(a.minors(a.rows))
+    mil_fn = compile_float(h.milnor_minors())
     sing_g_fn = compile_float(outer.singular_minors())
 
     rng = derive_rng(config.seed, f"compose:{h.label()}")

@@ -210,6 +210,10 @@ COMPOSE_EXACT = ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48",
                  "--outer", "G48", "--mode", "exact", "--set", "MH",
                  "--claim", "closure"]
 PROBE_SAMPLED = ["probe-b", f"{CORPUS}/exaa.germ", "--set", "V"]
+COMPOSE_SAMPLED = ["compose-check", f"{CORPUS}/contra.germ", "--inner", "FC",
+                   "--outer", "GC", "--mode", "sampled", "--radius", "0.5"]
+COMPOSE_INCLUSION = ["compose-check", f"{CORPUS}/incl.germ", "--inner", "FI",
+                     "--outer", "GI", "--mode", "inclusion", "--set", "MH"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -238,12 +242,57 @@ def test_samples_and_radius_must_be_finite_and_positive(capsys, argv):
     (["compose-check", f"{CORPUS}/contra.germ", "--inner", "FC", "--outer",
       "GC", "--mode", "sampled", "--claim", "closure"],
      "--claim", "--mode sampled"),
+    *[(["probe-b", f"{CORPUS}/mhx1.germ", "--witness", "fam", flag, value],
+       flag, "--witness")
+      for flag, value in [("--seed", "5"), ("--samples", "3"),
+                          ("--radius", "0.5")]],
+    *[([*COMPOSE_SAMPLED, flag, value], flag, "--mode sampled")
+      for flag, value in [("--set", "MH"), ("--declare-inner", "condition_b"),
+                          ("--declare-outer", "disc_zero"), ("--samples", "3")]],
+    *[([*COMPOSE_INCLUSION, flag, value], flag, "--mode inclusion")
+      for flag, value in [("--seed", "5"), ("--samples", "3"),
+                          ("--radius", "0.5")]],
+    *[([*COMPOSE_EXACT[:-2], flag, value], flag, "--mode exact without --claim")
+      for flag, value in [("--seed", "5"), ("--samples", "3"),
+                          ("--radius", "0.5")]],
 ])
 def test_an_option_the_mode_never_reads_is_a_usage_error(
         capsys, argv, flag, mode):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"germlab: {flag} has no effect with {mode}\n"
+
+
+EQUIDIMENSIONAL = """\
+map sq : R^2 -> R^2
+vars x, y
+G1 = x^2 - y^2
+G2 = x*y
+assert_set V {
+  (s1, s1)
+}
+
+map id2 : R^2 -> R^2
+vars x, y
+G1 = x
+G2 = y
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe-b", "--germ", "sq", "--set", "V"],
+    ["compose-check", "--inner", "id2", "--outer", "sq", "--mode", "sampled"],
+])
+def test_sampled_probes_reject_an_equidimensional_germ(tmp_path, capsys, argv):
+    # For m = p the stacked matrix is (p + 1) x p and has no maximal minor.
+    path = tmp_path / "sq.germ"
+    path.write_text(EQUIDIMENSIONAL)
+    code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["reason"].endswith(
+        "is 3 x 2: no maximal minors cut out its Milnor set")
+    assert error["details"] == {"stacked_shape": [3, 2]}
 
 
 def test_exact_commands_refuse_sampling_flags(capsys):

@@ -1,7 +1,7 @@
 """The packed-integer kernels against the schoolbook oracles.
 
 The sum-of-products kernel (behind `Polynomial.__mul__`, `PolyMatrix.__matmul__`,
-the cofactor determinant and `pullback_numerator`) and `Polynomial.exact_div`
+the minors and determinants of `PolyMatrix` and `pullback_numerator`) and `Polynomial.exact_div`
 pack exponent vectors into ints and scale coefficients to integer
 numerators.  Here they are checked against the plain loops over raw term
 dicts in `oracles.py`: equal term dicts in equal insertion order (float
@@ -10,6 +10,7 @@ verdict on inexact division.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,17 +199,30 @@ def test_matmul_matches_chained_loop(case):
 
 
 @st.composite
-def square_matrices(draw):
-    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return n, [[draw(term_dicts(n)) for _ in range(size)] for _ in range(size)]
+def matrices(draw, max_rows, max_cols=None):
+    """(arity, rows x cols term dicts), square when max_cols is None."""
+    n, rows = draw(st.integers(1, 3)), draw(st.integers(1, max_rows))
+    cols = rows if max_cols is None else draw(st.integers(rows, max_cols))
+    return n, [[draw(term_dicts(n)) for _ in range(cols)] for _ in range(rows)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(square_matrices())
+@given(matrices(5))
 def test_cofactor_det_matches_oracle(case):
     n, m = case
     got = PolyMatrix([[poly(n, e) for e in row] for row in m]).det()
     assert_matches(got, cofactor_det(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(4, 6))
+def test_minors_match_the_oracle_on_each_column_subset(case):
+    n, m = case
+    got = PolyMatrix([[poly(n, e) for e in row] for row in m]).minors()
+    subsets = list(combinations(range(len(m[0])), len(m)))
+    assert len(got) == len(subsets)
+    for minor, cols in zip(got, subsets):
+        assert_matches(minor, cofactor_det([[row[j] for j in cols] for row in m]))
 
 
 @st.composite

@@ -34,19 +34,17 @@ def probe_lists() -> dict[str, list[Polynomial]]:
     """The polynomial lists the two sampled probes compile."""
     exaa = parse_path(CORPUS / "exaa.germ").single("exaa")
     g = exaa.germ
-    a = g.stacked()
-    lists = {"exaa-minors": a.minors(a.rows),
+    lists = {"exaa-minors": g.milnor_minors(),
              "exaa-components": list(g.components)}
     for i, phi in enumerate(exaa.sets["V"]):
         lists[f"exaa-fiber{i}"] = list(phi.numerators) + list(phi.denominators)
     contra = parse_path(CORPUS / "contra.germ")
     inner, outer = contra.single("FC").germ, contra.single("GC").germ
     h = compose_exact(outer, inner)
-    ah = h.stacked()
     lists.update({
         "contra-inner": list(inner.components),
         "contra-sigma": h.singular_minors(),
-        "contra-milnor": ah.minors(ah.rows),
+        "contra-milnor": h.milnor_minors(),
         "contra-sing-outer": outer.singular_minors(),
     })
     return lists
@@ -141,15 +139,10 @@ MHX1 = parse_text("map mhx1 : R^3 -> R^2\nvars x,y,z\nG1 = x*y\nG2 = z^2\n"
                   ).single().germ
 
 
-def milnor_minors(germ):
-    a = germ.stacked()
-    return a.minors(a.rows)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name, minors", [
     ("exaa", LISTS["exaa-minors"]),
-    ("mhx1", milnor_minors(MHX1)),
+    ("mhx1", MHX1.milnor_minors()),
     ("contra", LISTS["contra-milnor"]),
 ])
 def test_refine_batch_accepts_where_scipy_does(seed, name, minors):
