@@ -28,7 +28,7 @@ from germlab.germs import (
     milnor_data,
     pullback_numerator,
 )
-from germlab.poly import Polynomial, VarContext
+from germlab.poly import Polynomial, VarContext, _sum_of_products, substitute
 
 
 def compose_exact(outer: RealMapGerm, inner: RealMapGerm) -> RealMapGerm:
@@ -37,11 +37,7 @@ def compose_exact(outer: RealMapGerm, inner: RealMapGerm) -> RealMapGerm:
         raise GermlabRejection(
             "arity mismatch in composition",
             outer_source=outer.source_arity, inner_target=inner.target_arity)
-    vals = list(inner.components)
-    comps = tuple(g.evaluate(vals) for g in outer.components)
-    comps = tuple(
-        c if isinstance(c, Polynomial) else inner.ctx.const(c) for c in comps
-    )
+    comps = tuple(substitute(g, inner.components) for g in outer.components)
     return RealMapGerm(ctx=inner.ctx, components=comps,
                        name=f"{outer.label()}o{inner.label()}")
 
@@ -54,19 +50,47 @@ def compose_parametrization(inner: RealMapGerm, phi: Parametrization,
     exactness of the cleared numerator is the pullback identity used
     everywhere else.
     """
-    nums, dens = [], []
-    for g in inner.components:
-        nums.append(pullback_numerator(g, phi))
-        d = phi.params.one()
-        for j, n in enumerate(inner.ctx.names):
-            k = g.degree_in(n)
-            if k:
-                d = d * phi.denominators[j] ** k
-        dens.append(d)
+    dens = tuple(
+        _sum_of_products(phi.params, [[d ** g.degree_in(n) for d, n in
+                                       zip(phi.denominators, inner.ctx.names)]])
+        for g in inner.components)
     return Parametrization(
         target=target, params=phi.params,
-        numerators=tuple(nums), denominators=tuple(dens),
-        name=f"F({phi.name})")
+        numerators=tuple(pullback_numerator(g, phi) for g in inner.components),
+        denominators=dens, name=f"F({phi.name})")
+
+
+def _verified_images(outer: RealMapGerm, inner: RealMapGerm,
+                     milnor_components: list[Parametrization]):
+    """H = outer o inner and the F-image of each declared M(H) component.
+
+    Each component must annihilate H's Milnor polynomial; the first that
+    does not is a rejection.
+    """
+    h = compose_exact(outer, inner)
+    mp_h = milnor_data(h).milnor_poly
+    images = []
+    for phi in milnor_components:
+        num = pullback_numerator(mp_h, phi)
+        if not num.is_zero():
+            raise GermlabRejection(
+                f"declared component {phi.name} does not annihilate the "
+                "Milnor polynomial of the composition",
+                component=phi.name, pullback=num.text())
+        images.append(compose_parametrization(inner, phi, target=outer.ctx))
+    return h, images
+
+
+def _declared_report(outer: RealMapGerm, inner: RealMapGerm,
+                     declared_inner: set[str],
+                     declared_outer: set[str]) -> RegularityReport:
+    """A report for outer o inner listing the declared facts as assumptions."""
+    report = RegularityReport(germ_name=f"{outer.label()}o{inner.label()}")
+    for side, germ, facts in (("inner", inner, declared_inner),
+                              ("outer", outer, declared_outer)):
+        report.assumptions += [f"{side} germ {germ.label()}: {fact} (declared)"
+                               for fact in sorted(facts)]
+    return report
 
 
 @dataclass(frozen=True)
@@ -104,24 +128,16 @@ def composition_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
     intersection with Sing G is then probed at points drawn from config
     (RunConfig() when None) - a sampled statement, flagged as such.
     """
-    h = compose_exact(outer, inner)
-    md_h = milnor_data(h)
+    h, images = _verified_images(outer, inner, milnor_components)
     jac_minors_h = h.singular_minors()
     sing_minors_g = outer.singular_minors()
 
     findings = []
     violation = None
     flagged = []
-    for phi in milnor_components:
-        num = pullback_numerator(md_h.milnor_poly, phi)
-        if not num.is_zero():
-            raise GermlabRejection(
-                f"declared component {phi.name} does not annihilate the "
-                "Milnor polynomial of the composition",
-                component=phi.name, pullback=num.text())
+    for phi, image_g in zip(milnor_components, images):
         inside_sing = all(
             pullback_numerator(m, phi).is_zero() for m in jac_minors_h)
-        image_g = compose_parametrization(inner, phi, target=outer.ctx)
         origin_only = all(n.is_zero() for n in image_g.numerators)
         in_sing_g = all(
             pullback_numerator(m, image_g).is_zero() for m in sing_minors_g)
@@ -206,14 +222,9 @@ def composition_report(outer: RealMapGerm, inner: RealMapGerm,
     declared inputs are recorded as assumptions; nothing here verifies
     them.
     """
-    h_name = f"{outer.label()}o{inner.label()}"
-    report = RegularityReport(germ_name=h_name)
     declared_inner = declared_inner or set()
     declared_outer = declared_outer or set()
-    for fact in sorted(declared_inner):
-        report.assumptions.append(f"inner germ {inner.label()}: {fact} (declared)")
-    for fact in sorted(declared_outer):
-        report.assumptions.append(f"outer germ {outer.label()}: {fact} (declared)")
+    report = _declared_report(outer, inner, declared_inner, declared_outer)
 
     have = ({"condition_b", "disc_zero"} <= declared_inner
             and "disc_zero" in declared_outer)
@@ -276,18 +287,10 @@ def image_in_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
     """
     if not milnor_components:
         return InclusionCheck(verified=(), failed=(), no_data=True)
-    h = compose_exact(outer, inner)
-    md_h = milnor_data(h)
+    _, images = _verified_images(outer, inner, milnor_components)
     mp_g = milnor_data(outer).milnor_poly
     ok, bad = [], []
-    for phi in milnor_components:
-        num = pullback_numerator(md_h.milnor_poly, phi)
-        if not num.is_zero():
-            raise GermlabRejection(
-                f"declared component {phi.name} does not annihilate the "
-                "Milnor polynomial of the composition",
-                component=phi.name, pullback=num.text())
-        image = compose_parametrization(inner, phi, target=outer.ctx)
+    for phi, image in zip(milnor_components, images):
         if pullback_numerator(mp_g, image).is_zero():
             ok.append(phi.name)
         else:
@@ -300,14 +303,9 @@ def inclusion_report(outer: RealMapGerm, inner: RealMapGerm,
                      declared_inner: set[str] | None = None,
                      declared_outer: set[str] | None = None) -> RegularityReport:
     """Fiber-limit transfer along a verified Milnor-set inclusion."""
-    h_name = f"{outer.label()}o{inner.label()}"
-    report = RegularityReport(germ_name=h_name)
     declared_inner = declared_inner or set()
     declared_outer = declared_outer or set()
-    for fact in sorted(declared_inner):
-        report.assumptions.append(f"inner germ {inner.label()}: {fact} (declared)")
-    for fact in sorted(declared_outer):
-        report.assumptions.append(f"outer germ {outer.label()}: {fact} (declared)")
+    report = _declared_report(outer, inner, declared_inner, declared_outer)
     if check.no_data:
         report.note("no declared Milnor components; no data")
         return report

@@ -5,15 +5,19 @@ LaurentPoly values: finitely many powers of t, each weighted by an exact
 polynomial in the spectator parameters.  Substituting such a vector into a
 germ component stays inside the same ring, so limits as t -> 0 reduce to
 reading off the minimal surviving power of t.
+
+`_laurent_sum_of_products` is one poly-kernel sum of products per power of
+t.  LaurentPoly's sums and products, `CurveFamily.pullback` (`substitute`
+over it) and `witness.normal_vector_along_curve` all run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from germlab.poly import Polynomial, VarContext, _power, _sum_of_products
+from germlab.poly import Polynomial, VarContext, _power, _sum_of_products, substitute
 
 
 class LaurentPoly:
@@ -73,19 +77,16 @@ class LaurentPoly:
             return LaurentPoly.from_poly(other)
         return other
 
+    def _checked_sum(self, other, chains):
+        if other.ctx != self.ctx:
+            raise ValueError(f"spectator context mismatch: {self.ctx!r} vs {other.ctx!r}")
+        return _laurent_sum_of_products(self.ctx, chains)
+
     def __add__(self, other):
         other = self._coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        parts = dict(self.parts)
-        for k, p in other.parts.items():
-            s = parts.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                parts.pop(k, None)
-            else:
-                parts[k] = s
-        return LaurentPoly(self.ctx, parts)
+        return self._checked_sum(other, [(self,), (other,)])
 
     __radd__ = __add__
 
@@ -103,15 +104,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if other.ctx != self.ctx:
-            raise ValueError(f"spectator context mismatch: {self.ctx!r} vs {other.ctx!r}")
-        # One sum of products per power of t, over the part pairs landing there.
-        chains: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
-        for k1, p1 in self.parts.items():
-            for k2, p2 in other.parts.items():
-                chains.setdefault(k1 + k2, []).append((p1, p2))
-        return LaurentPoly(self.ctx, {k: _sum_of_products(self.ctx, c)
-                                      for k, c in chains.items()})
+        return self._checked_sum(other, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -137,10 +130,7 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.ctx.names, frozenset((k, p) for k, p in self.parts.items())))
 
-    # -- evaluation and printing ----------------------------------------
-
-    def evaluate(self, t: float, svals: Sequence[float]) -> float:
-        return sum(float(p.evaluate(svals)) * t**k for k, p in self.parts.items())
+    # -- printing --------------------------------------------------------
 
     def text(self) -> str:
         if not self.parts:
@@ -165,6 +155,25 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
+def _laurent_sum_of_products(ctx: VarContext,
+                             chains: Iterable[Sequence[LaurentPoly]]) -> LaurentPoly:
+    """The sum over chains of each chain's product, in the Laurent ring.
+
+    Each choice of one part per factor lands on the sum of the chosen
+    powers of t.  Each power is one `_sum_of_products` over the choices
+    landing there, in chain order and then in the factors' part order, so
+    the powers come out in the order they first appear.
+    """
+    choices: dict[int, list[list[Polynomial]]] = {}
+    for chain in chains:
+        picks: list[tuple[int, list[Polynomial]]] = [(0, [])]
+        for f in chain:
+            picks = [(k + j, ps + [p]) for k, ps in picks for j, p in f.parts.items()]
+        for k, ps in picks:
+            choices.setdefault(k, []).append(ps)
+    return LaurentPoly(ctx, {k: _sum_of_products(ctx, c) for k, c in choices.items()})
+
+
 @dataclass(frozen=True)
 class CurveFamily:
     """A parametrized arc t -> gamma(t; s) into a germ's source space."""
@@ -184,10 +193,7 @@ class CurveFamily:
         """p(gamma(t)), exact in the Laurent ring."""
         if p.ctx != self.target:
             raise ValueError("polynomial not over the curve's target")
-        v = p.evaluate(list(self.coords))
-        if isinstance(v, Fraction):
-            return LaurentPoly.const(self.params, v)
-        return v
+        return substitute(p, self.coords, _laurent_sum_of_products, LaurentPoly.const)
 
     def limit_coords(self) -> tuple[Polynomial, ...] | None:
         """Coordinates of gamma(0), or None when some coordinate blows up."""
@@ -200,9 +206,6 @@ class CurveFamily:
                 return None
             out.append(c.coefficient(0))
         return tuple(out)
-
-    def evaluate(self, t: float, svals: Sequence[float]) -> list[float]:
-        return [c.evaluate(t, svals) for c in self.coords]
 
     def text(self) -> str:
         return "(" + ", ".join(c.text() for c in self.coords) + ")"

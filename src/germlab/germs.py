@@ -9,7 +9,8 @@ an overall constant into them.
 
 Parametrizations are tuples of rational functions used for declared set
 components.  Membership claims never decompose varieties: they are checked
-by exact pullback, with denominators cleared monomial by monomial.
+by exact pullback, with denominators cleared monomial by monomial in one
+`poly.substitute` call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
+from germlab.poly import Polynomial, PolyMatrix, VarContext, substitute
 
 
 class GermlabRejection(Exception):
@@ -126,15 +127,6 @@ def milnor_data(germ: RealMapGerm) -> MilnorData:
     return MilnorData(germ=germ, stacked=a, milnor_poly=mp, square_det=None)
 
 
-def cauchy_binet_sum(germ: RealMapGerm) -> Polynomial:
-    """Sum of squared maximal minors of the stacked matrix.
-
-    Equal to the Gram determinant; kept as an independent route for
-    property tests.
-    """
-    return _sum_of_products(germ.ctx, [(m, m) for m in germ.stacked().minors()])
-
-
 # -- rational parametrizations ------------------------------------------
 
 
@@ -229,28 +221,7 @@ def pullback_numerator(p: Polynomial, phi: Parametrization) -> Polynomial:
     if phi.target != p.ctx:
         raise ValueError(
             f"parametrization targets {phi.target!r}, polynomial lives in {p.ctx!r}")
-    degs = [p.degree_in(n) for n in p.ctx.names]
-    cache: dict[tuple[int, int, bool], Polynomial] = {}
-
-    def power(i: int, k: int, num: bool) -> Polynomial:
-        key = (i, k, num)
-        if key not in cache:
-            base = phi.numerators[i] if num else phi.denominators[i]
-            cache[key] = base**k
-        return cache[key]
-
-    chains = []
-    for e, c in p.terms.items():
-        chain = [phi.params.const(c)]
-        for i, k in enumerate(e):
-            if degs[i] == 0:
-                continue
-            if k:
-                chain.append(power(i, k, True))
-            if degs[i] - k:
-                chain.append(power(i, degs[i] - k, False))
-        chains.append(chain)
-    return _sum_of_products(phi.params, chains)
+    return substitute(p, phi.numerators, denominators=phi.denominators)
 
 
 def pullback_vanishes(p: Polynomial, phi: Parametrization) -> PullbackResult:

@@ -14,9 +14,12 @@ product is one integer add and a graded-lex comparison is one integer
 compare.  Each factor is scaled to integer numerators over one common
 denominator, so the loops multiply and add ints, not Fractions.  One
 kernel, `_sum_of_products`, serves a single product, a matrix product
-entry, one expansion step of a minor and a cleared pullback: every chain of
-factors is multiplied in packed ints and summed in one integer
-accumulator, and the term map is rebuilt once at the end.
+entry, one expansion step of a minor and, through `substitute`, each
+substitution of ring values (`pullback_numerator`, `compose_exact`, the
+family limit of `condition_b_family_check` and, on the Laurent kernel of
+`curves`, `CurveFamily.pullback`): every chain of factors is multiplied in
+packed ints and summed in one integer accumulator, and the term map is
+rebuilt once at the end.  `Polynomial.evaluate` is the scalar loop.
 """
 
 from __future__ import annotations
@@ -373,22 +376,21 @@ class Polynomial:
         return tuple(self.diff(n) for n in self.ctx.names)
 
     def evaluate(self, values: Sequence):
-        """Substitute values for the variables, left to right.
+        """The value at a point: Fractions (exact) or floats (cross-checks).
 
-        Values may be Fractions (exact), floats (approximate cross-checks
-        only), or Polynomials over another context (composition).
+        Ring values work too, one product at a time, but germlab sends
+        them through `substitute`.
         """
         if len(values) != self.ctx.arity:
             raise ValueError(
                 f"expected {self.ctx.arity} values, got {len(values)}")
-        total = None
+        total = Fraction(0)
         for e, c in self.terms.items():
-            term = c
             for v, k in zip(values, e):
                 if k:
-                    term = term * v ** k
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+                    c = c * v ** k
+            total = total + c
+        return total
 
     def lift(self, ctx: VarContext) -> "Polynomial":
         """Reinterpret over a larger context containing this one's names."""
@@ -489,6 +491,33 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
+
+
+def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products,
+               const=VarContext.const, denominators: Sequence | None = None):
+    """p(v_1, ..., v_m) in the ring of the values, as one sum of products.
+
+    The term c * x^e is the chain [const(ctx, c), v_1^e_1, ...] over the
+    values' context ctx, and the chains go to sum_of_products(ctx, chains)
+    in term order, each power built once.  With denominators d_i, each x_i
+    is cleared to its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i,
+    and the result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.
+    """
+    if len(values) != p.ctx.arity:
+        raise ValueError(f"expected {p.ctx.arity} values, got {len(values)}")
+    ctx = values[0].ctx
+    power = lru_cache(maxsize=None)(pow)
+    degs = [p.degree_in(n) for n in p.ctx.names] if denominators else None
+    chains = []
+    for e, c in p.terms.items():
+        chain = [const(ctx, c)]
+        for i, k in enumerate(e):
+            if k:
+                chain.append(power(values[i], k))
+            if degs and degs[i] > k:
+                chain.append(power(denominators[i], degs[i] - k))
+        chains.append(chain)
+    return sum_of_products(ctx, chains)
 
 
 class PolyMatrix:

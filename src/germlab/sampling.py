@@ -149,19 +149,16 @@ def compile_scale(polys: Sequence[Polynomial]):
     return f
 
 
-def refine_on_variety(fn, jac, X0, extra=None, extra_jac=None):
+def refine_on_variety(fn, jac, X0, extra, extra_jac):
     """Rows of X0 refined by refine_batch onto the common zero set of fn.
 
     fn and jac are compiled evaluators (see compile_float and
-    compile_jacobian).  extra, when given, appends per-row residuals
-    (N, e) to fn's, with Jacobians (N, e, m) from extra_jac; the ladders
-    use it to hold a gap or pin a continuation target.  Returns the
-    refined rows.
+    compile_jacobian).  extra appends per-row residuals (N, e) to fn's,
+    with Jacobians (N, e, m) from extra_jac; the ladders use it to hold a
+    gap or pin a continuation target, and nearest_on_variety to pull
+    toward its targets.  Returns the refined rows.
     """
     import numpy as np
-
-    if extra is None:
-        return refine_batch(fn, jac, X0)[0]
 
     def resid(X):
         return np.concatenate([fn(X), extra(X)], axis=-1)

@@ -6,8 +6,7 @@ paths c(t; s).  The normal candidate n(t) = sum c_i grad G_i(gamma(t))
 gets a direction limit as t -> 0; a nonzero inner product against a
 stratum tangent vector certifies that limiting normals escape the
 stratum's conormal, which is exactly the failure of the Thom condition
-along that stratum.  Every step is exact; floats appear only in the
-optional numeric replay used by tests.
+along that stratum.  Every step of a witness check is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from germlab.certify import RegularityReport
-from germlab.curves import CurveFamily, DirectionLimit, LaurentPoly, direction_limit
+from germlab.curves import (
+    CurveFamily,
+    DirectionLimit,
+    LaurentPoly,
+    _laurent_sum_of_products,
+    direction_limit,
+)
 from germlab.dsl import WitnessSpec
 from germlab.germs import (
     GermlabRejection,
@@ -24,7 +29,7 @@ from germlab.germs import (
     milnor_data,
     pullback_numerator,
 )
-from germlab.poly import Polynomial, VarContext, _sum_of_products
+from germlab.poly import Polynomial, VarContext, _sum_of_products, substitute
 
 
 def normal_vector_along_curve(germ: RealMapGerm, gamma: CurveFamily,
@@ -35,14 +40,9 @@ def normal_vector_along_curve(germ: RealMapGerm, gamma: CurveFamily,
     coeffs = list(coeffs)
     if len(coeffs) != germ.target_arity:
         raise ValueError(f"{len(coeffs)} coefficients for {germ.target_arity} components")
-    out = []
-    for j, name in enumerate(germ.ctx.names):
-        acc = LaurentPoly.const(gamma.params, 0)
-        for c, g in zip(coeffs, germ.components):
-            part = gamma.pullback(g.diff(name))
-            acc = acc + c * part
-        out.append(acc)
-    return out
+    return [_laurent_sum_of_products(gamma.params, [
+        (c, gamma.pullback(g.diff(name))) for c, g in zip(coeffs, germ.components)])
+        for name in germ.ctx.names]
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,8 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
     at_zero = family.limit_coords()
     if at_zero is None:
         raise GermlabRejection("family escapes to infinity as t -> 0")
-    zero_pt = tuple(0 for _ in at_zero)
     for g in germ.components:
-        val = g.evaluate(list(at_zero))
-        if not (val.is_zero() if isinstance(val, Polynomial) else val == 0):
+        if not substitute(g, at_zero).is_zero():
             raise GermlabRejection(
                 "family limit leaves the central fiber",
                 component=g.text())

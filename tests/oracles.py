@@ -12,7 +12,7 @@ oracle for the solver and the batching, not for those.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 
 def leibniz_det(rows: list[list[Fraction]]) -> Fraction:
@@ -181,11 +181,28 @@ def cofactor_det(m: list[list[dict]]) -> dict:
     return acc
 
 
-def cleared_pullback(p: dict, nums: list[dict], dens: list[dict], arity: int) -> dict:
+def cauchy_binet_sum(rows: list[list[dict]]) -> dict:
+    """Sum of the squared maximal minors of a p x m term-dict matrix, p <= m.
+
+    By the Cauchy-Binet formula this is det(A A^T), the Gram determinant;
+    each minor comes from `cofactor_det`, column subsets in lexicographic
+    order.
+    """
+    acc: dict = {}
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        minor = cofactor_det([[row[j] for j in cols] for row in rows])
+        _add_into(acc, schoolbook_mul(minor, minor))
+    return acc
+
+
+def cleared_pullback(p: dict, nums: list[dict], arity: int,
+                     dens: list[dict] | None = None) -> dict:
     """Numerator of p(n_1/d_1, ..., n_m/d_m), each x_i cleared to its degree in p.
 
     The monomial c * prod x_i^e_i contributes the chain
-    c, n_i^e_i, d_i^(deg_i - e_i), ... over the variables in order.
+    c, n_i^e_i, d_i^(deg_i - e_i), ... over the variables in order.  With no
+    denominators the chain is c, n_i^e_i, ...: p(n_1, ..., n_m) summed term
+    by term, the order of a composition.
     """
     degs = [max((e[i] for e in p), default=0) for i in range(len(nums))]
     chains = []
@@ -194,7 +211,7 @@ def cleared_pullback(p: dict, nums: list[dict], dens: list[dict], arity: int) ->
         for i, k in enumerate(e):
             if k:
                 chain.append(schoolbook_pow(nums[i], k, arity))
-            if degs[i] - k:
+            if dens and degs[i] - k:
                 chain.append(schoolbook_pow(dens[i], degs[i] - k, arity))
         chains.append(chain)
     return chained_sum(chains)

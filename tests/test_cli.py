@@ -69,9 +69,11 @@ def test_parse_missing_file_is_usage_error(capsys):
 
 
 def test_console_script_exit_code_for_missing_file():
+    # The child imports the germlab under test, installed or not.
+    src = str(Path(germlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "germlab.cli", "parse", "does_not_exist.germ"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2
 
 

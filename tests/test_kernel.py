@@ -1,21 +1,28 @@
 """The packed-integer kernels against the schoolbook oracles.
 
 The sum-of-products kernel (behind `Polynomial.__mul__`, `PolyMatrix.__matmul__`,
-the minors and determinants of `PolyMatrix` and `pullback_numerator`) and `Polynomial.exact_div`
+the minors and determinants of `PolyMatrix`, and `substitute`, which
+`pullback_numerator` and `compose_exact` call) and `Polynomial.exact_div`
 pack exponent vectors into ints and scale coefficients to integer
 numerators.  Here they are checked against the plain loops over raw term
 dicts in `oracles.py`: equal term dicts in equal insertion order (float
-evaluation sums terms in that order), equal canonical text, and the same
-verdict on inexact division.
+evaluation sums terms in that order, and the sampled composition probe
+compiles H's minors in it), equal canonical text, and the same verdict on
+inexact division.  The Laurent kernel behind `CurveFamily.pullback` is
+checked by value at rational (t, s) points against term-dict loops.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from germlab.germs import Parametrization, pullback_numerator
+from germlab.compose import compose_exact
+from germlab.corpus import DATA_DIR
+from germlab.curves import CurveFamily, LaurentPoly
+from germlab.dsl import parse_path
+from germlab.germs import Parametrization, RealMapGerm, pullback_numerator
 from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
 
 from oracles import (chained_sum, cleared_pullback, cofactor_det, schoolbook_div,
@@ -236,6 +243,10 @@ def pullbacks(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(pullbacks())
+# x then x^2 along (s^2 + 3)/(s + 1): x's chain c, n, d orders its terms
+# s^3, s^2, 3s, 3, and c, d, n would order them s^3, 3s, s^2, 3.
+@example((1, 1, {(1,): Fraction(1), (2,): Fraction(1)},
+          [{(2,): Fraction(1), (0,): Fraction(3)}], [{(1,): Fraction(1), (0,): Fraction(1)}]))
 def test_pullback_numerator_matches_oracle(case):
     m, k, p, nums, dens = case
     params = VarContext([f"s{i}" for i in range(k)])
@@ -243,7 +254,95 @@ def test_pullback_numerator_matches_oracle(case):
                           numerators=tuple(Polynomial(params, t) for t in nums),
                           denominators=tuple(Polynomial(params, t) for t in dens))
     got = pullback_numerator(poly(m, p), phi)
-    assert_matches(got, cleared_pullback(p, nums, dens, k))
+    assert_matches(got, cleared_pullback(p, nums, k, dens))
+
+
+@st.composite
+def compositions(draw):
+    """(n, inner, outer): components of F: R^n -> R^k and G: R^k -> R^q."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    q = draw(st.integers(1, k))
+
+    def germ_terms(arity, count):
+        # A germ component vanishes at 0, so it has no constant term.
+        return [{e: c for e, c in draw(term_dicts(arity, max_exp=2, max_terms=3)).items()
+                 if any(e)} for _ in range(count)]
+
+    return n, germ_terms(n, k), germ_terms(k, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(compositions())
+def test_compose_exact_matches_the_uncleared_pullback(case):
+    n, inner, outer = case
+    f = RealMapGerm(CONTEXTS[n], tuple(poly(n, t) for t in inner))
+    g = RealMapGerm(CONTEXTS[len(inner)], tuple(poly(len(inner), t) for t in outer))
+    h = compose_exact(g, f)
+    for got, comp in zip(h.components, outer):
+        assert_matches(got, cleared_pullback(comp, inner, n))
+
+
+@pytest.mark.parametrize("fname, inner, outer", [
+    ("comp48.germ", "F48", "G48"), ("contra.germ", "FC", "GC"), ("incl.germ", "FI", "GI")])
+def test_corpus_compositions_keep_their_term_order(fname, inner, outer):
+    # The sampled composition probe compiles H's minors in H's term order,
+    # so its floats depend on it.  The term-by-term loop of `evaluate` over
+    # ring values is the order compose_exact has always had.
+    decls = parse_path(DATA_DIR / fname)
+    f, g = decls.single(inner).germ, decls.single(outer).germ
+    h = compose_exact(g, f)
+    values = list(f.components)
+    for got, comp in zip(h.components, g.components):
+        assert_matches(got, cleared_pullback(comp.terms, [v.terms for v in values],
+                                             f.ctx.arity))
+        assert list(got.terms.items()) == list(comp.evaluate(values).terms.items())
+
+
+def term_value(terms: dict, point) -> Fraction:
+    total = Fraction(0)
+    for e, c in terms.items():
+        for v, k in zip(point, e):
+            c *= v**k
+        total += c
+    return total
+
+
+def laurent_value(parts: dict, t: Fraction, s) -> Fraction:
+    return sum((term_value(q, s) * t**k for k, q in parts.items()), Fraction(0))
+
+
+@st.composite
+def curve_pullbacks(draw):
+    """(m, k, p, coords): p over m variables, coords as {power of t: term dict}."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    p = draw(term_dicts(m, max_exp=2, max_terms=4))
+    parts = st.dictionaries(st.integers(-2, 2), term_dicts(k, max_exp=2, max_terms=3),
+                            max_size=3)
+    return m, k, p, [draw(parts) for _ in range(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_pullbacks())
+@example((2, 1, {(1, 1): Fraction(3), (0, 2): Fraction(-1)},
+          [{-1: {(1,): Fraction(1)}, 2: {(0,): Fraction(2)}}, {}]))  # a zero coordinate
+@example((2, 1, {(0, 0): Fraction(5, 3)},
+          [{-2: {(0,): Fraction(1)}}, {1: {(1,): Fraction(-1)}}]))  # a constant p
+@example((1, 2, {(3,): Fraction(1), (1,): Fraction(-2)},
+          [{-2: {(1, 0): Fraction(1)}, -1: {(0, 1): Fraction(-1, 2)}}]))  # negative powers
+def test_curve_pullback_matches_the_value_at_rational_points(case):
+    m, k, p, coords = case
+    params = CONTEXTS[k]
+    gamma = CurveFamily(target=CONTEXTS[m], params=params, coords=tuple(
+        LaurentPoly(params, {j: Polynomial(params, q) for j, q in c.items()})
+        for c in coords))
+    got = gamma.pullback(poly(m, p))
+    parts = {j: q.terms for j, q in got.parts.items()}
+    spectators = [(Fraction(1, 3),) * k, (Fraction(-2),) * k, (Fraction(5, 4), Fraction(-1, 6))[:k]]
+    for t in (Fraction(1, 2), Fraction(-3), Fraction(2, 7)):
+        for s in spectators:
+            want = term_value(p, [laurent_value(c, t, s) for c in coords])
+            assert laurent_value(parts, t, s) == want
 
 
 def test_chain_products_that_cancel_and_reappear():
