@@ -144,6 +144,13 @@ def certify(gf, opts, config=None) -> dict:
 
 def construct_sum(gf, opts, config=None) -> dict:
     """`germlab construct sum` of --left and --right, or of a two-germ file."""
+    thom = bool(opts.get("declare_thom_summands"))
+    codim = bool(opts.get("declare_codim_matches"))
+    if thom != codim:
+        # The separable-thom transfer reads the two declarations together.
+        flags = ("--declare-thom-summands", "--declare-codim-matches")
+        given, missing = flags if thom else flags[::-1]
+        raise GermlabUsage(f"{given} has no effect without {missing}")
     names = opts.get("left"), opts.get("right")
     if any(names):
         if not all(names):
@@ -156,8 +163,7 @@ def construct_sum(gf, opts, config=None) -> dict:
             "construct sum needs a two-germ file or --left/--right names")
     out, frame = separable_sum(left.germ, right.germ)
     rep = separable_sum_report(
-        out, frame, declared_thom_summands=opts.get("declare_thom_summands"),
-        declared_codim_matches=opts.get("declare_codim_matches"))
+        out, frame, declared_thom_summands=thom, declared_codim_matches=codim)
     return {"command": "construct-sum", "left": left.name,
             "right": right.name, "germ": out.label(),
             "components": [c.text() for c in out.components],

@@ -1,4 +1,4 @@
-"""Germ description language: parser and resolver.
+"""Germ description language: a one-pass parser.
 
 Line-oriented declarations of polynomial map germs and mixed (conjugate-
 aware) germs, together with attached metadata blocks: named set components
@@ -13,12 +13,21 @@ with Laurent expansions in the tube variable t.
       (0, s1, s2)
     }
 
-Parsing is recursive descent over a hand-rolled token stream; every error
-carries a line and column plus the tokens that would have been accepted.
-Resolution turns the syntax into exact objects (RealMapGerm, Parametrization,
-CurveFamily) and performs the semantic checks the syntax cannot: declared
-variables only, matching arities, vanishing at the origin, conj and i
-restricted to mixed declarations, negative powers restricted to t.
+Parsing is recursive descent over a hand-rolled token stream that builds
+the exact objects (RealMapGerm, Parametrization, CurveFamily) as it reads.
+Each component, assert_set block and assert_poly is evaluated where it is
+parsed, over the context that the header and the vars line fix; sets and
+polynomials use the real coordinates, realified for a mixed germ.  A
+witness block may name a set declared after it, so witnesses resolve at
+the end of their declaration.
+
+Errors carry a line, a column and the tokens that would have been
+accepted, and come in source order.  A line or block is checked for syntax
+before meaning (declared variables only, matching arities, vanishing at
+the origin, conj and i only in mixed declarations, negative powers only
+on t), and a duplicate germ, component, set, polynomial or witness name
+is caught where it is read.  Only the component count, witness blocks on
+a mixed germ and the witnesses themselves wait for the declaration's end.
 
 One evaluator, eval_expr, reads every expression.  What differs between
 map and assert_poly lines (Polynomial), mixed components (MixedPolynomial),
@@ -31,13 +40,13 @@ and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from germlab.curves import CurveFamily, LaurentPoly
 from germlab.germs import Parametrization, RealMapGerm, realify_mixed
-from germlab.mixed import ComplexRational, I, MixedPolynomial
+from germlab.mixed import ComplexRational, I, MixedPolynomial, realified_context
 from germlab.poly import MAX_ARITY, Polynomial, VarContext
 
 KEYWORDS = {"map", "mixed", "vars", "assert_set", "assert_poly", "witness"}
@@ -116,21 +125,14 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-# -- syntax trees --------------------------------------------------------
+# -- parser ----------------------------------------------------------------
 # Expressions are tagged tuples; var/conj/div/pow keep their position for
-# semantic errors reported after parsing.
-
-
-@dataclass(frozen=True)
-class SetDecl:
-    name: str
-    lines: list  # list of list-of-AST (one tuple per component)
-    line: int
-    col: int
+# the semantic errors eval_expr reports.
 
 
 @dataclass(frozen=True)
 class WitnessDecl:
+    """A parsed witness block, resolved at the end of its declaration."""
     name: str
     stratum: str | None
     gamma: list | None
@@ -138,21 +140,6 @@ class WitnessDecl:
     assumptions: tuple[str, ...]
     line: int
     col: int
-
-
-@dataclass
-class RawDecl:
-    kind: str  # "map" | "mixed"
-    name: str
-    source_arity: int
-    target_arity: int
-    var_names: list[str] | None
-    components: list  # (name, ast, line, col)
-    sets: dict[str, SetDecl] = field(default_factory=dict)
-    polys: dict[str, tuple] = field(default_factory=dict)  # name -> (ast, line, col)
-    witnesses: dict[str, WitnessDecl] = field(default_factory=dict)
-    line: int = 0
-    col: int = 0
 
 
 class _Parser:
@@ -195,9 +182,7 @@ class _Parser:
 
     def end_line(self):
         t = self.peek()
-        if t.kind == "EOF":
-            return
-        if t.kind != "NEWLINE":
+        if t.kind not in ("NEWLINE", "EOF"):
             self.fail(f"found {t.value!r} after a complete line",
                       expected=("end of line",))
         self.skip_newlines()
@@ -275,27 +260,90 @@ class _Parser:
 
     # -- declarations ----------------------------------------------------
 
-    def parse_file(self) -> list[RawDecl]:
-        decls = []
+    def parse_file(self) -> GermFile:
+        by_name: dict[str, object] = {}
         self.skip_newlines()
         while self.peek().kind != "EOF":
-            decls.append(self.parse_decl())
+            decl = self.parse_decl(by_name)
+            by_name[decl.name] = decl
             self.skip_newlines()
-        if not decls:
+        if not by_name:
             self.fail("empty input", expected=("'map'", "'mixed'"))
-        return decls
+        return GermFile(decls=tuple(by_name.values()), by_name=by_name)
 
-    def parse_decl(self) -> RawDecl:
-        t = self.peek()
-        if self.at_word("map"):
-            return self.parse_header("map")
-        if self.at_word("mixed"):
-            return self.parse_header("mixed")
-        self.fail(f"found {t.value!r}", expected=("'map'", "'mixed'"))
-
-    def parse_header(self, kind: str) -> RawDecl:
+    def parse_decl(self, seen: dict):
+        if not (self.at_word("map") or self.at_word("mixed")):
+            self.fail(f"found {self.peek().value!r}",
+                      expected=("'map'", "'mixed'"))
         head = self.advance()
-        name = self.expect("IDENT", "germ name")
+        kind = head.value
+        name = self.expect("IDENT", "germ name").value
+        if name in seen:
+            raise GermParseError(f"duplicate germ name {name!r}",
+                                 head.line, head.col)
+        src, tgt = self.parse_arities(kind)
+        ctx = VarContext(self.parse_vars(kind, src))
+        # Sets and polynomials live over the real coordinates; zero is the
+        # key of a component's constant term.
+        real_ctx = ctx if kind == "map" else realified_context(ctx)
+        real = _real(real_ctx)
+        if kind == "map":
+            alg, zero = real, (0,) * ctx.arity
+        else:
+            alg, zero = _mixed(ctx), ((0,) * ctx.arity,) * 2
+        comps, sets, polys, witnesses = {}, {}, {}, {}
+        while True:
+            t = self.peek()
+            if (t.kind == "IDENT" and t.value not in KEYWORDS
+                    and self.toks[self.i + 1].kind == "="):
+                last = self.advance()
+                if last.value in comps:
+                    raise GermParseError(f"duplicate component {last.value!r}",
+                                         last.line, last.col)
+                self.advance()  # '='
+                ast = self.parse_expr()
+                self.end_line()
+                value = eval_expr(ast, alg)
+                if zero in value.terms:
+                    raise GermParseError(
+                        f"component {last.value!r} does not vanish at the origin",
+                        last.line, last.col)
+                comps[last.value] = value
+            elif self.at_word("assert_set"):
+                self.parse_assert_set(sets, real_ctx)
+            elif self.at_word("assert_poly"):
+                self.parse_assert_poly(polys, real)
+            elif self.at_word("witness"):
+                self.parse_witness(witnesses)
+            else:
+                break
+
+        if not comps:
+            self.fail("declaration has no components",
+                      expected=("component line",))
+        if len(comps) != tgt:
+            raise GermParseError(
+                f"{len(comps)} components for target arity {tgt}",
+                last.line, last.col)
+        if kind == "mixed":
+            if witnesses:
+                wd = next(iter(witnesses.values()))
+                raise GermParseError(
+                    "witness blocks attach to map declarations; realify first",
+                    wd.line, wd.col)
+            (cname, f), = comps.items()
+            return ResolvedMixedGerm(name=name, ctx=ctx, component_name=cname,
+                                     poly=f, realified=realify_mixed([f], name=name),
+                                     sets=sets, polys=polys)
+        return ResolvedMapGerm(
+            name=name,
+            germ=RealMapGerm(ctx=ctx, components=tuple(comps.values()), name=name),
+            component_names=tuple(comps), sets=sets, polys=polys,
+            witnesses={n: _resolve_witness(wd, ctx, sets, tgt)
+                       for n, wd in witnesses.items()})
+
+    def parse_arities(self, kind: str) -> tuple[int, int]:
+        """The rest of the header line after the germ name."""
         self.expect(":", "':'")
         space = "R" if kind == "map" else "C"
         self.expect_word(space)
@@ -307,93 +355,49 @@ class _Parser:
         if kind == "map":
             self.expect("^", "'^'")
             tgt_tok = self.expect("INT", "target arity")
-            tgt = int(tgt_tok.value)
-        else:
-            tgt_tok = src_tok
-            tgt = 1
         limit = MAX_ARITY if kind == "map" else MAX_ARITY // 2
         if not 1 <= src <= limit:
             raise GermParseError(f"source arity {src} out of range 1..{limit}",
                                  src_tok.line, src_tok.col)
-        if kind == "map" and not 1 <= tgt <= src:
+        tgt = int(tgt_tok.value) if kind == "map" else 1  # C^n -> C
+        if not 1 <= tgt <= src:
             raise GermParseError(
                 f"target arity {tgt} must lie in 1..{src}",
                 tgt_tok.line, tgt_tok.col)
         self.end_line()
+        return src, tgt
 
-        decl = RawDecl(kind=kind, name=name.value, source_arity=src,
-                       target_arity=tgt, var_names=None, components=[],
-                       line=head.line, col=head.col)
-
-        if self.at_word("vars"):
+    def parse_vars(self, kind: str, src: int) -> list[str]:
+        """The vars line, or x1, x2, ... (z1, ... if mixed) without one."""
+        if not self.at_word("vars"):
+            prefix = "x" if kind == "map" else "z"
+            return [f"{prefix}{i + 1}" for i in range(src)]
+        self.advance()
+        names = [self.expect("IDENT", "variable name")]
+        while self.peek().kind == ",":
             self.advance()
-            names = [self.expect("IDENT", "variable name")]
-            while self.peek().kind == ",":
-                self.advance()
-                names.append(self.expect("IDENT", "variable name"))
-            decl.var_names = [t.value for t in names]
-            for t in names:
-                if decl.var_names.count(t.value) > 1:
-                    raise GermParseError(
-                        f"duplicate variable {t.value!r}", t.line, t.col)
-                if kind == "mixed" and t.value == "i":
-                    raise GermParseError(
-                        "'i' is the imaginary unit in a mixed declaration",
-                        t.line, t.col)
-            if len(decl.var_names) != src:
+            names.append(self.expect("IDENT", "variable name"))
+        var_names = [t.value for t in names]
+        for t in names:
+            if var_names.count(t.value) > 1:
                 raise GermParseError(
-                    f"{len(decl.var_names)} variables declared for source arity {src}",
-                    names[0].line, names[0].col)
-            self.end_line()
-
-        while True:
-            t = self.peek()
-            if t.kind == "IDENT" and t.value not in KEYWORDS:
-                nxt = self.toks[self.i + 1]
-                if nxt.kind != "=":
-                    break
-                cname = self.advance()
-                self.advance()  # '='
-                ast = self.parse_expr()
-                if any(c[0] == cname.value for c in decl.components):
-                    raise GermParseError(
-                        f"duplicate component {cname.value!r}",
-                        cname.line, cname.col)
-                decl.components.append((cname.value, ast, cname.line, cname.col))
-                self.end_line()
-                continue
-            if self.at_word("assert_set"):
-                s = self.parse_assert_set()
-                if s.name in decl.sets:
-                    raise GermParseError(
-                        f"duplicate set {s.name!r}", s.line, s.col)
-                decl.sets[s.name] = s
-                continue
-            if self.at_word("assert_poly"):
-                self.parse_assert_poly(decl)
-                continue
-            if self.at_word("witness"):
-                w = self.parse_witness()
-                if w.name in decl.witnesses:
-                    raise GermParseError(
-                        f"duplicate witness {w.name!r}", w.line, w.col)
-                decl.witnesses[w.name] = w
-                continue
-            break
-
-        if not decl.components:
-            self.fail("declaration has no components",
-                      expected=("component line",))
-        if len(decl.components) != (tgt if kind == "map" else 1):
-            want = tgt if kind == "map" else 1
+                    f"duplicate variable {t.value!r}", t.line, t.col)
+            if kind == "mixed" and t.value == "i":
+                raise GermParseError(
+                    "'i' is the imaginary unit in a mixed declaration",
+                    t.line, t.col)
+        if len(var_names) != src:
             raise GermParseError(
-                f"{len(decl.components)} components for target arity {want}",
-                decl.components[-1][2], decl.components[-1][3])
-        return decl
+                f"{len(var_names)} variables declared for source arity {src}",
+                names[0].line, names[0].col)
+        self.end_line()
+        return var_names
 
-    def parse_assert_set(self) -> SetDecl:
+    def parse_assert_set(self, sets: dict, target: VarContext):
         head = self.advance()
-        name = self.expect("IDENT", "set name")
+        name = self.expect("IDENT", "set name").value
+        if name in sets:
+            raise GermParseError(f"duplicate set {name!r}", head.line, head.col)
         self.expect("{", "'{'")
         self.skip_newlines()
         lines = []
@@ -405,13 +409,33 @@ class _Parser:
         if not lines:
             raise GermParseError("assert_set block is empty",
                                  head.line, head.col)
-        return SetDecl(name=name.value, lines=lines,
-                       line=head.line, col=head.col)
+        comps = []
+        for idx, tup in enumerate(lines):
+            where = f"set {name!r} line {idx + 1}"
+            if len(tup) != target.arity:
+                raise GermParseError(
+                    f"{where} has {len(tup)} entries for {target.arity} variables",
+                    head.line, head.col)
+            pnames = _params_of(tup)
+            clash = [n for n in pnames if n in target.names]
+            if clash:
+                raise GermParseError(
+                    f"set {name!r} reuses germ variable {clash[0]!r} as a parameter",
+                    head.line, head.col)
+            ctx = _param_context(pnames, where, head.line, head.col)
+            alg = _rational(ctx)
+            rats = [eval_expr(ast, alg) for ast in tup]
+            comps.append(Parametrization(
+                target=target, params=ctx,
+                numerators=tuple(r.num for r in rats),
+                denominators=tuple(r.den for r in rats),
+                name=f"{name}[{idx}]"))
+        sets[name] = comps
 
-    def parse_assert_poly(self, decl: RawDecl):
-        head = self.advance()
+    def parse_assert_poly(self, polys: dict, alg: _Algebra):
+        self.advance()
         name = self.expect("IDENT", "polynomial name")
-        if name.value in decl.polys:
+        if name.value in polys:
             raise GermParseError(f"duplicate assert_poly {name.value!r}",
                                  name.line, name.col)
         self.expect("{", "'{'")
@@ -420,16 +444,17 @@ class _Parser:
         self.end_line()
         self.expect("}", "'}'")
         self.end_line()
-        decl.polys[name.value] = (ast, head.line, head.col)
+        polys[name.value] = eval_expr(ast, alg)
 
-    def parse_witness(self) -> WitnessDecl:
+    def parse_witness(self, witnesses: dict):
         head = self.advance()
-        name = self.expect("IDENT", "witness name")
+        name = self.expect("IDENT", "witness name").value
+        if name in witnesses:
+            raise GermParseError(f"duplicate witness {name!r}",
+                                 head.line, head.col)
         self.expect("{", "'{'")
         self.skip_newlines()
-        stratum = None
-        gamma = None
-        coeffs = None
+        stratum = gamma = coeffs = None
         assumptions: list[str] = []
         while self.peek().kind == "IDENT":
             word = self.advance()
@@ -451,9 +476,9 @@ class _Parser:
         if gamma is None:
             raise GermParseError("witness block needs a gamma line",
                                  head.line, head.col)
-        return WitnessDecl(name=name.value, stratum=stratum, gamma=gamma,
-                           coeffs=coeffs, assumptions=tuple(assumptions),
-                           line=head.line, col=head.col)
+        witnesses[name] = WitnessDecl(
+            name=name, stratum=stratum, gamma=gamma, coeffs=coeffs,
+            assumptions=tuple(assumptions), line=head.line, col=head.col)
 
 
 # -- semantic evaluation -------------------------------------------------
@@ -701,31 +726,6 @@ def _param_context(names: list[str], what: str, line: int, col: int) -> VarConte
     return VarContext(names or ["s0"])
 
 
-def _resolve_set(sd: SetDecl, target: VarContext) -> list[Parametrization]:
-    comps = []
-    for idx, tup in enumerate(sd.lines):
-        if len(tup) != target.arity:
-            raise GermParseError(
-                f"set {sd.name!r} line {idx + 1} has {len(tup)} entries "
-                f"for {target.arity} variables", sd.line, sd.col)
-        pnames = _params_of(tup)
-        clash = [n for n in pnames if n in target.names]
-        if clash:
-            raise GermParseError(
-                f"set {sd.name!r} reuses germ variable {clash[0]!r} as a parameter",
-                sd.line, sd.col)
-        ctx = _param_context(pnames, f"set {sd.name!r} line {idx + 1}",
-                             sd.line, sd.col)
-        alg = _rational(ctx)
-        rats = [eval_expr(ast, alg) for ast in tup]
-        comps.append(Parametrization(
-            target=target, params=ctx,
-            numerators=tuple(r.num for r in rats),
-            denominators=tuple(r.den for r in rats),
-            name=f"{sd.name}[{idx}]"))
-    return comps
-
-
 def _resolve_witness(wd: WitnessDecl, target: VarContext,
                      sets: dict[str, list[Parametrization]],
                      target_arity: int) -> WitnessSpec:
@@ -765,9 +765,8 @@ def _resolve_witness(wd: WitnessDecl, target: VarContext,
     gamma = CurveFamily(
         target=target, params=ctx,
         coords=tuple(eval_expr(ast, alg) for ast in wd.gamma))
-    coeffs = None
-    if wd.coeffs is not None:
-        coeffs = tuple(eval_expr(ast, alg) for ast in wd.coeffs)
+    coeffs = (None if wd.coeffs is None
+              else tuple(eval_expr(ast, alg) for ast in wd.coeffs))
     if stratum is not None and stratum.params.names != ctx.names:
         # Re-express the stratum over the witness's joint parameter context.
         stratum = Parametrization(
@@ -779,68 +778,8 @@ def _resolve_witness(wd: WitnessDecl, target: VarContext,
                        stratum=stratum, assumptions=frozenset(wd.assumptions))
 
 
-def resolve(decl: RawDecl):
-    if decl.var_names is None:
-        prefix = "x" if decl.kind == "map" else "z"
-        decl.var_names = [f"{prefix}{i + 1}" for i in range(decl.source_arity)]
-        if decl.kind == "mixed" and "i" in decl.var_names:
-            raise GermParseError("'i' cannot be a default variable name",
-                                 decl.line, decl.col)
-
-    ctx = VarContext(decl.var_names)
-    if decl.kind == "map":
-        alg = _real(ctx)
-        zero = (Fraction(0),) * ctx.arity
-        comps = []
-        for cname, ast, line, col in decl.components:
-            p = eval_expr(ast, alg)
-            if p.evaluate(zero) != 0:
-                raise GermParseError(
-                    f"component {cname!r} does not vanish at the origin",
-                    line, col)
-            comps.append(p)
-        germ = RealMapGerm(ctx=ctx, components=tuple(comps), name=decl.name)
-    else:
-        (cname, ast, line, col), = decl.components
-        f = eval_expr(ast, _mixed(ctx))
-        zero_key = ((0,) * ctx.arity, (0,) * ctx.arity)
-        if zero_key in f.terms:
-            raise GermParseError(
-                f"component {cname!r} does not vanish at the origin", line, col)
-        germ = realify_mixed([f], name=decl.name)
-
-    sets = {n: _resolve_set(sd, germ.ctx) for n, sd in decl.sets.items()}
-    alg = _real(germ.ctx)
-    polys = {pname: eval_expr(ast, alg) for pname, (ast, _, _) in decl.polys.items()}
-    if decl.kind == "mixed":
-        if decl.witnesses:
-            wd = next(iter(decl.witnesses.values()))
-            raise GermParseError(
-                "witness blocks attach to map declarations; realify first",
-                wd.line, wd.col)
-        return ResolvedMixedGerm(name=decl.name, ctx=ctx, component_name=cname,
-                                 poly=f, realified=germ, sets=sets, polys=polys)
-    witnesses = {
-        n: _resolve_witness(wd, ctx, sets, germ.target_arity)
-        for n, wd in decl.witnesses.items()
-    }
-    return ResolvedMapGerm(name=decl.name, germ=germ,
-                           component_names=tuple(c[0] for c in decl.components),
-                           sets=sets, polys=polys, witnesses=witnesses)
-
-
 def parse_text(text: str) -> GermFile:
-    decls = _Parser(tokenize(text)).parse_file()
-    resolved = []
-    seen = {}
-    for d in decls:
-        if d.name in seen:
-            raise GermParseError(f"duplicate germ name {d.name!r}",
-                                 d.line, d.col)
-        r = resolve(d)
-        seen[d.name] = r
-        resolved.append(r)
-    return GermFile(decls=tuple(resolved), by_name=seen)
+    return _Parser(tokenize(text)).parse_file()
 
 
 def parse_path(path) -> GermFile:

@@ -277,6 +277,6 @@ def realify_mixed(fs, name: str = "") -> RealMapGerm:
         if f.ctx != ctx:
             raise ValueError(f"mixed components over different contexts: "
                              f"{ctx!r} vs {f.ctx!r}")
-        re, im = f.realify(rctx)
+        re, im = f.realify()
         comps.extend([re, im])
     return RealMapGerm(ctx=rctx, components=tuple(comps), name=name)

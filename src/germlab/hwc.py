@@ -67,9 +67,8 @@ def hwc_check(germ: RealMapGerm) -> ConformalFrameResult:
 
 
 def certify_frame(germ: RealMapGerm,
-                  result: ConformalFrameResult | None = None) -> RegularityReport:
+                  result: ConformalFrameResult) -> RegularityReport:
     """Report with the frame fact installed and its consequences derived."""
-    result = result if result is not None else hwc_check(germ)
     report = RegularityReport(germ_name=germ.label())
     if result.holds:
         report.add_fact("hwc", "hwc-exact")

@@ -229,7 +229,7 @@ class MixedPolynomial:
 
     # -- realification ---------------------------------------------------
 
-    def realify(self, real_ctx: VarContext | None = None) -> tuple[Polynomial, Polynomial]:
+    def realify(self) -> tuple[Polynomial, Polynomial]:
         """Real and imaginary parts over interleaved real coordinates.
 
         z_j = v_re + i*v_im where v is the complex variable's name; the real
@@ -241,17 +241,13 @@ class MixedPolynomial:
         sends the chain to the real (k even) or imaginary (k odd) sum with
         the sign of i^k.
         """
-        real_ctx, (re, im) = self._realify_chains(real_ctx)
+        real_ctx, (re, im) = self._realify_chains()
         return _sum_of_products(real_ctx, re), _sum_of_products(real_ctx, im)
 
-    def _realify_chains(self, real_ctx: VarContext | None = None):
+    def _realify_chains(self):
         """realify's context and its (real, imaginary) lists of chains."""
         n = self.ctx.arity
-        if real_ctx is None:
-            real_ctx = realified_context(self.ctx)
-        if real_ctx.arity != 2 * n:
-            raise ValueError(
-                f"real context {real_ctx!r} needs {2 * n} variables")
+        real_ctx = realified_context(self.ctx)
         gens = real_ctx.gens()
         const = lru_cache(maxsize=None)(real_ctx.const)  # one factor per value
 

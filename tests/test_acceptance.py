@@ -195,13 +195,13 @@ def test_criterion_10_route_agreement(fname, name):
     # 2 d/dz realifies to (u_x + v_y, v_x - u_y); the conjugate derivative
     # flips the inner signs.  Exact identities, every variable.
     rctx = decl.realified.ctx
-    u, v = f.realify(rctx)
+    u, v = f.realify()
     for j, zname in enumerate(decl.ctx.names):
         xr, xi = rctx.names[2 * j], rctx.names[2 * j + 1]
-        lre, lim = (2 * f.dz(zname)).realify(rctx)
+        lre, lim = (2 * f.dz(zname)).realify()
         assert lre == u.diff(xr) + v.diff(xi)
         assert lim == v.diff(xr) - u.diff(xi)
-        bre, bim = (2 * f.dzbar(zname)).realify(rctx)
+        bre, bim = (2 * f.dzbar(zname)).realify()
         assert bre == u.diff(xr) - v.diff(xi)
         assert bim == v.diff(xr) + u.diff(xi)
 

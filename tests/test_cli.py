@@ -445,6 +445,19 @@ def test_construct_sum_declared_transfer(capsys):
     assert "thom_regular" in rep["declared"]
 
 
+@pytest.mark.parametrize("flag, other", [
+    ("--declare-thom-summands", "--declare-codim-matches"),
+    ("--declare-codim-matches", "--declare-thom-summands"),
+])
+def test_construct_sum_one_declared_transfer_flag_is_a_usage_error(
+        capsys, flag, other):
+    # The transfer needs both declarations; one alone would be dropped.
+    code, out, err = run_cli(capsys, "construct", "sum", f"{CORPUS}/esum.germ",
+                             "--left", "quart", "--right", "bilin", flag)
+    assert (code, out) == (2, "")
+    assert err == f"germlab: {flag} has no effect without {other}\n"
+
+
 def test_construct_mixed_algo_matches_corpus_decl(capsys):
     doc = run_json(
         capsys, "construct", "mixed-algo",

@@ -291,6 +291,36 @@ def test_mixed_expression_rejection_texts_are_exact(src, text):
     assert str(exc.value) == text
 
 
+# -- error order -----------------------------------------------------------
+# Each declaration resolves as it is read, so errors come in source order.
+
+
+def test_an_undeclared_variable_is_reported_before_a_later_syntax_error():
+    e = error_of("map g : R^3 -> R^2\nvars x, y, z\nG1 = x*w\nG2 = x*z +\n")
+    assert str(e) == "line 3, col 8: undeclared variable 'w'"
+
+
+def test_a_duplicate_germ_name_is_reported_at_the_second_header():
+    e = error_of(MFX1 + "map mfx1 : R^3 -> R^2\nvars x, y, z\nG1 = x*\nG2 = x*z\n")
+    assert str(e) == "line 5, col 1: duplicate germ name 'mfx1'"
+
+
+def test_a_duplicate_component_is_reported_before_its_expression():
+    e = error_of(MAP2 + "G = x\nG = x +\n")
+    assert str(e) == "line 4, col 1: duplicate component 'G'"
+
+
+def test_a_witness_may_name_a_set_declared_after_it():
+    head = "map ent1 : R^3 -> R^2\nvars x, y, z\nG1 = x\nG2 = y*(x^2 + y^2) + x*z^2\n"
+    axis = "assert_set axis {\n  (0, 0, s)\n}\n"
+    w1 = "witness w1 {\n  stratum axis\n  gamma (t, 0, s)\n  c (-s^2 * t^-1, t^-1)\n}\n"
+    forward = parse_one(head + w1 + axis)
+    w = forward.witnesses["w1"]
+    assert w.stratum == forward.sets["axis"][0]
+    assert w.gamma.params.names == ("s",)
+    assert forward.witnesses == parse_one(head + axis + w1).witnesses
+
+
 # -- generated inputs ------------------------------------------------------
 
 _HEADERS = [

@@ -65,7 +65,7 @@ def test_frame_factor_is_the_shared_gradient_norm():
 
 
 def test_frame_certificate_derives_the_regularity_chain():
-    rep = certify_frame(E21)
+    rep = certify_frame(E21, hwc_check(E21))
     assert rep.facts == {
         "hwc", "disc_zero", "thom_regular", "condition_b",
         "tube_fibration_hypotheses_met",

@@ -59,7 +59,7 @@ def test_conj_and_wirtinger_match_term_dict_oracles(p):
 @given(mixed_polys)
 def test_realify_matches_step_by_step_oracle(p):
     want = mixed_realify(pairs(p), CTX.arity)
-    for got, terms in zip(p.realify(RCTX), want):
+    for got, terms in zip(p.realify(), want):
         assert got.terms == terms
         assert got.text() == Polynomial(RCTX, terms).text()
 
@@ -93,19 +93,19 @@ def test_conjugation_is_an_involution_and_antihom():
 
 @given(mixed_polys, mixed_polys)
 def test_realify_is_additive_and_multiplicative(p, q):
-    pre, pim = p.realify(RCTX)
-    qre, qim = q.realify(RCTX)
-    sre, sim = (p + q).realify(RCTX)
+    pre, pim = p.realify()
+    qre, qim = q.realify()
+    sre, sim = (p + q).realify()
     assert sre == pre + qre and sim == pim + qim
-    mre, mim = (p * q).realify(RCTX)
+    mre, mim = (p * q).realify()
     assert mre == pre * qre - pim * qim
     assert mim == pre * qim + pim * qre
 
 
 @given(mixed_polys)
 def test_realify_conj_flips_imaginary_part(p):
-    re, im = p.realify(RCTX)
-    cre, cim = p.conj().realify(RCTX)
+    re, im = p.realify()
+    cre, cim = p.conj().realify()
     assert cre == re and cim == -im
 
 
@@ -115,13 +115,13 @@ def test_wirtinger_matches_real_derivatives(p, name):
     # conjugate-variable derivative flips the inner signs.
     j = CTX.position(name)
     xr, xi = RCTX.names[2 * j], RCTX.names[2 * j + 1]
-    u, v = p.realify(RCTX)
+    u, v = p.realify()
 
-    lre, lim = (2 * p.dz(name)).realify(RCTX)
+    lre, lim = (2 * p.dz(name)).realify()
     assert lre == u.diff(xr) + v.diff(xi)
     assert lim == v.diff(xr) - u.diff(xi)
 
-    bre, bim = (2 * p.dzbar(name)).realify(RCTX)
+    bre, bim = (2 * p.dzbar(name)).realify()
     assert bre == u.diff(xr) - v.diff(xi)
     assert bim == v.diff(xr) + u.diff(xi)
 
@@ -135,7 +135,7 @@ def test_holomorphic_iff_all_dzbar_vanish(p):
 def test_float_evaluation_agrees_with_realification():
     x, y = var("x"), var("y")
     p = (1 + I) * x * x * cvar("y") - 3 * y
-    re, im = p.realify(RCTX)
+    re, im = p.realify()
     rng = random.Random("mixed-eval")
     for _ in range(20):
         zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)]
