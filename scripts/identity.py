@@ -47,6 +47,10 @@ def commands(root: Path) -> list[list[str]]:
          "G48", "--mode", "exact", "--set", "MH", "--claim", "closure"],
         ["construct", "sum", f"{CORPUS}/esum.germ", "--left", "quart",
          "--right", "bilin"],
+        # the declared separable-thom transfer
+        ["construct", "sum", f"{CORPUS}/esum.germ", "--left", "quart",
+         "--right", "bilin", "--declare-thom-summands",
+         "--declare-codim-matches"],
         # the sampled modes
         ["probe-b", f"{CORPUS}/exaa.germ", "--set", "V"],
         ["compose-check", f"{CORPUS}/contra.germ", "--inner", "FC", "--outer",

@@ -33,7 +33,6 @@ from germlab.hwc import (
     separable_sum,
     separable_sum_report,
 )
-from germlab.sampling import RunConfig
 from germlab.witness import (
     condition_b_family_check,
     condition_b_sampled_probe,
@@ -162,8 +161,7 @@ def construct_sum(gf, opts, config=None) -> dict:
         raise GermlabUsage(
             "construct sum needs a two-germ file or --left/--right names")
     out, frame = separable_sum(left.germ, right.germ)
-    rep = separable_sum_report(
-        out, frame, declared_thom_summands=thom, declared_codim_matches=codim)
+    rep = separable_sum_report(out, frame, declared_thom=thom)
     return {"command": "construct-sum", "left": left.name,
             "right": right.name, "germ": out.label(),
             "components": [c.text() for c in out.components],
@@ -235,7 +233,6 @@ def compose_check(gf, opts, config=None) -> dict:
 
     config seeds the sampled probe and the exact mode's closure separation.
     """
-    config = config or RunConfig()
     mode = opts["mode"]
     inner, outer = gf.single(opts["inner"]), gf.single(opts["outer"])
     head = {"command": "compose-check", "mode": mode,
@@ -279,6 +276,8 @@ def compose_check(gf, opts, config=None) -> dict:
                 "closure_meets_sing_g_only_at_0":
                     chk.closure_meets_sing_g_only_at_0,
                 "detail": chk.detail}
+        if claim:
+            body["seed"] = config.seed
     return {**head, **body, **_certificate(rep)}
 
 

@@ -175,6 +175,8 @@ def cmd_construct_mixed_algo(args) -> int:
                            f"got {len(names)}")
     if "i" in names:
         raise GermlabUsage("--vars cannot name 'i', the imaginary unit")
+    if "conj" in names:
+        raise GermlabUsage("--vars cannot name 'conj', the conjugation conj(...)")
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise GermlabUsage(f"--vars repeats {', '.join(repeated)}")

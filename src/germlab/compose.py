@@ -113,8 +113,8 @@ class CompositionCheck:
 
 def composition_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
                              milnor_components: list[Parametrization],
-                             closure_claim: Polynomial | None = None,
-                             config=None) -> CompositionCheck:
+                             closure_claim: Polynomial | None,
+                             config) -> CompositionCheck:
     """Exact componentwise analysis of M(H) under F.
 
     Every declared component is first verified against milnor_poly(H).
@@ -123,10 +123,10 @@ def composition_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
     Sing H, so such a component is flagged as a violation candidate: it
     witnesses a genuine fiber-limit failure only when M(H) off Sing H
     accumulates on it, which this exact pass cannot decide (the sampled
-    probe hunts for that).  When a closure claim is supplied it must
-    annihilate every F-image of the components off Sing H; its
-    intersection with Sing G is then probed at points drawn from config
-    (RunConfig() when None) - a sampled statement, flagged as such.
+    probe hunts for that).  A closure claim that is not None must
+    annihilate every F-image of the components off Sing H; absent a
+    violation, its intersection with Sing G is then probed at points drawn
+    from config (read only then) - a sampled statement, flagged as such.
     """
     h, images = _verified_images(outer, inner, milnor_components)
     jac_minors_h = h.singular_minors()
@@ -193,9 +193,8 @@ def _closure_meets_sing_g_only_at_0(outer: RealMapGerm,
     sparse grid, which hits axis-aligned strata.  With no such point found
     the separation holds at the sampled scale.
     """
-    from germlab.sampling import RunConfig, derive_rng, rational_points, sparse_grid
+    from germlab.sampling import derive_rng, rational_points, sparse_grid
 
-    config = config or RunConfig()
     minors = outer.singular_minors()
     rng = derive_rng(config.seed, "closure-sep")
     pts = rational_points(rng, outer.source_arity, config.samples * 5,
@@ -212,8 +211,8 @@ def _closure_meets_sing_g_only_at_0(outer: RealMapGerm,
 
 def composition_report(outer: RealMapGerm, inner: RealMapGerm,
                        check: CompositionCheck,
-                       declared_inner: set[str] | None = None,
-                       declared_outer: set[str] | None = None) -> RegularityReport:
+                       declared_inner: set[str],
+                       declared_outer: set[str]) -> RegularityReport:
     """Certificate for the composition from an exact component analysis.
 
     The fiber-limit fact for H transfers from declared facts about F and
@@ -222,8 +221,6 @@ def composition_report(outer: RealMapGerm, inner: RealMapGerm,
     declared inputs are recorded as assumptions; nothing here verifies
     them.
     """
-    declared_inner = declared_inner or set()
-    declared_outer = declared_outer or set()
     report = _declared_report(outer, inner, declared_inner, declared_outer)
 
     have = ({"condition_b", "disc_zero"} <= declared_inner
@@ -300,11 +297,9 @@ def image_in_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
 
 def inclusion_report(outer: RealMapGerm, inner: RealMapGerm,
                      check: InclusionCheck,
-                     declared_inner: set[str] | None = None,
-                     declared_outer: set[str] | None = None) -> RegularityReport:
+                     declared_inner: set[str],
+                     declared_outer: set[str]) -> RegularityReport:
     """Fiber-limit transfer along a verified Milnor-set inclusion."""
-    declared_inner = declared_inner or set()
-    declared_outer = declared_outer or set()
     report = _declared_report(outer, inner, declared_inner, declared_outer)
     if check.no_data:
         report.note("no declared Milnor components; no data")
@@ -338,7 +333,7 @@ class SampledCompositionFinding:
 
 
 def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
-                              config=None) -> SampledCompositionFinding:
+                              config) -> SampledCompositionFinding:
     """Continuation search for M(H) points whose F-images near Sing G.
 
     Accumulation onto Sing G away from 0 means: points of M(H), genuinely
@@ -364,11 +359,10 @@ def composition_sampled_probe(outer: RealMapGerm, inner: RealMapGerm,
     import numpy as np
 
     from germlab.sampling import (
-        R_MIN, TOL_ACCUM, RunConfig, compile_float, compile_jacobian,
+        R_MIN, TOL_ACCUM, compile_float, compile_jacobian,
         derive_rng, nearest_on_variety, refine_on_variety,
     )
 
-    config = config or RunConfig()
     h = compose_exact(outer, inner)
     mil_polys, sigma_polys = h.milnor_minors(), h.singular_minors()
     f_polys, sing_g_polys = list(inner.components), outer.singular_minors()

@@ -25,9 +25,11 @@ Errors carry a line, a column and the tokens that would have been
 accepted, and come in source order.  A line or block is checked for syntax
 before meaning (declared variables only, matching arities, vanishing at
 the origin, conj and i only in mixed declarations, negative powers only
-on t), and a duplicate germ, component, set, polynomial or witness name
-is caught where it is read.  Only the component count, witness blocks on
-a mixed germ and the witnesses themselves wait for the declaration's end.
+on t), and a duplicate germ, component, set, polynomial or witness name,
+a variable named conj and a repeated stratum, gamma or c line in a
+witness block are caught where they are read.  Only the component count,
+witness blocks on a mixed germ and the witnesses themselves wait for the
+declaration's end.
 
 One evaluator, eval_expr, reads every expression.  What differs between
 map and assert_poly lines (Polynomial), mixed components (MixedPolynomial),
@@ -386,6 +388,10 @@ class _Parser:
                 raise GermParseError(
                     "'i' is the imaginary unit in a mixed declaration",
                     t.line, t.col)
+            if t.value == "conj":
+                raise GermParseError(
+                    "'conj' is the conjugation conj(...), not a variable name",
+                    t.line, t.col)
         if len(var_names) != src:
             raise GermParseError(
                 f"{len(var_names)} variables declared for source arity {src}",
@@ -454,16 +460,18 @@ class _Parser:
                                  head.line, head.col)
         self.expect("{", "'{'")
         self.skip_newlines()
-        stratum = gamma = coeffs = None
+        lines: dict = {}  # stratum, gamma and c, each at most once
         assumptions: list[str] = []
         while self.peek().kind == "IDENT":
             word = self.advance()
+            if word.value in lines:
+                raise GermParseError(
+                    f"duplicate {word.value} line in witness {name!r}",
+                    word.line, word.col)
             if word.value == "stratum":
-                stratum = self.expect("IDENT", "set name").value
-            elif word.value == "gamma":
-                gamma = self.parse_tuple()
-            elif word.value == "c":
-                coeffs = self.parse_tuple()
+                lines["stratum"] = self.expect("IDENT", "set name").value
+            elif word.value in ("gamma", "c"):
+                lines[word.value] = self.parse_tuple()
             elif word.value == "assume":
                 assumptions.append(self.expect("IDENT", "assumption name").value)
             else:
@@ -473,12 +481,13 @@ class _Parser:
             self.end_line()
         self.expect("}", "'}'")
         self.end_line()
-        if gamma is None:
+        if "gamma" not in lines:
             raise GermParseError("witness block needs a gamma line",
                                  head.line, head.col)
         witnesses[name] = WitnessDecl(
-            name=name, stratum=stratum, gamma=gamma, coeffs=coeffs,
-            assumptions=tuple(assumptions), line=head.line, col=head.col)
+            name=name, stratum=lines.get("stratum"), gamma=lines["gamma"],
+            coeffs=lines.get("c"), assumptions=tuple(assumptions),
+            line=head.line, col=head.col)
 
 
 # -- semantic evaluation -------------------------------------------------
@@ -743,6 +752,10 @@ def _resolve_witness(wd: WitnessDecl, target: VarContext,
                 wd.line, wd.col)
         stratum = comps[0]
         stratum_params = list(stratum.params.names)
+        if "t" in stratum_params:
+            raise GermParseError(
+                f"stratum set {wd.stratum!r} has a parameter 't', the tube "
+                f"variable of witness {wd.name!r}", wd.line, wd.col)
 
     if len(wd.gamma) != target.arity:
         raise GermParseError(

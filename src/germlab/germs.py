@@ -171,9 +171,6 @@ class Parametrization:
         """Declared dimension: the number of parameters."""
         return self.params.arity
 
-    def is_polynomial(self) -> bool:
-        return all(d.is_constant() for d in self.denominators)
-
     def evaluate(self, svals: Sequence) -> list:
         out = []
         for n, d in zip(self.numerators, self.denominators):

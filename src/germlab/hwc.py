@@ -14,6 +14,7 @@ so the test suite can compare them rather than trusting one route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from germlab.certify import RegularityReport
 from germlab.germs import (
@@ -24,7 +25,7 @@ from germlab.germs import (
     pullback_numerator,
 )
 from germlab.mixed import MixedPolynomial, hermitian_pairing
-from germlab.poly import Polynomial, VarContext, _sum_of_products
+from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
 
 
 @dataclass(frozen=True)
@@ -43,21 +44,22 @@ class ConformalFrameResult:
         return {k: v.text() for k, v in self.residuals.items()}
 
 
+def _frame_residuals(gram: PolyMatrix, rows) -> dict[str, Polynomial]:
+    """Nonzero Gram residuals on rows: grad_inner(i,j) for each pair, and
+    norm_diff(f,j) against the first row f; labels count rows from 1."""
+    first = rows[0]
+    cands = [(f"grad_inner({i + 1},{j + 1})", gram[i, j])
+             for i, j in combinations(rows, 2)]
+    cands += [(f"norm_diff({first + 1},{j + 1})", gram[first, first] - gram[j, j])
+              for j in rows[1:]]
+    return {k: r for k, r in cands if not r.is_zero()}
+
+
 def hwc_check(germ: RealMapGerm) -> ConformalFrameResult:
     """Exact check that the component gradients are orthogonal and equal."""
     jac = germ.jacobian()
     gram = jac @ jac.transpose()
-    p = germ.target_arity
-    residuals: dict[str, Polynomial] = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            r = gram[i, j]
-            if not r.is_zero():
-                residuals[f"grad_inner({i + 1},{j + 1})"] = r
-    for i in range(1, p):
-        r = gram[0, 0] - gram[i, i]
-        if not r.is_zero():
-            residuals[f"norm_diff(1,{i + 1})"] = r
+    residuals = _frame_residuals(gram, range(germ.target_arity))
     holds = not residuals
     return ConformalFrameResult(
         holds=holds,
@@ -182,21 +184,20 @@ def separable_sum(left: RealMapGerm,
 
 
 def separable_sum_report(out: RealMapGerm, frame: ConformalFrameResult,
-                         declared_thom_summands: bool = False,
-                         declared_codim_matches: bool = False) -> RegularityReport:
+                         declared_thom: bool) -> RegularityReport:
     """Facts for a separable sum.
 
     The frame fact is installed only when re-verified on the sum.  The
     Thom transfer needs hypotheses on the summands that the tool cannot
     check (fiber codimension, discriminants, Thom regularity of each
-    part), so it fires only from declared inputs and is flagged as such.
+    part), so it fires only from declared_thom and is flagged as such.
     """
     report = RegularityReport(germ_name=out.label())
     if frame.holds:
         report.add_fact("hwc", "hwc-exact")
     else:
         report.residuals.update(frame.residual_texts())
-    if declared_thom_summands and declared_codim_matches:
+    if declared_thom:
         report.declare("thom_regular",
                        "separable-thom: both summands declared Thom regular "
                        "with isolated critical values and matching fiber codimension",
@@ -222,26 +223,12 @@ def product_pair(germ4: RealMapGerm) -> tuple[RealMapGerm, ConformalFrameResult]
     jac = germ4.jacobian()
     gram = jac @ jac.transpose()
 
-    def pair_check(i: int, j: int, tag: str):
-        bad = {}
-        r = gram[i, j]
-        if not r.is_zero():
-            bad[f"grad_inner({tag})"] = r
-        d = gram[i, i] - gram[j, j]
-        if not d.is_zero():
-            bad[f"norm_diff({tag})"] = d
-        return bad
-
-    residuals = {}
-    residuals.update(pair_check(0, 1, "1,2"))
-    residuals.update(pair_check(2, 3, "3,4"))
+    residuals = {**_frame_residuals(gram, (0, 1)),
+                 **_frame_residuals(gram, (2, 3))}
     # Cross-pair bilinear identities behind the product rule.
-    r1 = gram[0, 2] - gram[1, 3]
-    r2 = gram[0, 3] + gram[1, 2]
-    if not r1.is_zero():
-        residuals["cross(13-24)"] = r1
-    if not r2.is_zero():
-        residuals["cross(14+23)"] = r2
+    cross = {"cross(13-24)": gram[0, 2] - gram[1, 3],
+             "cross(14+23)": gram[0, 3] + gram[1, 2]}
+    residuals.update((k, r) for k, r in cross.items() if not r.is_zero())
     if residuals:
         raise GermlabRejection(
             "product_pair preconditions failed",
@@ -315,7 +302,7 @@ class EmptyInteriorVerdict:
 def empty_interior_criterion(germ: RealMapGerm,
                              fiber_components: list[Parametrization],
                              milnor_components: list[Parametrization],
-                             report: RegularityReport | None = None) -> EmptyInteriorVerdict:
+                             report: RegularityReport) -> EmptyInteriorVerdict:
     """Irregularity when the central fiber is thin inside the Milnor set.
 
     Declared data is verified before use: fiber components must annihilate
@@ -325,7 +312,7 @@ def empty_interior_criterion(germ: RealMapGerm,
     then fires when every Milnor component of dimension at least the
     fiber's top dimension carries a nonvanishing germ pullback, i.e. the
     fiber cannot contain an open piece of any such component.  Positive
-    fiber dimension is required.  Firing installs the negative facts.
+    fiber dimension is required.  Firing installs the negative facts in report.
     """
     if not fiber_components or not milnor_components:
         raise GermlabRejection(
@@ -369,12 +356,11 @@ def empty_interior_criterion(germ: RealMapGerm,
     verdict = EmptyInteriorVerdict(
         fires=True, checked_components=tuple(checked),
         detail="every Milnor component of top fiber dimension leaves the fiber")
-    if report is not None:
-        report.add_fact("not_condition_b", "empty-interior")
-        report.derive()
-        report.note(
-            "empty interior of the fiber inside the Milnor set at dimension "
-            f">= {top_fiber_dim}; components checked: {', '.join(checked)}")
+    report.add_fact("not_condition_b", "empty-interior")
+    report.derive()
+    report.note(
+        "empty interior of the fiber inside the Milnor set at dimension "
+        f">= {top_fiber_dim}; components checked: {', '.join(checked)}")
     return verdict
 
 
@@ -386,25 +372,23 @@ class IsolatedSingularityFinding:
 
 
 def isolated_singularity_probe(germ: RealMapGerm,
-                               components: list[Parametrization] | None = None,
-                               report: RegularityReport | None = None) -> IsolatedSingularityFinding:
+                               report: RegularityReport) -> IsolatedSingularityFinding:
     """Search for singular fiber points away from the origin.
 
     A constant nonzero Jacobian minor settles the question: the singular
-    set is empty and the fact is installed.  Otherwise the probe evaluates
-    all minors and all components on a deterministic sparse grid (plus any
-    declared components, exactly), looking for a common zero off the
-    origin.  Finding one refutes isolation; finding none at this scale is
-    inconclusive and installs nothing.
+    set is empty and the fact is installed in report.  Otherwise the probe
+    evaluates all minors and all components exactly on a deterministic
+    sparse grid, looking for a common zero off the origin.  Finding one
+    refutes isolation; finding none, as for the line y = 3x of (3x - y)^2,
+    is inconclusive and installs nothing.
     """
     from germlab.sampling import sparse_grid
 
     minors = germ.singular_minors()
     for m in minors:
         if m.is_constant() and m.constant_value() != 0:
-            if report is not None:
-                report.add_fact("isolated_singularity", "full-rank")
-                report.derive()
+            report.add_fact("isolated_singularity", "full-rank")
+            report.derive()
             return IsolatedSingularityFinding(
                 isolated=True, witness=None,
                 detail=f"constant nonzero minor {m.text()}; the singular set is empty")
@@ -415,31 +399,6 @@ def isolated_singularity_probe(germ: RealMapGerm,
             return IsolatedSingularityFinding(
                 isolated=False, witness=pt,
                 detail="singular fiber point away from the origin")
-    if components:
-        for phi in components:
-            if all(pullback_numerator(p, phi).is_zero() for p in polys):
-                # The whole declared component sits in the singular fiber;
-                # any nonzero parameter point witnesses non-isolation.
-                probe = _nonzero_param_point(phi)
-                if probe is not None:
-                    return IsolatedSingularityFinding(
-                        isolated=False, witness=probe,
-                        detail=f"declared component {phi.name} lies in the "
-                               "singular fiber")
     return IsolatedSingularityFinding(
         isolated=None, witness=None,
         detail="no singular fiber point found at this scale; inconclusive")
-
-
-def _nonzero_param_point(phi: Parametrization):
-    from germlab.sampling import derive_rng, rational_point, DEFAULT_SEED
-
-    rng = derive_rng(DEFAULT_SEED, f"isolated:{phi.name}")
-    for _ in range(200):
-        s = rational_point(rng, phi.params.arity, radius=2)
-        if any(d.evaluate(s) == 0 for d in phi.denominators):
-            continue
-        val = phi.evaluate(s)
-        if any(v != 0 for v in val):
-            return tuple(val)
-    return None

@@ -55,10 +55,18 @@ class WitnessOutcome:
     pairings: dict[str, Polynomial] | None  # tangent parameter -> inner product
     detail: str
 
-    def nonzero_pairings(self) -> dict[str, Polynomial]:
-        if self.pairings is None:
-            raise ValueError(f"no pairings: {self.detail}")
-        return {k: v for k, v in self.pairings.items() if not v.is_zero()}
+
+def _limit_off_fiber(germ: RealMapGerm, curve: CurveFamily,
+                     what: str) -> tuple[Polynomial, ...]:
+    """curve(0), once curve is off germ's central fiber and has a finite
+    limit; otherwise a rejection naming the curve `what`.  The fiber search
+    stops at the first component that pulls back to a nonzero expansion."""
+    if all(curve.pullback(g).is_zero() for g in germ.components):
+        raise GermlabRejection(f"{what} lies inside the central fiber")
+    at_zero = curve.limit_coords()
+    if at_zero is None:
+        raise GermlabRejection(f"{what} escapes to infinity as t -> 0")
+    return at_zero
 
 
 def thom_irregularity_witness(germ: RealMapGerm, spec: WitnessSpec) -> WitnessOutcome:
@@ -91,15 +99,7 @@ def thom_irregularity_witness(germ: RealMapGerm, spec: WitnessSpec) -> WitnessOu
             f"stratum {phi.name} is not inside the singular fiber",
             offending=escapes[0].text())
 
-    pulled = [gamma.pullback(g) for g in germ.components]
-    if all(p.is_zero() for p in pulled):
-        raise GermlabRejection(
-            "curve lies inside the central fiber; it cannot probe the "
-            "regularity of the stratum from outside")
-
-    at_zero = gamma.limit_coords()
-    if at_zero is None:
-        raise GermlabRejection("curve escapes to infinity as t -> 0")
+    at_zero = _limit_off_fiber(germ, gamma, "curve")
     for got, num, den in zip(at_zero, phi.numerators, phi.denominators):
         # gamma(0) must equal the stratum pointwise: cross-multiplied.
         if not (got * den - num).is_zero():
@@ -186,13 +186,7 @@ def lift_witness_to_sum(f_germ: RealMapGerm, f_spec: WitnessSpec,
     summed, _frame = separable_sum(f_germ, g_germ)
     ctx = summed.ctx
 
-    g_pulled = [g_curve.pullback(g) for g in g_germ.components]
-    if all(p.is_zero() for p in g_pulled):
-        raise GermlabRejection(
-            "g-side curve lies inside g's central fiber")
-    g_zero = g_curve.limit_coords()
-    if g_zero is None:
-        raise GermlabRejection("g-side curve escapes to infinity as t -> 0")
+    g_zero = _limit_off_fiber(g_germ, g_curve, "g-side curve")
     if any(not p.is_zero() for p in g_zero):
         raise GermlabRejection(
             "g-side curve must land at the origin of the g factor",
@@ -238,7 +232,7 @@ class FiberLimitFinding:
 
 
 def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
-                             report: RegularityReport | None = None) -> FiberLimitFinding:
+                             report: RegularityReport) -> FiberLimitFinding:
     """Verify a declared violating family for the fiber-limit condition.
 
     The family must lie inside the Milnor set but outside the central
@@ -246,7 +240,7 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
     origin for generic spectators.  All four requirements are exact; a
     family that passes them exhibits Milnor-set points accumulating on
     the fiber at positive distance from the origin, which is precisely
-    what the fiber-limit condition forbids.
+    what the fiber-limit condition forbids; that failure goes into report.
     """
     md = milnor_data(germ)
     inside = family.pullback(md.milnor_poly)
@@ -254,12 +248,7 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
         raise GermlabRejection(
             "family leaves the Milnor set",
             residual=inside.text())
-    pulled = [family.pullback(g) for g in germ.components]
-    if all(p.is_zero() for p in pulled):
-        raise GermlabRejection("family lies inside the central fiber")
-    at_zero = family.limit_coords()
-    if at_zero is None:
-        raise GermlabRejection("family escapes to infinity as t -> 0")
+    at_zero = _limit_off_fiber(germ, family, "family")
     for g in germ.components:
         if not substitute(g, at_zero).is_zero():
             raise GermlabRejection(
@@ -269,11 +258,10 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
         raise GermlabRejection(
             "family limit is the origin for every spectator value; "
             "no accumulation away from 0")
-    if report is not None:
-        report.add_fact("not_condition_b", "b-violation-family")
-        report.derive()
-        report.residuals["family_limit"] = "(" + ", ".join(
-            p.text() for p in at_zero) + ")"
+    report.add_fact("not_condition_b", "b-violation-family")
+    report.derive()
+    report.residuals["family_limit"] = "(" + ", ".join(
+        p.text() for p in at_zero) + ")"
     return FiberLimitFinding(
         violates=True, family=family.text(),
         detail="family in the Milnor set, off the fiber, limiting onto the "
@@ -286,7 +274,7 @@ APPROACH = (1e-1, 1e-2, 1e-3, 1e-4)
 
 def condition_b_sampled_probe(germ: RealMapGerm,
                               fiber_components: list[Parametrization],
-                              config=None) -> FiberLimitFinding:
+                              config) -> FiberLimitFinding:
     """Numeric search for Milnor-set points accumulating on the fiber.
 
     All seeds are drawn at once and refined together onto the Milnor set
@@ -309,11 +297,10 @@ def condition_b_sampled_probe(germ: RealMapGerm,
     import numpy as np
 
     from germlab.sampling import (
-        R_MIN, TOL_ACCUM, TOL_VARIETY, RunConfig, compile_float, compile_jacobian,
+        R_MIN, TOL_ACCUM, TOL_VARIETY, compile_float, compile_jacobian,
         compile_scale, derive_rng, nearest_on_variety, refine_batch,
     )
 
-    config = config or RunConfig()
     minors = germ.milnor_minors()
     comps = list(germ.components)
     comp_fn, comp_scale = compile_float(comps), compile_scale(comps)

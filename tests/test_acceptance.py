@@ -107,7 +107,7 @@ def test_criterion_05_ent1_witness_direction_and_fact():
     assert outcome.is_witness
     assert outcome.direction.text() == "(0, 0, 2*s)"
     # Pairing against the stratum tangent d/ds of (0, 0, s), exactly 2s.
-    assert outcome.nonzero_pairings()["s"].text() == "2*s"
+    assert outcome.pairings["s"].text() == "2*s"
     rep = witness_report(decl.germ, spec, outcome)
     assert "not_thom_regular" in rep.facts
 
@@ -138,7 +138,7 @@ def test_criterion_07_composition_closure_transfer():
     fu, fv, ft = (pullback_numerator(c, cone) for c in inner.germ.components)
     assert (ft * ft - (fu * fu + fv * fv) ** 3 * 4).is_zero()
     chk = composition_milnor_check(outer.germ, inner.germ, inner.sets["MH"],
-                                   closure_claim=claim)
+                                   closure_claim=claim, config=RunConfig())
     assert chk.violation is None
     rep = composition_report(outer.germ, inner.germ, chk,
                              declared_inner={"condition_b", "disc_zero"},

@@ -329,6 +329,15 @@ def test_compose_exact_closure_separation_reads_the_seed(
                    "--set", "MH", "--claim", "closure", *flags)
     assert seeds == [5]
     assert doc["closure_meets_sing_g_only_at_0"] is True
+    assert doc["seed"] == 5
+
+
+def test_compose_exact_prints_the_seed_only_with_a_claim(capsys, monkeypatch):
+    monkeypatch.delenv("GERMLAB_SEED", raising=False)
+    assert run_json(capsys, *COMPOSE_EXACT, "--seed", "5")["seed"] == 5
+    # Without --claim nothing samples, so there is no seed to replay.
+    unclaimed = run_json(capsys, *COMPOSE_EXACT[:-2])
+    assert "seed" not in unclaimed
 
 
 def test_only_the_cli_reads_the_environment():
@@ -485,6 +494,7 @@ def test_construct_mixed_algo_rejects_misplaced_variable(capsys):
     ("z1,z2", "z1,w", "w"),
     ("z1,z2,z3,z4,z5,z6", "z1", "at most 5"),
     ("i,w", "i", "imaginary"),
+    ("conj,z2", "z2", "'conj', the conjugation"),
 ])
 def test_construct_mixed_algo_bad_variable_lists_are_usage_errors(
         capsys, vars_, left, needle):

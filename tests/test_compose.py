@@ -95,7 +95,8 @@ def test_compose_parametrization_denominator_identity():
 
 def test_positive_transfer_classifies_components():
     chk = composition_milnor_check(G48, F48, [plane48(), cone48()],
-                                   closure_claim=closure48())
+                                   closure_claim=closure48(),
+                                   config=RunConfig())
     by_name = {f.name: f for f in chk.components}
     plane = by_name["z=0"]
     assert plane.inside_sing_h and plane.image_in_sing_g
@@ -111,7 +112,8 @@ def test_positive_transfer_classifies_components():
 
 def test_positive_transfer_installs_fact_under_declarations():
     chk = composition_milnor_check(G48, F48, [plane48(), cone48()],
-                                   closure_claim=closure48())
+                                   closure_claim=closure48(),
+                                   config=RunConfig())
     rep = composition_report(G48, F48, chk,
                              declared_inner={"condition_b", "disc_zero"},
                              declared_outer={"disc_zero"})
@@ -125,8 +127,10 @@ def test_positive_transfer_installs_fact_under_declarations():
 
 def test_no_transfer_without_declarations():
     chk = composition_milnor_check(G48, F48, [plane48(), cone48()],
-                                   closure_claim=closure48())
-    rep = composition_report(G48, F48, chk)
+                                   closure_claim=closure48(),
+                                   config=RunConfig())
+    rep = composition_report(G48, F48, chk, declared_inner=set(),
+                             declared_outer=set())
     assert not rep.facts
     assert any("no transfer" in n for n in rep.notes)
 
@@ -136,7 +140,7 @@ def test_undeclared_component_rejected():
     stray = Parametrization.from_polys(F48.ctx, PARAMS, (S1, S1, S1, S1),
                                        name="stray")
     with pytest.raises(GermlabRejection) as exc:
-        composition_milnor_check(G48, F48, [stray])
+        composition_milnor_check(G48, F48, [stray], None, RunConfig())
     assert exc.value.details["component"] == "stray"
     assert exc.value.details["pullback"] != "0"
 
@@ -144,7 +148,8 @@ def test_undeclared_component_rejected():
 def test_contra_flags_candidate_without_installing_facts():
     sheet = Parametrization.from_polys(FCONTRA.ctx, PARAMS, (S1, ZERO, S2, S3),
                                        name="y=0")
-    chk = composition_milnor_check(GCONTRA, FCONTRA, [sheet])
+    chk = composition_milnor_check(GCONTRA, FCONTRA, [sheet], None,
+                                   RunConfig())
     assert chk.violation is None
     assert chk.flagged == ("y=0",)
     rep = composition_report(GCONTRA, FCONTRA, chk,
@@ -159,7 +164,8 @@ def test_contra_sheet_image_rides_sing_g():
     # of Sing G for the contra pair, and the image is not just the origin.
     sheet = Parametrization.from_polys(FCONTRA.ctx, PARAMS, (S1, ZERO, S2, S3),
                                        name="y=0")
-    chk = composition_milnor_check(GCONTRA, FCONTRA, [sheet])
+    chk = composition_milnor_check(GCONTRA, FCONTRA, [sheet], None,
+                                   RunConfig())
     f = chk.components[0]
     assert f.image_in_sing_g and not f.image_origin_only and f.inside_sing_h
 
@@ -277,7 +283,7 @@ def test_sampled_probe_installs_nothing():
 
 
 def test_check_shape_is_frozen():
-    chk = composition_milnor_check(G48, F48, [plane48()])
+    chk = composition_milnor_check(G48, F48, [plane48()], None, RunConfig())
     assert isinstance(chk, CompositionCheck)
     with pytest.raises(AttributeError):
         chk.violation = "nope"

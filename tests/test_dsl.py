@@ -60,7 +60,7 @@ assert_set M {
     assert len(comps) == 2
     assert comps[0].params.names == ("s1", "s2")
     assert comps[1].params.names == ("r", "s")
-    assert not comps[1].is_polynomial()
+    assert not all(d.is_constant() for d in comps[1].denominators)
 
 
 def test_witness_block_resolves_laurent_curves():
@@ -271,6 +271,25 @@ ERROR_TEXTS = [
     ("witness-eleven-params",
      MAP3 + "witness w {\n  gamma (t, a*b*c*d*e*f*g*h*j*k*l, 0)\n}\n",
      "line 5, col 1: witness 'w' has 11 parameters; a context holds at most 10"),
+    ("witness-repeated-gamma",
+     MAP3 + "witness w {\n  gamma (t, 0, 0)\n  gamma (0, t, 0)\n}\n",
+     "line 7, col 3: duplicate gamma line in witness 'w'"),
+    ("witness-repeated-c",
+     MAP3 + "witness w {\n  c (1, 0)\n  gamma (t, 0, s)\n  c (0, 1)\n}\n",
+     "line 8, col 3: duplicate c line in witness 'w'"),
+    ("witness-repeated-stratum",
+     MAP3 + "assert_set V {\n  (0, 0, s)\n}\n"
+     "witness w {\n  stratum V\n  stratum V\n  gamma (t, 0, s)\n}\n",
+     "line 10, col 3: duplicate stratum line in witness 'w'"),
+    ("witness-stratum-param-t",
+     MAP3 + "assert_set V {\n  (0, t, 0)\n}\n"
+     "witness w {\n  stratum V\n  gamma (t, s, 0)\n}\n",
+     "line 8, col 1: stratum set 'V' has a parameter 't', the tube variable "
+     "of witness 'w'"),
+    ("map-vars-conj", MAP2.replace("y", "conj") + "G = x\n",
+     "line 2, col 9: 'conj' is the conjugation conj(...), not a variable name"),
+    ("mixed-vars-conj", "mixed f : C^2 -> C\nvars conj, z\nf = z^2\n",
+     "line 2, col 6: 'conj' is the conjugation conj(...), not a variable name"),
 ]
 
 

@@ -133,6 +133,25 @@ G4 = -a*y + b*x
     }
 
 
+def test_product_pair_rejects_a_broken_second_pair():
+    # (G1, G2) is a frame pair and the cross identities hold, so only the
+    # second pair's residuals, labelled by its rows 3 and 4, remain.
+    bad = germ("""\
+map pairs : R^4 -> R^4
+vars x, y, u, v
+G1 = x
+G2 = y
+G3 = u*v
+G4 = u
+""")
+    with pytest.raises(GermlabRejection) as exc:
+        product_pair(bad)
+    assert exc.value.details["residuals"] == {
+        "grad_inner(3,4)": "v",
+        "norm_diff(3,4)": "u^2 + v^2 - 1",
+    }
+
+
 def test_product_pair_needs_four_components():
     with pytest.raises(GermlabRejection, match="four components"):
         product_pair(MFX1)
@@ -254,11 +273,10 @@ def test_separable_sum_thom_transfer_only_from_declarations():
     left = germ("map l : R^2 -> R^2\nvars x,y\nG1 = x\nG2 = y\n")
     right = germ("map r : R^2 -> R^2\nvars u,v\nG1 = u\nG2 = v\n")
     out, frame = separable_sum(left, right)
-    plain = separable_sum_report(out, frame)
+    plain = separable_sum_report(out, frame, declared_thom=False)
     assert "thom_regular" in plain.facts  # via the re-verified frame
     assert "thom_regular" not in plain.declared
-    declared = separable_sum_report(out, frame, declared_thom_summands=True,
-                                    declared_codim_matches=True)
+    declared = separable_sum_report(out, frame, declared_thom=True)
     assert declared.provenance["thom_regular"]["rule"] == "separable-thom"
     assert "thom_regular" in declared.declared
     assert any("separable-thom" in a for a in declared.assumptions)
@@ -351,9 +369,11 @@ def test_empty_interior_inconclusive_when_fiber_has_interior():
     pc = VarContext(["s"])
     axis = Parametrization.from_polys(
         ent1.ctx, pc, [pc.zero(), pc.zero(), pc.var("s")], name="axis")
-    verdict = empty_interior_criterion(ent1, [axis], [axis])
+    rep = RegularityReport(germ_name="ent1")
+    verdict = empty_interior_criterion(ent1, [axis], [axis], report=rep)
     assert not verdict.fires
     assert "interior" in verdict.detail
+    assert not rep.facts
 
 
 def test_empty_interior_rejects_bad_declared_data():
@@ -364,19 +384,22 @@ def test_empty_interior_rejects_bad_declared_data():
         ent1.ctx, pc, [pc.var("s"), pc.zero(), pc.zero()], name="off")
     axis = Parametrization.from_polys(
         ent1.ctx, pc, [pc.zero(), pc.zero(), pc.var("s")], name="axis")
+    rep = RegularityReport(germ_name="ent1")
     with pytest.raises(GermlabRejection, match="does not lie in the fiber"):
-        empty_interior_criterion(ent1, [off], [axis])
+        empty_interior_criterion(ent1, [off], [axis], report=rep)
     with pytest.raises(GermlabRejection, match="needs declared"):
-        empty_interior_criterion(ent1, [], [axis])
+        empty_interior_criterion(ent1, [], [axis], report=rep)
 
 
 # -- isolated-singularity probe -------------------------------------------
 
 
 def test_isolated_probe_finds_the_coordinate_plane():
-    finding = isolated_singularity_probe(MFX1)
+    rep = RegularityReport(germ_name="mfx1")
+    finding = isolated_singularity_probe(MFX1, report=rep)
     assert finding.isolated is False
     assert finding.witness == (0, Fraction(1), 0)
+    assert not rep.facts
 
 
 def test_isolated_probe_inconclusive_on_isolated_example():
@@ -400,17 +423,3 @@ def test_isolated_probe_promotes_constant_minor():
     assert finding.isolated is True
     assert rep.facts == {"isolated_singularity", "thom_regular", "condition_b"}
     assert rep.provenance["thom_regular"]["rule"] == "isolated-thom"
-
-
-def test_isolated_probe_accepts_declared_component_off_grid():
-    # Singular fiber {y = 3x} dodges the sparse grid (slope 3 misses its
-    # value set); the declared line hands the probe an exact witness.
-    g = germ("map tilt : R^2 -> R^1\nvars x,y\nG = (3*x - y)^2\n")
-    assert isolated_singularity_probe(g).isolated is None
-    pc = VarContext(["s"])
-    s = pc.gens()[0]
-    line = Parametrization.from_polys(g.ctx, pc, [s, 3 * s], name="y=3x")
-    finding = isolated_singularity_probe(g, components=[line])
-    assert finding.isolated is False
-    assert finding.witness is not None and any(v != 0 for v in finding.witness)
-    assert "y=3x" in finding.detail

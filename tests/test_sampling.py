@@ -227,8 +227,9 @@ def test_sampled_probes_raise_no_numpy_warnings():
             contra.single("GC").germ, contra.single("FC").germ, config).suspicious
         assert not composition_sampled_probe(
             comp48.single("G48").germ, comp48.single("F48").germ, config).suspicious
-        assert condition_b_sampled_probe(MHX1, mhx1_axes()).violates
-        assert condition_b_sampled_probe(exaa.germ, exaa.sets["V"]).violates is None
+        assert condition_b_sampled_probe(MHX1, mhx1_axes(), RunConfig()).violates
+        assert condition_b_sampled_probe(
+            exaa.germ, exaa.sets["V"], RunConfig()).violates is None
 
 
 def mhx1_axes() -> list[Parametrization]:

@@ -47,7 +47,7 @@ def test_worked_witness_normal_and_pairing():
     assert [n.is_zero() for n in outcome.normal] == [True, False, False]
     assert outcome.direction.valuation == 0
     assert outcome.direction.text() == "(0, 0, 2*s)"
-    assert outcome.nonzero_pairings()["s"].text() == "2*s"
+    assert outcome.pairings["s"].text() == "2*s"
     assert "d/ds" in outcome.detail
 
 
@@ -131,17 +131,19 @@ def test_witness_curve_preconditions():
 
     inside = CurveFamily(target=r.ctx, params=params,
                          coords=(zero, zero, svar))
-    with pytest.raises(GermlabRejection, match="inside the central fiber"):
+    with pytest.raises(GermlabRejection) as exc:
         thom_irregularity_witness(r.germ, WitnessSpec(
             name="w", gamma=inside, coeffs=spec.coeffs,
             stratum=spec.stratum, assumptions=spec.assumptions))
+    assert exc.value.reason == "curve lies inside the central fiber"
 
     escaping = CurveFamily(target=r.ctx, params=params,
                            coords=(LaurentPoly.t_power(params, -1), zero, svar))
-    with pytest.raises(GermlabRejection, match="infinity"):
+    with pytest.raises(GermlabRejection) as exc:
         thom_irregularity_witness(r.germ, WitnessSpec(
             name="w", gamma=escaping, coeffs=spec.coeffs,
             stratum=spec.stratum, assumptions=spec.assumptions))
+    assert exc.value.reason == "curve escapes to infinity as t -> 0"
 
     misses = CurveFamily(target=r.ctx, params=params,
                          coords=(t, svar, svar))
@@ -180,10 +182,17 @@ def test_lift_rejects_bad_g_side_curves():
         "G1 = u*(u^2 + v^2)\nG2 = v*(u^2 + v^2)\n").single().germ
     params = spec.gamma.params
     zero = LaurentPoly.const(params, 0)
-    with pytest.raises(GermlabRejection, match="central fiber"):
+    with pytest.raises(GermlabRejection) as exc:
         lift_witness_to_sum(r.germ, spec, g,
                             CurveFamily(target=g.ctx, params=params,
                                         coords=(zero, zero)))
+    assert exc.value.reason == "g-side curve lies inside the central fiber"
+    with pytest.raises(GermlabRejection) as exc:
+        lift_witness_to_sum(r.germ, spec, g,
+                            CurveFamily(target=g.ctx, params=params,
+                                        coords=(LaurentPoly.t_power(params, -1),
+                                                zero)))
+    assert exc.value.reason == "g-side curve escapes to infinity as t -> 0"
     svar = LaurentPoly.from_poly(params.var("s"))
     with pytest.raises(GermlabRejection, match="origin of the g factor"):
         lift_witness_to_sum(r.germ, spec, g,
@@ -224,7 +233,7 @@ def test_family_must_stay_in_the_milnor_set():
         LaurentPoly.from_poly(pc.var("s")),
         LaurentPoly.t_power(pc, 1)))
     with pytest.raises(GermlabRejection, match="leaves the Milnor set") as exc:
-        condition_b_family_check(germ, fam)
+        condition_b_family_check(germ, fam, report=RegularityReport("mhx1"))
     assert exc.value.details["residual"] != "0"
 
 
@@ -233,15 +242,18 @@ def test_family_must_leave_the_fiber_but_limit_into_it():
         LaurentPoly.t_power(pc, 1),
         LaurentPoly.const(pc, 0),
         LaurentPoly.const(pc, 0)))
-    with pytest.raises(GermlabRejection, match="inside the central fiber"):
-        condition_b_family_check(germ, fam)
+    rep = RegularityReport(germ_name="mhx1")
+    with pytest.raises(GermlabRejection) as exc:
+        condition_b_family_check(germ, fam, report=rep)
+    assert exc.value.reason == "family lies inside the central fiber"
 
     germ2, fam2 = family(lambda pc: (
         LaurentPoly.t_power(pc, 1),
         LaurentPoly.from_poly(pc.var("s")) * LaurentPoly.t_power(pc, 1),
         LaurentPoly.const(pc, 0)))
     with pytest.raises(GermlabRejection, match="origin for every spectator"):
-        condition_b_family_check(germ2, fam2)
+        condition_b_family_check(germ2, fam2, report=rep)
+    assert not rep.facts
 
 
 def test_sampled_probe_flags_plane_accumulation():
@@ -253,7 +265,7 @@ def test_sampled_probe_flags_plane_accumulation():
         Parametrization.from_polys(germ.ctx, pc1, [zero, s, zero], name="y-axis"),
         Parametrization.from_polys(germ.ctx, pc1, [s, zero, zero], name="x-axis"),
     ]
-    finding = condition_b_sampled_probe(germ, fiber)
+    finding = condition_b_sampled_probe(germ, fiber, RunConfig())
     assert finding.violates
     assert finding.samples["ratio"] < 1e-3
     assert finding.samples["seed"] == 0xC0FFEE
@@ -269,7 +281,7 @@ def test_sampled_probe_negative_on_transverse_cone():
         Parametrization.from_polys(germ.ctx, pc2, [zero, s1, s2], name="x=0"),
         Parametrization.from_polys(germ.ctx, pc2, [s1, zero, zero], name="yz=0"),
     ]
-    finding = condition_b_sampled_probe(germ, fiber)
+    finding = condition_b_sampled_probe(germ, fiber, RunConfig())
     assert finding.violates is None
     assert "no accumulation" in finding.detail
 
