@@ -28,7 +28,6 @@ from germlab.hwc import (
     certify_frame,
     hwc_check,
     hwc_check_mixed,
-    mixed_pairing_text,
     product_pair,
     separable_sum,
     separable_sum_report,
@@ -125,7 +124,7 @@ def hwc(gf, opts, config=None) -> dict:
     res = hwc_check_mixed(decl.poly)
     real_res = hwc_check(decl.realified)
     return {"command": "hwc", "germ": decl.name, "mixed": True,
-            "holds": res.holds, "pairing": mixed_pairing_text(decl.poly),
+            "holds": res.holds, "pairing": res.pairing.text(),
             "conformal_factor": _factor(res),
             "residuals": res.residual_texts(),
             "routes_agree": res.holds == real_res.holds}

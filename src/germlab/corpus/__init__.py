@@ -104,8 +104,7 @@ def _milnor(gf, row, config):
         # the Gram route det(A A^T) rather than with itself.
         md = milnor_data(gf.single(row.get("germ")).germ)
         a = md.stacked
-        out["gram_is_square"] = ((a @ a.transpose()).det()
-                                 == md.square_det * md.square_det)
+        out["gram_is_square"] = a.gram().det() == md.square_det * md.square_det
     return out
 
 

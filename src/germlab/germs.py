@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from germlab.poly import Polynomial, PolyMatrix, VarContext, substitute
@@ -45,11 +46,10 @@ class RealMapGerm:
         p, m = self.target_arity, self.source_arity
         if m < p:
             raise ValueError(f"arities m={m}, p={p} out of range")
-        zero = (Fraction(0),) * m
         for g in self.components:
             if g.ctx != self.ctx:
                 raise ValueError("component over a foreign context")
-            if g.evaluate(zero) != 0:
+            if g.has_constant_term():
                 raise ValueError(f"component {g.text()} does not vanish at 0")
 
     @property
@@ -123,7 +123,7 @@ def milnor_data(germ: RealMapGerm) -> MilnorData:
         square = a.det()
         return MilnorData(germ=germ, stacked=a, milnor_poly=square * square,
                           square_det=square)
-    mp = (a @ a.transpose()).det()
+    mp = a.gram().det()
     return MilnorData(germ=germ, stacked=a, milnor_poly=mp, square_det=None)
 
 
@@ -238,12 +238,11 @@ def _nonzero_point(p: Polynomial, avoid: list[Polynomial]):
     Such points are dense, so the seeded search terminates fast; the
     deterministic fallback walks integer points outward.
     """
-    from germlab.sampling import derive_rng, rational_point, DEFAULT_SEED
+    from germlab.sampling import derive_rng, iter_rational_points, DEFAULT_SEED
 
     rng = derive_rng(DEFAULT_SEED, "pullback-witness")
     arity = p.ctx.arity
-    for _ in range(400):
-        pt = rational_point(rng, arity, radius=2)
+    for pt in islice(iter_rational_points(rng, arity, radius=2), 400):
         if p.evaluate(pt) != 0 and all(q.evaluate(pt) != 0 for q in avoid):
             return pt
     for k in range(1, 50):  # pragma: no cover - fallback for adversarial inputs

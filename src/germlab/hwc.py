@@ -33,12 +33,14 @@ class ConformalFrameResult:
     """Outcome of the J J^T = lambda I check.
 
     residuals holds the offending polynomials keyed by position; empty
-    exactly when the frame condition holds.
+    exactly when the frame condition holds.  pairing is the Wirtinger
+    pairing the mixed route decides on, None on the real route.
     """
 
     holds: bool
     conformal_factor: Polynomial | None
     residuals: dict[str, Polynomial]
+    pairing: MixedPolynomial | None
 
     def residual_texts(self) -> dict[str, str]:
         return {k: v.text() for k, v in self.residuals.items()}
@@ -58,13 +60,14 @@ def _frame_residuals(gram: PolyMatrix, rows) -> dict[str, Polynomial]:
 def hwc_check(germ: RealMapGerm) -> ConformalFrameResult:
     """Exact check that the component gradients are orthogonal and equal."""
     jac = germ.jacobian()
-    gram = jac @ jac.transpose()
+    gram = jac.gram()
     residuals = _frame_residuals(gram, range(germ.target_arity))
     holds = not residuals
     return ConformalFrameResult(
         holds=holds,
         conformal_factor=gram[0, 0] if holds else None,
         residuals=residuals,
+        pairing=None,
     )
 
 
@@ -109,12 +112,7 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
         u = _sum_of_products(ctx, chains)
         factor = _sum_of_products(u.ctx, [(g, g) for g in u.gradient()])
     return ConformalFrameResult(holds=holds, conformal_factor=factor,
-                                residuals=residuals)
-
-
-def mixed_pairing_text(f: MixedPolynomial) -> str:
-    dzs, dzbars = f.wirtinger()
-    return hermitian_pairing([d.conj() for d in dzs], list(dzbars)).text()
+                                residuals=residuals, pairing=pairing)
 
 
 def fgbar_check(f: MixedPolynomial, g: MixedPolynomial):
@@ -221,7 +219,7 @@ def product_pair(germ4: RealMapGerm) -> tuple[RealMapGerm, ConformalFrameResult]
                                got=germ4.target_arity)
     g1, g2, g3, g4 = germ4.components
     jac = germ4.jacobian()
-    gram = jac @ jac.transpose()
+    gram = jac.gram()
 
     residuals = {**_frame_residuals(gram, (0, 1)),
                  **_frame_residuals(gram, (2, 3))}

@@ -18,8 +18,10 @@ entry, one expansion step of a minor and, through `substitute`, each
 substitution of ring values (`pullback_numerator`, `compose_exact`, the
 family limit of `condition_b_family_check` and, on the Laurent kernel of
 `curves`, `CurveFamily.pullback`): every chain of factors is multiplied in
-packed ints and summed in one integer accumulator, and the term map is
-rebuilt once at the end.  `Polynomial.evaluate` is the scalar loop.
+packed ints and summed in one integer accumulator.  Its result stays
+packed: the next product whose packing matches reads the integers as they
+are, and the term map is built only when something reads `terms`.
+`Polynomial.evaluate` sums over one denominator at a rational point.
 """
 
 from __future__ import annotations
@@ -57,11 +59,12 @@ class _Packing:
     bound on the total degree, which bounds every field.
     """
 
-    __slots__ = ("weights", "unpack")
+    __slots__ = ("weights", "unpack", "degree_shift")
 
     def __init__(self, arity: int, nbytes: int):
         w = 8 * nbytes
-        top = 1 << (w * arity)
+        self.degree_shift = w * arity  # key >> degree_shift is the total degree
+        top = 1 << self.degree_shift
         # key = sum(e[i] * weights[i]): e[i] lands in its own field and,
         # through `top`, adds itself to the degree field.
         self.weights = tuple((1 << (w * (arity - 1 - i))) | top
@@ -87,17 +90,15 @@ def _packing(arity: int, max_degree: int) -> _Packing:
     return _packing_for(arity, -(-max_degree.bit_length() // 8) or 1)
 
 
-def _degree(terms: Mapping[Exponents, Fraction]) -> int:
-    return max(map(sum, terms))
-
-
-def _chain_product(factors: list[list[tuple[int, int]]]) -> Iterable[tuple[int, int]]:
+def _chain_product(factors: list[Iterable[tuple[int, int]]]) -> dict[int, int]:
     """Packed product of scaled factors, left to right, in schoolbook order.
 
     A sum that cancels leaves the map and a later product puts it back at
     the end, so the terms come out in the order the double loop over the
     Fraction maps gives them.
     """
+    if len(factors) == 1:
+        return dict(factors[0])
     items: Iterable[tuple[int, int]] = factors[0]
     for b in factors[1:]:
         acc: dict[int, int] = {}
@@ -111,7 +112,7 @@ def _chain_product(factors: list[list[tuple[int, int]]]) -> Iterable[tuple[int, 
                 else:
                     del acc[k]
         items = acc.items()
-    return items
+    return acc
 
 
 def _sum_of_products(ctx: "VarContext",
@@ -125,6 +126,9 @@ def _sum_of_products(ctx: "VarContext",
     that cancels leaves the map, as in `Polynomial.__add__`, so the term map
     comes out in the order of that loop.  A chain with a zero factor adds
     nothing, and a single chain is its product, unmerged.
+
+    The result is packed (see `Polynomial`): a factor packed in the same
+    packing is read as it is, any other factor is scaled from its terms.
     """
     live = []
     degree: dict[int, int] = {}
@@ -134,9 +138,9 @@ def _sum_of_products(ctx: "VarContext",
         for f in chain:
             g = degree.get(id(f))
             if g is None:
-                if not f.terms:
+                if f.is_zero():
                     break
-                g = degree[id(f)] = _degree(f.terms)
+                g = degree[id(f)] = f._degree()
             total += g
         else:
             live.append(chain)
@@ -151,28 +155,31 @@ def _sum_of_products(ctx: "VarContext",
         for f in chain:
             s = scaled.get(id(f))
             if s is None:
-                s = scaled[id(f)] = pk.scaled(f.terms)
+                own = f._packed
+                if own is not None and own[0] is pk:
+                    s = own[1], own[2].items()
+                else:
+                    s = pk.scaled(f.terms)
+                scaled[id(f)] = s
             d *= s[0]
             parts.append(s[1])
         packed.append(parts)
         dens.append(d)
     den = lcm(*dens)
     if len(live) == 1:
-        items = _chain_product(packed[0])
+        acc = _chain_product(packed[0])
     else:
-        acc: dict[int, int] = {}
+        acc = {}
         get = acc.get
         for parts, d in zip(packed, dens):
             m = den // d
-            for k, c in _chain_product(parts):
+            for k, c in _chain_product(parts).items():
                 s = get(k, 0) + c * m
                 if s:
                     acc[k] = s
                 else:
                     del acc[k]
-        items = acc.items()
-    unpack = pk.unpack
-    return Polynomial._trusted(ctx, {unpack(k): Fraction(c, den) for k, c in items})
+    return Polynomial._from_packed(ctx, pk, den, acc)
 
 
 def _power(base, k: int, one):
@@ -255,6 +262,13 @@ class Polynomial:
     polynomial stores no terms, so equal polynomials have identical term
     maps.  Instances are immutable by convention.
 
+    A result of `_sum_of_products` is packed: `_packed` holds its
+    `_Packing`, a denominator, a map from packed keys to integer numerators
+    in term order, and its total degree.  Its term map is built from those
+    on the first read of `terms` and kept; `is_zero`, `has_constant_term`,
+    `evaluate` and the next product read the packed form.  Any other
+    polynomial holds its term map and no packed form.
+
     Example
     -------
     >>> ctx = VarContext(["x", "y"])
@@ -263,10 +277,11 @@ class Polynomial:
     'x^2 - y^2'
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_terms", "_packed")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponents, Fraction]):
         self.ctx = ctx
+        self._packed = None
         clean = {}
         for e, c in terms.items():
             e = tuple(e)
@@ -276,20 +291,57 @@ class Polynomial:
             c = _coeff(c)
             if c:
                 clean[e] = c
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
     def _trusted(cls, ctx: VarContext, terms: dict[Exponents, Fraction]) -> "Polynomial":
         # For term maps built here that already hold the invariants.
         p = object.__new__(cls)
         p.ctx = ctx
-        p.terms = terms
+        p._terms = terms
+        p._packed = None
         return p
+
+    @classmethod
+    def _from_packed(cls, ctx: VarContext, pk: _Packing, den: int,
+                     nums: dict[int, int]) -> "Polynomial":
+        # Nonzero numerators over den; den shrinks by their common content.
+        if not nums:
+            return cls._trusted(ctx, {})
+        if den > 1:
+            g = gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {k: c // g for k, c in nums.items()}
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p._terms = None
+        p._packed = (pk, den, nums, max(nums) >> pk.degree_shift)
+        return p
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        if self._terms is None:
+            pk, den, nums, _ = self._packed
+            unpack = pk.unpack
+            self._terms = {unpack(k): Fraction(c, den) for k, c in nums.items()}
+        return self._terms
+
+    def _degree(self) -> int:
+        """Total degree of a nonzero polynomial."""
+        if self._packed is not None:
+            return self._packed[3]
+        return max(map(sum, self._terms))
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._packed is None else self._packed[2])
+
+    def has_constant_term(self) -> bool:
+        if self._packed is not None:
+            return 0 in self._packed[2]  # key 0 is the exponent vector 0
+        return (0,) * self.ctx.arity in self._terms
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
@@ -378,12 +430,16 @@ class Polynomial:
     def evaluate(self, values: Sequence):
         """The value at a point: Fractions (exact) or floats (cross-checks).
 
-        Ring values work too, one product at a time, but germlab sends
-        them through `substitute`.
+        At a point of ints and Fractions the terms are summed as integers
+        over one denominator and the value is one Fraction.  Ring values
+        work too, one product at a time, but germlab sends them through
+        `substitute`.
         """
         if len(values) != self.ctx.arity:
             raise ValueError(
                 f"expected {self.ctx.arity} values, got {len(values)}")
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            return self._rational_value(values)
         total = Fraction(0)
         for e, c in self.terms.items():
             for v, k in zip(values, e):
@@ -391,6 +447,36 @@ class Polynomial:
                     c = c * v ** k
             total = total + c
         return total
+
+    def _rational_value(self, values: Sequence) -> Fraction:
+        # sum n_e * prod a_i^e_i * b_i^(deg_i - e_i) over den * prod b_i^deg_i,
+        # at x_i = a_i / b_i, with deg_i the degree in x_i and n_e / den the
+        # coefficients.
+        if self._packed is not None:
+            pk, den, nums, _ = self._packed
+            unpack = pk.unpack
+            terms = [(unpack(k), c) for k, c in nums.items()]
+        else:
+            den = lcm(*[c.denominator for c in self._terms.values()])
+            terms = [(e, c.numerator * (den // c.denominator))
+                     for e, c in self._terms.items()]
+        if not terms:
+            return Fraction(0)
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+        degs = list(map(max, zip(*[e for e, _ in terms])))
+        factor: dict[tuple[int, int], int] = {}
+        total = 0
+        for e, c in terms:
+            for i, k in enumerate(e):
+                f = factor.get((i, k))
+                if f is None:
+                    f = factor[i, k] = nums[i] ** k * dens[i] ** (degs[i] - k)
+                c *= f
+            total += c
+        for d, g in zip(dens, degs):
+            den *= d ** g
+        return Fraction(total, den)
 
     def lift(self, ctx: VarContext) -> "Polynomial":
         """Reinterpret over a larger context containing this one's names."""
@@ -428,7 +514,7 @@ class Polynomial:
         if self.is_zero():
             return self
         # Every remainder and quotient term has degree at most deg(self).
-        pk = _packing(self.ctx.arity, max(_degree(self.terms), _degree(divisor.terms)))
+        pk = _packing(self.ctx.arity, max(self._degree(), divisor._degree()))
         unpack = pk.unpack
         da, rem_items = pk.scaled(self.terms)
         db, b = pk.scaled(divisor.terms)
@@ -499,14 +585,23 @@ def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products
 
     The term c * x^e is the chain [const(ctx, c), v_1^e_1, ...] over the
     values' context ctx, and the chains go to sum_of_products(ctx, chains)
-    in term order, each power built once.  With denominators d_i, each x_i
+    in term order, each power of each value object built once.  The powers
+    are keyed by the value's identity, so no value is hashed (hashing a
+    packed polynomial builds its term map).  With denominators d_i, each x_i
     is cleared to its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i,
     and the result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.
     """
     if len(values) != p.ctx.arity:
         raise ValueError(f"expected {p.ctx.arity} values, got {len(values)}")
     ctx = values[0].ctx
-    power = lru_cache(maxsize=None)(pow)
+    powers: dict[tuple[int, int], object] = {}
+
+    def power(v, k: int):
+        got = powers.get((id(v), k))
+        if got is None:
+            got = powers[id(v), k] = v ** k
+        return got
+
     degs = [p.degree_in(n) for n in p.ctx.names] if denominators else None
     chains = []
     for e, c in p.terms.items():
@@ -562,6 +657,19 @@ class PolyMatrix:
                                          for k, a in enumerate(row)])
              for j in range(other.cols)]
             for row in self.entries])
+
+    def gram(self) -> "PolyMatrix":
+        """A @ A^T with each entry on or above the diagonal computed once.
+
+        The entry below the diagonal is the same object as the one above;
+        it equals, with its terms in another order, what `@` would give.
+        """
+        rows = self.entries
+        out = [[None] * self.rows for _ in rows]
+        for i, a in enumerate(rows):
+            for j in range(i, self.rows):
+                out[i][j] = out[j][i] = _sum_of_products(self.ctx, list(zip(a, rows[j])))
+        return PolyMatrix(out)
 
     def minors(self) -> list[Polynomial]:
         """All maximal minors, column subsets in lexicographic order."""

@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from germlab.poly import Polynomial
 
@@ -40,20 +41,22 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-def rational_point(rng: random.Random, arity: int, radius=2) -> tuple[Fraction, ...]:
-    """One rational point in [-radius, radius]^arity, denominators 1..64."""
-    out = []
+def iter_rational_points(rng: random.Random, arity: int,
+                         radius=2) -> Iterator[tuple[Fraction, ...]]:
+    """Endless rational points in [-radius, radius]^arity, denominators 1..64."""
     bound = Fraction(radius).limit_denominator(10**6)
-    for _ in range(arity):
-        den = rng.randint(1, 64)
-        hi = int(bound * den)
-        out.append(Fraction(rng.randint(-hi, hi), den))
-    return tuple(out)
+    while True:
+        out = []
+        for _ in range(arity):
+            den = rng.randint(1, 64)
+            hi = int(bound * den)
+            out.append(Fraction(rng.randint(-hi, hi), den))
+        yield tuple(out)
 
 
 def rational_points(rng: random.Random, arity: int, count: int,
                     radius=2) -> list[tuple[Fraction, ...]]:
-    return [rational_point(rng, arity, radius) for _ in range(count)]
+    return list(islice(iter_rational_points(rng, arity, radius), count))
 
 
 def sparse_grid(arity: int) -> list[tuple[Fraction, ...]]:

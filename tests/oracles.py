@@ -80,6 +80,16 @@ def sympy_expand_equal(text_a: str, text_b: str, names: list[str]) -> bool:
     return sympy.expand(ea - eb) == 0
 
 
+def evaluate(terms: dict, point) -> Fraction:
+    """The value of a term dict at a point, one Fraction product per term."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        for v, k in zip(point, e):
+            c *= v**k
+        total += c
+    return total
+
+
 def schoolbook_mul(a: dict, b: dict) -> dict:
     """Product of two term dicts by the double loop over Fraction terms.
 

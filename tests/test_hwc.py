@@ -13,7 +13,6 @@ from germlab.hwc import (
     hwc_check_mixed,
     isolated_singularity_probe,
     mixed_algorithm_build,
-    mixed_pairing_text,
     product_pair,
     separable_sum,
     separable_sum_report,
@@ -180,8 +179,8 @@ def test_mixed_route_on_holomorphic_square():
 
 def test_mixed_route_pairing_residual_on_worked_failure():
     T = mvar("x") * mvar("y") * mcvar("x")
-    assert mixed_pairing_text(T) == "x*conj(x)*conj(y)^2"
     res = hwc_check_mixed(T)
+    assert res.pairing.text() == "x*conj(x)*conj(y)^2"
     assert not res.holds
     assert set(res.residuals) <= {"pairing_re", "pairing_im"}
     assert res.residuals

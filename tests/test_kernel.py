@@ -10,6 +10,9 @@ evaluation sums terms in that order, and the sampled composition probe
 compiles H's minors in it), equal canonical text, and the same verdict on
 inexact division.  The Laurent kernel behind `CurveFamily.pullback` is
 checked by value at rational (t, s) points against term-dict loops.
+A product's result stays packed and feeds the next product as it is, so
+chains of products, `evaluate` at rational points, `PolyMatrix.gram` and
+`substitute` are checked on packed values too.
 """
 
 from fractions import Fraction
@@ -23,9 +26,9 @@ from germlab.corpus import DATA_DIR
 from germlab.curves import CurveFamily, LaurentPoly
 from germlab.dsl import parse_path
 from germlab.germs import Parametrization, RealMapGerm, pullback_numerator
-from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
+from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products, substitute
 
-from oracles import (chained_sum, cleared_pullback, cofactor_det, schoolbook_div,
+from oracles import (chained_sum, cleared_pullback, cofactor_det, evaluate, schoolbook_div,
                      schoolbook_mul)
 
 CONTEXTS = {n: VarContext([f"x{i}" for i in range(n)]) for n in range(1, 11)}
@@ -299,17 +302,8 @@ def test_corpus_compositions_keep_their_term_order(fname, inner, outer):
         assert list(got.terms.items()) == list(comp.evaluate(values).terms.items())
 
 
-def term_value(terms: dict, point) -> Fraction:
-    total = Fraction(0)
-    for e, c in terms.items():
-        for v, k in zip(point, e):
-            c *= v**k
-        total += c
-    return total
-
-
 def laurent_value(parts: dict, t: Fraction, s) -> Fraction:
-    return sum((term_value(q, s) * t**k for k, q in parts.items()), Fraction(0))
+    return sum((evaluate(q, s) * t**k for k, q in parts.items()), Fraction(0))
 
 
 @st.composite
@@ -341,7 +335,7 @@ def test_curve_pullback_matches_the_value_at_rational_points(case):
     spectators = [(Fraction(1, 3),) * k, (Fraction(-2),) * k, (Fraction(5, 4), Fraction(-1, 6))[:k]]
     for t in (Fraction(1, 2), Fraction(-3), Fraction(2, 7)):
         for s in spectators:
-            want = term_value(p, [laurent_value(c, t, s) for c in coords])
+            want = evaluate(p, [laurent_value(c, t, s) for c in coords])
             assert laurent_value(parts, t, s) == want
 
 
@@ -371,3 +365,119 @@ def test_zero_entries_and_factors():
     assert _sum_of_products(ctx, []).terms == {}
     assert (x * zero).terms == {} and (zero * x).terms == {}
     assert PolyMatrix([[x, zero], [y, zero]]).det().terms == {}
+
+
+# -- packed results ------------------------------------------------------------
+
+
+@st.composite
+def product_chains(draw):
+    """(arity, first-stage pool and chains, second-stage chains over both pools)."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(term_dicts(n), min_size=1, max_size=4))
+    first = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    # Index -1 is the first stage's result, a packed polynomial.
+    index = st.integers(-1, len(pool) - 1)
+    second = draw(st.lists(st.lists(index, min_size=1, max_size=3), max_size=4))
+    return n, pool, first, second
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_chains())
+def test_products_fed_into_products_match_the_chained_loop(case):
+    n, pool, first, second = case
+    polys = [poly(n, f) for f in pool]
+    mid = _sum_of_products(CONTEXTS[n], [[polys[i] for i in c] for c in first])
+    mid_terms = chained_sum([[pool[i] for i in c] for c in first])
+    got = _sum_of_products(CONTEXTS[n], [[mid if i < 0 else polys[i] for i in c]
+                                         for c in second])
+    want = chained_sum([[mid_terms if i < 0 else pool[i] for i in c] for c in second])
+    assert_matches(mid, mid_terms)
+    assert_matches(got, want)
+    point = [Fraction(-2, 3), Fraction(5), Fraction(0), Fraction(7, 4)][:n]
+    assert got.evaluate(point) == evaluate(want, point)
+
+
+def test_a_chain_widens_its_packing_past_degree_255():
+    # Each product doubles the degree, so the fields widen from one byte to
+    # two mid-chain and the packed factor is scaled again from its terms.
+    ctx = CONTEXTS[2]
+    x1, x2 = ctx.gens()
+    a = x1**300 * x2 + x2**2
+    assert a.terms == {(300, 1): 1, (0, 2): 1}
+    b = x1 * x2 - Fraction(1, 3)
+    chain, want = b, b.terms
+    for factor in (b, b, a, b, a):
+        chain = chain * factor
+        want = schoolbook_mul(want, factor.terms)
+        assert list(chain.terms.items()) == list(want.items())
+    assert chain.evaluate((Fraction(1, 2), Fraction(-3))) == evaluate(want, (Fraction(1, 2), -3))
+
+
+def test_is_zero_and_reuse_never_build_the_term_map():
+    x, y = CONTEXTS[2].gens()
+    p = (x + y) * (x - 2 * y)
+    q = (x - y) * (x + y)
+    assert p._terms is None and q._terms is None
+    assert not p.is_zero() and not p.has_constant_term()
+    r = _sum_of_products(CONTEXTS[2], [[p, q], [q, q, p]])
+    assert p._terms is None and q._terms is None
+    assert r.evaluate((Fraction(1, 2), 3)) == evaluate(r.terms, (Fraction(1, 2), 3))
+    assert ((x + 1) * (x - 1)).has_constant_term()
+
+
+@st.composite
+def rational_points_for(draw, n):
+    """Points of n rationals; zeros and negative numerators are common."""
+    value = st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction),
+                      st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)))
+    return [draw(value) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), term_dicts(n, max_exp=4), rational_points_for(n))))
+@example((2, {}, [Fraction(1), Fraction(2)]))                                    # zero
+@example((2, {(0, 0): Fraction(-7, 3)}, [Fraction(0), Fraction(-1, 2)]))         # constant
+@example((3, {(2, 0, 1): Fraction(5), (0, 3, 0): Fraction(-1, 9)},
+          [Fraction(0), Fraction(-4, 7), Fraction(0)]))                           # zero coordinates
+def test_evaluate_at_rational_points_matches_the_oracle(case):
+    n, terms, point = case
+    p = poly(n, terms)
+    packed = p * CONTEXTS[n].one()
+    for at in (point, [int(v) if v.denominator == 1 else v for v in point]):
+        assert p.evaluate(at) == evaluate(terms, at)
+        assert packed.evaluate(at) == evaluate(terms, at)
+        assert type(p.evaluate(at)) is Fraction
+    assert packed._terms is None or not terms  # a zero product holds its empty map
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(4, 4))
+def test_gram_equals_the_matrix_product_entrywise(case):
+    n, m = case
+    a = PolyMatrix([[poly(n, e) for e in row] for row in m])
+    got, want = a.gram(), a @ a.transpose()
+    assert got.shape == want.shape
+    for i in range(a.rows):
+        for j in range(a.rows):
+            assert got[i, j] == want[i, j]
+            if i <= j:
+                assert list(got[i, j].terms.items()) == list(want[i, j].terms.items())
+            else:
+                assert got[i, j] is got[j, i]
+
+
+def test_substitute_equal_values_that_are_distinct_objects():
+    # u + v and v + u are equal with their terms in opposite orders.  Each
+    # power comes from its own value, as in the oracle: x1^2 is second^2,
+    # not the first^2 that x0^2 has already built.
+    s = VarContext(["s0", "s1"])
+    u, v = s.gens()
+    first, second = u + v, v + u
+    assert first == second and list(first.terms) != list(second.terms)
+    p = poly(2, {(2, 0): Fraction(1), (1, 2): Fraction(-3, 2)})
+    got = substitute(p, [first, second])
+    assert_matches(got, cleared_pullback(p.terms, [first.terms, second.terms], 2))
+    assert got == substitute(p, [first, first])

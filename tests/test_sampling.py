@@ -5,10 +5,12 @@ evaluator must give the same bits as evaluating one polynomial at a time,
 and a batch of points the same bits as its points one by one.  The
 batched solver and the fiber distance are checked against oracles:
 scipy's least_squares from the same seeds, and closed-form distances.
+The seeded rational points are pinned at a fixed seed.
 """
 
 import warnings
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from pathlib import Path
 
@@ -19,11 +21,11 @@ from scipy.optimize import least_squares
 import germlab
 from germlab.compose import compose_exact, composition_sampled_probe
 from germlab.dsl import parse_path, parse_text
-from germlab.germs import Parametrization
+from germlab.germs import Parametrization, _nonzero_point
 from germlab.poly import Polynomial, VarContext
 from germlab.sampling import (
-    TOL_VARIETY, RunConfig, compile_float, compile_jacobian, compile_scale,
-    derive_rng, refine_batch,
+    DEFAULT_SEED, TOL_VARIETY, RunConfig, compile_float, compile_jacobian, compile_scale,
+    derive_rng, iter_rational_points, rational_points, refine_batch,
 )
 from germlab.witness import _distance_to_components, condition_b_sampled_probe
 
@@ -51,6 +53,24 @@ def probe_lists() -> dict[str, list[Polynomial]]:
 
 
 LISTS = probe_lists()
+
+
+def test_rational_points_are_pinned_at_a_fixed_seed():
+    # The radius bound is computed once per call that draws points; the
+    # draws are those of one bound per point.
+    rng = derive_rng(DEFAULT_SEED, "closure-sep")
+    assert rational_points(rng, 3, 2, radius=Fraction(1, 2)) == [
+        (Fraction(-9, 38), Fraction(-1, 18), Fraction(7, 64)),
+        (Fraction(-7, 26), Fraction(-1, 6), Fraction(-15, 59))]
+    first = [(Fraction(9, 25), Fraction(68, 43)), (Fraction(-3, 19), Fraction(-27, 16)),
+             (Fraction(16, 23), Fraction(-2, 9))]
+    rng = derive_rng(DEFAULT_SEED, "pullback-witness")
+    assert list(islice(iter_rational_points(rng, 2), 3)) == first
+    # The pullback witness search draws from that stream one point at a
+    # time: y - 68/43 vanishes at the first point, so the second is taken.
+    y = VarContext(["x", "y"]).var("y")
+    assert _nonzero_point(y - Fraction(68, 43), avoid=[]) == first[1]
+    assert _nonzero_point(y, avoid=[y - Fraction(68, 43)]) == first[1]
 
 
 def loop_evaluator(polys):
