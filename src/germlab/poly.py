@@ -21,7 +21,7 @@ family limit of `condition_b_family_check` and, on the Laurent kernel of
 packed ints and summed in one integer accumulator.  Its result stays
 packed: the next product whose packing matches reads the integers as they
 are, and the term map is built only when something reads `terms`.
-`Polynomial.evaluate` sums over one denominator at a rational point.
+`Polynomial.evaluate` is the scalar loop.
 """
 
 from __future__ import annotations
@@ -265,9 +265,9 @@ class Polynomial:
     A result of `_sum_of_products` is packed: `_packed` holds its
     `_Packing`, a denominator, a map from packed keys to integer numerators
     in term order, and its total degree.  Its term map is built from those
-    on the first read of `terms` and kept; `is_zero`, `has_constant_term`,
-    `evaluate` and the next product read the packed form.  Any other
-    polynomial holds its term map and no packed form.
+    on the first read of `terms` and kept; `is_zero`, `has_constant_term`
+    and the next product read the packed form.  Any other polynomial holds
+    its term map and no packed form.
 
     Example
     -------
@@ -430,16 +430,12 @@ class Polynomial:
     def evaluate(self, values: Sequence):
         """The value at a point: Fractions (exact) or floats (cross-checks).
 
-        At a point of ints and Fractions the terms are summed as integers
-        over one denominator and the value is one Fraction.  Ring values
-        work too, one product at a time, but germlab sends them through
-        `substitute`.
+        Ring values work too, one product at a time, but germlab sends
+        them through `substitute`.
         """
         if len(values) != self.ctx.arity:
             raise ValueError(
                 f"expected {self.ctx.arity} values, got {len(values)}")
-        if all(isinstance(v, (int, Fraction)) for v in values):
-            return self._rational_value(values)
         total = Fraction(0)
         for e, c in self.terms.items():
             for v, k in zip(values, e):
@@ -447,36 +443,6 @@ class Polynomial:
                     c = c * v ** k
             total = total + c
         return total
-
-    def _rational_value(self, values: Sequence) -> Fraction:
-        # sum n_e * prod a_i^e_i * b_i^(deg_i - e_i) over den * prod b_i^deg_i,
-        # at x_i = a_i / b_i, with deg_i the degree in x_i and n_e / den the
-        # coefficients.
-        if self._packed is not None:
-            pk, den, nums, _ = self._packed
-            unpack = pk.unpack
-            terms = [(unpack(k), c) for k, c in nums.items()]
-        else:
-            den = lcm(*[c.denominator for c in self._terms.values()])
-            terms = [(e, c.numerator * (den // c.denominator))
-                     for e, c in self._terms.items()]
-        if not terms:
-            return Fraction(0)
-        nums = [v.numerator for v in values]
-        dens = [v.denominator for v in values]
-        degs = list(map(max, zip(*[e for e, _ in terms])))
-        factor: dict[tuple[int, int], int] = {}
-        total = 0
-        for e, c in terms:
-            for i, k in enumerate(e):
-                f = factor.get((i, k))
-                if f is None:
-                    f = factor[i, k] = nums[i] ** k * dens[i] ** (degs[i] - k)
-                c *= f
-            total += c
-        for d, g in zip(dens, degs):
-            den *= d ** g
-        return Fraction(total, den)
 
     def lift(self, ctx: VarContext) -> "Polynomial":
         """Reinterpret over a larger context containing this one's names."""
@@ -590,6 +556,8 @@ def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products
     packed polynomial builds its term map).  With denominators d_i, each x_i
     is cleared to its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i,
     and the result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.
+    A chain with a power of a zero value adds nothing and is left out, and
+    a denominator 1 adds no factors.
     """
     if len(values) != p.ctx.arity:
         raise ValueError(f"expected {p.ctx.arity} values, got {len(values)}")
@@ -602,16 +570,24 @@ def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products
             got = powers[id(v), k] = v ** k
         return got
 
-    degs = [p.degree_in(n) for n in p.ctx.names] if denominators else None
+    zero = [v.is_zero() for v in values]
+    degs = None
+    if denominators:
+        one = const(ctx, 1)
+        degs = [0 if d == one else p.degree_in(n)
+                for d, n in zip(denominators, p.ctx.names)]
     chains = []
     for e, c in p.terms.items():
         chain = [const(ctx, c)]
         for i, k in enumerate(e):
             if k:
+                if zero[i]:
+                    break
                 chain.append(power(values[i], k))
             if degs and degs[i] > k:
                 chain.append(power(denominators[i], degs[i] - k))
-        chains.append(chain)
+        else:
+            chains.append(chain)
     return sum_of_products(ctx, chains)
 
 

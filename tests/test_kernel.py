@@ -450,7 +450,6 @@ def test_evaluate_at_rational_points_matches_the_oracle(case):
         assert p.evaluate(at) == evaluate(terms, at)
         assert packed.evaluate(at) == evaluate(terms, at)
         assert type(p.evaluate(at)) is Fraction
-    assert packed._terms is None or not terms  # a zero product holds its empty map
 
 
 @settings(max_examples=100, deadline=None)
@@ -481,3 +480,24 @@ def test_substitute_equal_values_that_are_distinct_objects():
     got = substitute(p, [first, second])
     assert_matches(got, cleared_pullback(p.terms, [first.terms, second.terms], 2))
     assert got == substitute(p, [first, first])
+
+
+def test_substitute_powers_no_zero_value_and_no_unit_denominator(monkeypatch):
+    # The chains through a power of 0 add nothing and the powers of a
+    # denominator 1 are factors 1, so none of them is built.
+    s = VarContext(["s0"])
+    (t,) = s.gens()
+    zero, one, den = s.zero(), s.one(), t + 2
+    p = poly(3, {(1, 0, 2): Fraction(2), (2, 1, 0): Fraction(-1), (0, 2, 1): Fraction(1, 3),
+                 (0, 0, 1): Fraction(5)})
+    nums, dens = [t - 1, zero, t**2 + 3], [one, den, one]
+    powered = []
+    real_pow = Polynomial.__pow__
+    monkeypatch.setattr(Polynomial, "__pow__", lambda b, k: powered.append(b) or real_pow(b, k))
+    phi = Parametrization(target=CONTEXTS[3], params=s, numerators=tuple(nums),
+                          denominators=tuple(dens))
+    got = pullback_numerator(p, phi)
+    assert not any(b is zero or b is one for b in powered)
+    assert_matches(got, cleared_pullback(p.terms, [v.terms for v in nums], 1,
+                                         [d.terms for d in dens]))
+    assert_matches(substitute(p, nums), cleared_pullback(p.terms, [v.terms for v in nums], 1))
