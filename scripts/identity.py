@@ -21,20 +21,25 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 CORPUS = "src/germlab/corpus"
-# Every mixed declaration of the corpus, by file.
-MIXED = {"e1": ("e1a", "e1b"), "fgbar": ("fgA", "fgB", "fgF"),
-         "mixalg": ("mixalg",), "t": ("t",), "xyzbar": ("xyzbar",),
-         "z2": ("z2",)}
+DECLARATION = re.compile(r"^(map|mixed) (\w+) :", re.MULTILINE)
+
+
+def declarations(root: Path, germs: list[str]) -> list[tuple[str, str, str]]:
+    """(file, kind, name) of every corpus declaration, in file order."""
+    return [(g, kind, name) for g in germs
+            for kind, name in DECLARATION.findall((root / CORPUS / g).read_text())]
 
 
 def commands(root: Path) -> list[list[str]]:
     germs = sorted(p.name for p in (root / CORPUS).glob("*.germ"))
+    decls = declarations(root, germs)
     return [
         *(["parse", f"{CORPUS}/{g}"] for g in germs),
         # perfbench's cli-cold commands; `parse e21.germ` is listed above
@@ -57,8 +62,10 @@ def commands(root: Path) -> list[list[str]]:
          "GC", "--mode", "sampled", "--radius", "0.5"],
         ["compose-check", f"{CORPUS}/incl.germ", "--inner", "FI", "--outer",
          "GI", "--mode", "inclusion", "--set", "MH"],
-        *(["hwc", f"{CORPUS}/{f}.germ", "--germ", g]
-          for f, names in MIXED.items() for g in names),
+        *(["hwc", f"{CORPUS}/{g}", "--germ", name]
+          for g, kind, name in decls if kind == "mixed"),
+        # every Milnor polynomial, mixalg's 471,771 terms among them
+        *(["milnor", f"{CORPUS}/{g}", "--germ", name] for g, _, name in decls),
         ["construct", "product", f"{CORPUS}/prodpair.germ"],
         ["construct", "product", f"{CORPUS}/prodpair_bad.germ"],
         # the README example

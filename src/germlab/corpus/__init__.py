@@ -98,13 +98,12 @@ def check_value(report: dict, name: str):
 
 
 def _milnor(gf, row, config):
-    out = analyses.milnor(gf, row)
-    if "square_det" in out:
-        # milnor_data squares det(A) for a square A, so compare that with
-        # the Gram route det(A A^T) rather than with itself.
-        md = milnor_data(gf.single(row.get("germ")).germ)
-        a = md.stacked
-        out["gram_is_square"] = a.gram().det() == md.square_det * md.square_det
+    md = milnor_data(gf.single(row.get("germ")).germ)
+    out = {"command": "milnor", **md.to_json_dict()}
+    if md.square_det is not None:
+        # For a square A, milnor_poly is det(A)^2; compare it with the Gram
+        # route det(A A^T) rather than with itself.
+        out["gram_is_square"] = md.stacked.gram().det() == md.milnor_poly
     return out
 
 

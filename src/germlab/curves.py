@@ -139,7 +139,7 @@ class LaurentPoly:
         for k in sorted(self.parts, reverse=True):
             p = self.parts[k]
             body = p.text()
-            if len(p.terms) > 1:
+            if " " in body:  # a sum: its terms print with spaces between
                 body = f"({body})"
             if k == 0:
                 out.append(body)

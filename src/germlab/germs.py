@@ -83,9 +83,6 @@ class RealMapGerm:
                 stacked_shape=list(a.shape))
         return a.minors()
 
-    def evaluate(self, values: Sequence) -> list:
-        return [g.evaluate(values) for g in self.components]
-
     def label(self) -> str:
         return self.name or "germ"
 
@@ -170,15 +167,6 @@ class Parametrization:
     def dim(self) -> int:
         """Declared dimension: the number of parameters."""
         return self.params.arity
-
-    def evaluate(self, svals: Sequence) -> list:
-        out = []
-        for n, d in zip(self.numerators, self.denominators):
-            dv = d.evaluate(svals)
-            if dv == 0:
-                raise ValueError(f"denominator {d.text()} vanishes at {svals}")
-            out.append(n.evaluate(svals) / dv)
-        return out
 
     def tangent_numerators(self, name: str) -> tuple[Polynomial, ...]:
         """Quotient-rule numerators of d/ds_name; denominators are d_i^2."""

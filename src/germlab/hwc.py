@@ -115,42 +115,6 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
                                 residuals=residuals, pairing=pairing)
 
 
-def fgbar_check(f: MixedPolynomial, g: MixedPolynomial):
-    """Frame check for f * conj(g) with f, g holomorphic.
-
-    Returns (product, result, pairing): the mixed product germ, the direct
-    frame check on it, and the pairing sum_j conj(df_j) * dg_j whose
-    vanishing characterizes the verdict.  Both routes are computed; their
-    disagreement would falsify the characterization, so it is an internal
-    error, not a report.
-    """
-    if not f.is_holomorphic():
-        raise GermlabRejection("fgbar_check needs holomorphic f",
-                               offending=_first_conj_term(f))
-    if not g.is_holomorphic():
-        raise GermlabRejection("fgbar_check needs holomorphic g",
-                               offending=_first_conj_term(g))
-    product = f * g.conj()
-    direct = hwc_check_mixed(product)
-    dfs, _ = f.wirtinger()
-    dgs, _ = g.wirtinger()
-    pairing = hermitian_pairing(dgs, dfs)
-    assert direct.holds == pairing.is_zero(), (
-        "pairing characterization disagreed with the direct check"
-    )
-    return product, direct, pairing
-
-
-def _first_conj_term(f: MixedPolynomial) -> str:
-    for (nu, mu), c in f.terms.items():
-        if any(mu):
-            names = f.ctx.names
-            parts = [f"conj({n})^{k}" if k > 1 else f"conj({n})"
-                     for n, k in zip(names, mu) if k]
-            return "*".join(parts)
-    return ""
-
-
 # -- constructions -------------------------------------------------------
 
 

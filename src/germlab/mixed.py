@@ -25,8 +25,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from germlab.poly import (Exponents, Polynomial, VarContext, _coeff, _grlex,
-                          _power, _sum_of_products)
+from germlab.poly import (Exponents, Polynomial, VarContext, _coeff, _power,
+                          _sum_of_products)
 
 
 class ComplexRational:
@@ -80,7 +80,7 @@ def _doubled(ctx: VarContext) -> VarContext:
 
 def _swap(p: Polynomial, n: int) -> Polynomial:
     # z^nu * zbar^mu -> z^mu * zbar^nu
-    return Polynomial._trusted(p.ctx, {e[n:] + e[:n]: c for e, c in p.terms.items()})
+    return p._moved(p.ctx, [*range(n, 2 * n), *range(n)])
 
 
 class MixedPolynomial:
@@ -146,14 +146,14 @@ class MixedPolynomial:
 
     def is_holomorphic(self) -> bool:
         """No conjugated variable survives expansion."""
-        n = self.ctx.arity
-        return not any(any(e[n:]) for p in (self.re, self.im) for e in p.terms)
+        conj = self.re.ctx.names[self.ctx.arity:]
+        return not any(p.degree_in(v) for p in (self.re, self.im) for v in conj)
 
     def support(self) -> set[int]:
         """Indices of complex variables actually appearing."""
-        n = self.ctx.arity
-        return {i for p in (self.re, self.im) for e in p.terms
-                for i in range(n) if e[i] or e[n + i]}
+        n, names = self.ctx.arity, self.re.ctx.names
+        return {i for i in range(n) for p in (self.re, self.im)
+                if p.degree_in(names[i]) or p.degree_in(names[n + i])}
 
     # -- arithmetic ------------------------------------------------------
 
@@ -284,13 +284,6 @@ class MixedPolynomial:
                     chains[k % 2].append([const(-s if k % 4 > 1 else s), *f])
         return real_ctx, chains
 
-    def evaluate(self, values: Sequence[complex]) -> complex:
-        """Float evaluation at complex points; cross-checks only."""
-        if len(values) != self.ctx.arity:
-            raise ValueError(f"expected {self.ctx.arity} values, got {len(values)}")
-        both = list(values) + [v.conjugate() for v in values]
-        return complex(self.re.evaluate(both)) + 1j * complex(self.im.evaluate(both))
-
     # -- printing --------------------------------------------------------
 
     def text(self) -> str:
@@ -302,12 +295,12 @@ class MixedPolynomial:
         """
         d, re, im = self.re.ctx, self.re.terms, self.im.terms
         out = []
-        for e in sorted({**re, **im}, key=_grlex, reverse=True):
+        for e in sorted({**re, **im}, key=lambda e: (sum(e), e), reverse=True):
             c = ComplexRational(re.get(e, 0), im.get(e, 0))
             if not c.im:
-                t = Polynomial._trusted(d, {e: c.re}).text()
+                t = Polynomial(d, {e: c.re}).text()
             else:
-                mono = Polynomial._trusted(d, {e: Fraction(1)}).text()
+                mono = Polynomial(d, {e: 1}).text()
                 t = c.text() if mono == "1" else f"{c.text()}*{mono}"
             # The parser takes a unary minus only at the start of an expression.
             out.append(t if not out else f"- {t[1:]}" if t[0] == "-" else f"+ {t}")

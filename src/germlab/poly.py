@@ -2,25 +2,24 @@
 
 Everything downstream (Jacobians, Milnor determinants, pullbacks) reduces to
 the handful of operations defined here, so the module stays deliberately
-small: a term map from exponent tuples to Fractions, graded-lex ordering for
-printing, and one routine for determinants and maximal minors, first-row
-expansion with memoized sub-minors.  No floats in any identity.
+small: one stored form, graded-lex ordering for printing, and one routine
+for determinants and maximal minors, first-row expansion with memoized
+sub-minors.  No floats in any identity.
 
-The two hot loops, sums of products and exact division, run on packed
-integers (Monagan & Pearce, "Sparse polynomial division using a heap",
-JSC 2011).  Each exponent vector becomes one int whose top field is the
-total degree and whose lower fields are the exponents, so a monomial
-product is one integer add and a graded-lex comparison is one integer
-compare.  Each factor is scaled to integer numerators over one common
-denominator, so the loops multiply and add ints, not Fractions.  One
-kernel, `_sum_of_products`, serves a single product, a matrix product
-entry, one expansion step of a minor and, through `substitute`, each
-substitution of ring values (`pullback_numerator`, `compose_exact`, the
-family limit of `condition_b_family_check` and, on the Laurent kernel of
-`curves`, `CurveFamily.pullback`): every chain of factors is multiplied in
-packed ints and summed in one integer accumulator.  Its result stays
-packed: the next product whose packing matches reads the integers as they
-are, and the term map is built only when something reads `terms`.
+A polynomial is stored packed (Monagan & Pearce, "Sparse polynomial
+division using a heap", JSC 2011): integer numerators over one common
+denominator, each keyed by one int that packs an exponent vector.  The top
+field of a key is the total degree and the lower fields are the exponents,
+so a monomial product is one integer add, a graded-lex comparison is one
+integer compare and a derivative shifts a key by one variable's weight.
+Sums, products, exact division and printing read and write these integers;
+`Polynomial.terms`, exponent tuples to Fractions, is a view built on each
+read.  One kernel, `_sum_of_products`, serves a single product, a matrix
+product entry, one expansion step of a minor and, through `substitute`,
+each substitution of ring values (`pullback_numerator`, `compose_exact`,
+the family limit of `condition_b_family_check` and, on the Laurent kernel
+of `curves`, `CurveFamily.pullback`): every chain of factors is multiplied
+in packed ints and summed in one integer accumulator.
 `Polynomial.evaluate` is the scalar loop.
 """
 
@@ -31,16 +30,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 MAX_ARITY = 10  # variables in one context; exponents are dense tuples
-
-
-def _grlex(e: Exponents) -> tuple[int, Exponents]:
-    # Graded lexicographic sort key: total degree first, then the exponent
-    # vector itself.  Used descending for the canonical term order.
-    return (sum(e), e)
 
 
 def _coeff(c) -> Fraction:
@@ -59,7 +53,7 @@ class _Packing:
     bound on the total degree, which bounds every field.
     """
 
-    __slots__ = ("weights", "unpack", "degree_shift")
+    __slots__ = ("weights", "shifts", "mask", "unpack", "degree_shift")
 
     def __init__(self, arity: int, nbytes: int):
         w = 8 * nbytes
@@ -67,18 +61,17 @@ class _Packing:
         top = 1 << self.degree_shift
         # key = sum(e[i] * weights[i]): e[i] lands in its own field and,
         # through `top`, adds itself to the degree field.
-        self.weights = tuple((1 << (w * (arity - 1 - i))) | top
-                             for i in range(arity))
-        shifts = [w * (arity - 1 - i) for i in range(arity)]
-        mask = (1 << w) - 1
+        self.shifts = shifts = tuple(w * (arity - 1 - i) for i in range(arity))
+        self.weights = tuple((1 << s) | top for s in shifts)
+        self.mask = mask = (1 << w) - 1
         self.unpack = lambda k: tuple([(k >> s) & mask for s in shifts])
 
-    def scaled(self, terms: Mapping[Exponents, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-        """(d, [(key, d * c), ...]) with d the least common denominator."""
+    def scaled(self, terms: Mapping[Exponents, Fraction]) -> tuple[int, dict[int, int]]:
+        """(d, {key: d * c}) with d the least common denominator."""
         d = lcm(*[c.denominator for c in terms.values()])
         weights = self.weights
-        return d, [(sum(map(mul, e, weights)), c.numerator * (d // c.denominator))
-                   for e, c in terms.items()]
+        return d, {sum(map(mul, e, weights)): c.numerator * (d // c.denominator)
+                   for e, c in terms.items()}
 
 
 # At most 10 arities times a few field widths are ever in use.
@@ -90,8 +83,19 @@ def _packing(arity: int, max_degree: int) -> _Packing:
     return _packing_for(arity, -(-max_degree.bit_length() // 8) or 1)
 
 
+def _rekey(nums: dict[int, int], old: _Packing, new: _Packing,
+           positions: Sequence[int] | None = None) -> dict[int, int]:
+    """nums with each key moved from packing old to new, in the same order.
+
+    With positions, exponent i goes to field positions[i] of new.
+    """
+    weights = new.weights if positions is None else [new.weights[j] for j in positions]
+    unpack = old.unpack
+    return {sum(map(mul, unpack(k), weights)): c for k, c in nums.items()}
+
+
 def _chain_product(factors: list[Iterable[tuple[int, int]]]) -> dict[int, int]:
-    """Packed product of scaled factors, left to right, in schoolbook order.
+    """Packed product of integer numerators, left to right, in schoolbook order.
 
     A sum that cancels leaves the map and a later product puts it back at
     the end, so the terms come out in the order the double loop over the
@@ -119,16 +123,14 @@ def _sum_of_products(ctx: "VarContext",
                      chains: Iterable[Sequence["Polynomial"]]) -> "Polynomial":
     """The sum over chains of each chain's product, factors taken left to right.
 
-    This is `acc = acc + f1 * f2 * ...` in one packed pass: each distinct
-    factor is scaled once, each chain is multiplied in packed ints, and the
-    products merge into one integer accumulator over the lcm of their
-    denominators.  Each product is merged in its own term order and a sum
-    that cancels leaves the map, as in `Polynomial.__add__`, so the term map
-    comes out in the order of that loop.  A chain with a zero factor adds
-    nothing, and a single chain is its product, unmerged.
-
-    The result is packed (see `Polynomial`): a factor packed in the same
-    packing is read as it is, any other factor is scaled from its terms.
+    This is `acc = acc + f1 * f2 * ...` in one packed pass: each chain is
+    multiplied in its factors' integer numerators, and the products merge
+    into one integer accumulator over the lcm of their denominators.  Each
+    product is merged in its own term order and a sum that cancels leaves
+    the map, as in `Polynomial.__add__`, so the terms come out in the order
+    of that loop.  A chain with a zero factor adds nothing, and a single
+    chain is its product, unmerged.  A factor in the result's packing is
+    read as it is; a narrower one is re-keyed into it, once per call.
     """
     live = []
     degree: dict[int, int] = {}
@@ -148,19 +150,14 @@ def _sum_of_products(ctx: "VarContext",
     if not live:
         return ctx.zero()
     pk = _packing(ctx.arity, top)
-    scaled: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    read: dict[int, tuple[int, Iterable[tuple[int, int]]]] = {}
     packed, dens = [], []
     for chain in live:
         d, parts = 1, []
         for f in chain:
-            s = scaled.get(id(f))
+            s = read.get(id(f))
             if s is None:
-                own = f._packed
-                if own is not None and own[0] is pk:
-                    s = own[1], own[2].items()
-                else:
-                    s = pk.scaled(f.terms)
-                scaled[id(f)] = s
+                s = read[id(f)] = f._den, f._nums_in(pk).items()
             d *= s[0]
             parts.append(s[1])
         packed.append(parts)
@@ -258,16 +255,13 @@ class VarContext:
 class Polynomial:
     """A polynomial with Fraction coefficients over a fixed VarContext.
 
-    Terms map dense exponent tuples to nonzero coefficients; the zero
-    polynomial stores no terms, so equal polynomials have identical term
-    maps.  Instances are immutable by convention.
-
-    A result of `_sum_of_products` is packed: `_packed` holds its
-    `_Packing`, a denominator, a map from packed keys to integer numerators
-    in term order, and its total degree.  Its term map is built from those
-    on the first read of `terms` and kept; `is_zero`, `has_constant_term`
-    and the next product read the packed form.  Any other polynomial holds
-    its term map and no packed form.
+    The one stored form is packed: `_nums` maps packed keys to nonzero
+    integer numerators, in term order, over the positive denominator
+    `_den`, in the packing `_pk`.  The form is canonical, so equal
+    polynomials have equal fields: `_pk` is `_packing(arity, degree)`,
+    `_den` shares no factor with every numerator, and the zero polynomial
+    is `{}` over 1.  `terms` builds the view exponent tuple -> Fraction, in
+    the same order, on each read.  Instances are immutable by convention.
 
     Example
     -------
@@ -277,11 +271,9 @@ class Polynomial:
     'x^2 - y^2'
     """
 
-    __slots__ = ("ctx", "_terms", "_packed")
+    __slots__ = ("ctx", "_pk", "_den", "_nums")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponents, Fraction]):
-        self.ctx = ctx
-        self._packed = None
         clean = {}
         for e, c in terms.items():
             e = tuple(e)
@@ -291,69 +283,62 @@ class Polynomial:
             c = _coeff(c)
             if c:
                 clean[e] = c
-        self._terms = clean
-
-    @classmethod
-    def _trusted(cls, ctx: VarContext, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        # For term maps built here that already hold the invariants.
-        p = object.__new__(cls)
-        p.ctx = ctx
-        p._terms = terms
-        p._packed = None
-        return p
+        self.ctx = ctx
+        self._pk = _packing(ctx.arity, max(map(sum, clean), default=0))
+        # The lcm of reduced denominators shares no factor with every numerator.
+        self._den, self._nums = self._pk.scaled(clean)
 
     @classmethod
     def _from_packed(cls, ctx: VarContext, pk: _Packing, den: int,
                      nums: dict[int, int]) -> "Polynomial":
-        # Nonzero numerators over den; den shrinks by their common content.
-        if not nums:
-            return cls._trusted(ctx, {})
-        if den > 1:
+        # Nonzero numerators over den, keyed in pk: den shrinks by their
+        # common content and keys whose degree fits a narrower packing move.
+        if nums and den > 1:
             g = gcd(den, *nums.values())
             if g > 1:
                 den //= g
                 nums = {k: c // g for k, c in nums.items()}
+        own = _packing(ctx.arity, max(nums, default=0) >> pk.degree_shift)
         p = object.__new__(cls)
-        p.ctx = ctx
-        p._terms = None
-        p._packed = (pk, den, nums, max(nums) >> pk.degree_shift)
+        p.ctx, p._pk, p._den = ctx, own, den if nums else 1
+        p._nums = nums if own is pk else _rekey(nums, pk, own)
         return p
 
+    def _nums_in(self, pk: _Packing) -> dict[int, int]:
+        # The numerators keyed in pk, which is at least as wide as _pk.
+        return self._nums if self._pk is pk else _rekey(self._nums, self._pk, pk)
+
+    def _wider(self, other: "Polynomial") -> _Packing:
+        return max(self._pk, other._pk, key=lambda pk: pk.degree_shift)
+
     @property
-    def terms(self) -> dict[Exponents, Fraction]:
-        if self._terms is None:
-            pk, den, nums, _ = self._packed
-            unpack = pk.unpack
-            self._terms = {unpack(k): Fraction(c, den) for k, c in nums.items()}
-        return self._terms
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        unpack, den = self._pk.unpack, self._den
+        return MappingProxyType({unpack(k): Fraction(c, den) for k, c in self._nums.items()})
 
     def _degree(self) -> int:
-        """Total degree of a nonzero polynomial."""
-        if self._packed is not None:
-            return self._packed[3]
-        return max(map(sum, self._terms))
+        """Total degree; 0 for the zero polynomial."""
+        return max(self._nums, default=0) >> self._pk.degree_shift
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._packed is None else self._packed[2])
+        return not self._nums
 
     def has_constant_term(self) -> bool:
-        if self._packed is not None:
-            return 0 in self._packed[2]  # key 0 is the exponent vector 0
-        return (0,) * self.ctx.arity in self._terms
+        return 0 in self._nums  # key 0 is the exponent vector 0
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get((0,) * self.ctx.arity, Fraction(0))
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def degree_in(self, name: str) -> int:
-        i = self.ctx.position(name)
-        return max((e[i] for e in self.terms), default=0)
+        s, mask = self._pk.shifts[self.ctx.position(name)], self._pk.mask
+        return max(((k >> s) & mask for k in self._nums), default=0)
 
     # -- ring operations -------------------------------------------------
 
@@ -367,19 +352,24 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ctx(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        pk = self._wider(other)
+        den = lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den
+        acc = {k: c * ma for k, c in self._nums_in(pk).items()}
+        get = acc.get
+        for k, c in other._nums_in(pk).items():
+            s = get(k, 0) + c * mb
             if s:
-                terms[e] = s
+                acc[k] = s
             else:
-                terms.pop(e, None)
-        return Polynomial._trusted(self.ctx, terms)
+                del acc[k]
+        return Polynomial._from_packed(self.ctx, pk, den, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_packed(self.ctx, self._pk, self._den,
+                                       {k: -c for k, c in self._nums.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -_coeff(other))
@@ -390,7 +380,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return Polynomial(self.ctx, {e: c * v for e, v in self.terms.items()})
+            nums = {k: v * c.numerator for k, v in self._nums.items()} if c else {}
+            return Polynomial._from_packed(self.ctx, self._pk, self._den * c.denominator, nums)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ctx(other)
@@ -406,23 +397,25 @@ class Polynomial:
             other = self.ctx.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (self.ctx == other.ctx and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.ctx.names, frozenset(self.terms.items())))
+        return hash((self.ctx.names, self._den, frozenset(self._nums.items())))
 
     # -- calculus and evaluation ----------------------------------------
 
     def diff(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
+        pk = self._pk
         i = self.ctx.position(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                d = list(e)
-                d[i] -= 1
-                terms[tuple(d)] = c * e[i]
-        return Polynomial._trusted(self.ctx, terms)
+        s, mask, w = pk.shifts[i], pk.mask, pk.weights[i]
+        nums = {}
+        for k, c in self._nums.items():
+            e = (k >> s) & mask
+            if e:
+                nums[k - w] = c * e
+        return Polynomial._from_packed(self.ctx, pk, self._den, nums)
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.diff(n) for n in self.ctx.names)
@@ -436,9 +429,12 @@ class Polynomial:
         if len(values) != self.ctx.arity:
             raise ValueError(
                 f"expected {self.ctx.arity} values, got {len(values)}")
+        unpack, den = self._pk.unpack, self._den
         total = Fraction(0)
-        for e, c in self.terms.items():
-            for v, k in zip(values, e):
+        for key, c in self._nums.items():
+            if den != 1:
+                c = Fraction(c, den)
+            for v, k in zip(values, unpack(key)):
                 if k:
                     c = c * v ** k
             total = total + c
@@ -448,14 +444,13 @@ class Polynomial:
         """Reinterpret over a larger context containing this one's names."""
         if ctx == self.ctx:
             return self
-        pos = [ctx.position(n) for n in self.ctx.names]
-        terms = {}
-        for e, c in self.terms.items():
-            big = [0] * ctx.arity
-            for p, k in zip(pos, e):
-                big[p] = k
-            terms[tuple(big)] = c
-        return Polynomial(ctx, terms)
+        return self._moved(ctx, [ctx.position(n) for n in self.ctx.names])
+
+    def _moved(self, ctx: VarContext, positions: Sequence[int]) -> "Polynomial":
+        # Over ctx, with the exponent of variable i at variable positions[i].
+        pk = _packing(ctx.arity, self._degree())
+        return Polynomial._from_packed(ctx, pk, self._den,
+                                       _rekey(self._nums, self._pk, pk, positions))
 
     # -- exact division --------------------------------------------------
 
@@ -468,11 +463,11 @@ class Polynomial:
         inexact.  Raises ArithmeticError then, and ZeroDivisionError (also
         an ArithmeticError) on a zero divisor.
 
-        The loop runs over integers: self becomes A / da and divisor
-        g * B / db with A and B integral and B primitive.  By Gauss's lemma
-        B | A over the rationals only if the quotient A / B is integral, so a
-        leading coefficient that B's does not divide also proves the
-        division inexact.
+        The loop runs over integers: self is A / da and divisor g * B / db
+        with A and B integral and B primitive.  By Gauss's lemma B | A over
+        the rationals only if the quotient A / B is integral, so a leading
+        coefficient that B's does not divide also proves the division
+        inexact.
         """
         self._require_same_ctx(divisor)
         if divisor.is_zero():
@@ -480,26 +475,25 @@ class Polynomial:
         if self.is_zero():
             return self
         # Every remainder and quotient term has degree at most deg(self).
-        pk = _packing(self.ctx.arity, max(self._degree(), divisor._degree()))
+        pk = self._wider(divisor)
         unpack = pk.unpack
-        da, rem_items = pk.scaled(self.terms)
-        db, b = pk.scaled(divisor.terms)
-        g = gcd(*[c for _, c in b])
-        b = [(k, c // g) for k, c in b]
+        da, db = self._den, divisor._den
+        rem = dict(self._nums_in(pk))
+        b = divisor._nums_in(pk)
+        g = gcd(*b.values())
+        b = [(k, c // g) for k, c in b.items()]
         kd, cd = max(b)
         ed = unpack(kd)
-        rem = dict(rem_items)
         out: dict[int, int] = {}
         get = rem.get
         while rem:
             kr = max(rem)  # the leading term: keys compare in graded lex
             q, r = divmod(rem[kr], cd)
             if r or min(map(sub, unpack(kr), ed)) < 0:
-                left = {unpack(k): Fraction(c, da) for k, c in rem.items()}
-                raise ArithmeticError(
-                    f"inexact division: {Polynomial._trusted(self.ctx, left)} by {divisor}")
+                left = Polynomial._from_packed(self.ctx, pk, da, rem)
+                raise ArithmeticError(f"inexact division: {left} by {divisor}")
             kq = kr - kd
-            out[kq] = q
+            out[kq] = q * db
             for k2, c2 in b:
                 k = kq + k2
                 s = get(k, 0) - q * c2
@@ -507,36 +501,29 @@ class Polynomial:
                     rem[k] = s
                 else:
                     del rem[k]
-        den = g * da
-        return Polynomial._trusted(
-            self.ctx, {unpack(k): Fraction(q * db, den) for k, q in out.items()})
+        return Polynomial._from_packed(self.ctx, pk, g * da, out)
 
     # -- printing --------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical form: graded-lex descending, explicit * and ^."""
-        if not self.terms:
-            return "0"
+        """Canonical form: graded-lex descending, explicit * and ^.
+
+        Graded-lex order is integer order on the packed keys.
+        """
+        names, unpack, den, nums = self.ctx.names, self._pk.unpack, self._den, self._nums
         out = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.ctx.names, e)
-                if k
-            )
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
+        for k in sorted(nums, reverse=True):
+            c = nums[k]
+            g = gcd(c, den)
+            n, d = abs(c) // g, den // g
+            mag = str(n) if d == 1 else f"{n}/{d}"
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, unpack(k)) if e)
+            body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
             if not out:
                 out.append(body if c > 0 else f"-{body}")
             else:
                 out.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(out)
+        return " ".join(out) or "0"
 
     def __str__(self) -> str:
         return self.text()
@@ -552,8 +539,8 @@ def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products
     The term c * x^e is the chain [const(ctx, c), v_1^e_1, ...] over the
     values' context ctx, and the chains go to sum_of_products(ctx, chains)
     in term order, each power of each value object built once.  The powers
-    are keyed by the value's identity, so no value is hashed (hashing a
-    packed polynomial builds its term map).  With denominators d_i, each x_i
+    are keyed by the value's identity, so equal values whose terms come in
+    different orders each power their own.  With denominators d_i, each x_i
     is cleared to its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i,
     and the result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.
     A chain with a power of a zero value adds nothing and is left out, and

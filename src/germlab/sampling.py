@@ -98,9 +98,9 @@ def compile_float(polys: Sequence[Polynomial]):
 
     exps, coeffs, slices = [], [], []
     for p in polys:
-        start = len(exps)
-        exps.extend(p.terms.keys())
-        coeffs.extend(float(c) for c in p.terms.values())
+        start, terms = len(exps), p.terms
+        exps.extend(terms.keys())
+        coeffs.extend(float(c) for c in terms.values())
         slices.append((start, len(exps)))
     m = polys[0].ctx.arity
     E = np.array(exps, dtype=np.int64).reshape(len(exps), m)
@@ -335,16 +335,3 @@ def _secular_coefficients(S, uf, radius, full):
             break
     c = suf / (S2 + inside(lam)[:, None])
     return c * (radius / np.linalg.norm(c, axis=-1))[:, None]
-
-
-def fd_gradient(p: Polynomial, point: Sequence[float], h: float = 1e-6) -> list[float]:
-    """Central finite differences; cross-check only, never an oracle for truth."""
-    pt = [float(v) for v in point]
-    out = []
-    for i in range(len(pt)):
-        hi = pt.copy()
-        lo = pt.copy()
-        hi[i] += h
-        lo[i] -= h
-        out.append((p.evaluate(hi) - p.evaluate(lo)) / (2 * h))
-    return out

@@ -2,9 +2,10 @@
 
 Everything here is written against raw nested lists of Fractions or raw
 term dicts (exponent tuple -> Fraction), with no imports from germlab
-internals beyond evaluation, so that agreement between a germlab routine and
-its oracle actually means two routes reached the same answer.  The scipy
-composition ladder also takes the exact composition, the compiled float
+internals, so that agreement between a germlab routine and its oracle
+actually means two routes reached the same answer.  The float, germ and
+finite-difference evaluators are cross-checks that only tests need; they
+call `Polynomial.evaluate`.  The scipy composition ladder also takes the exact composition, the compiled float
 evaluators, the tolerances and the seed stream from germlab: it is an
 oracle for the solver and the batching, not for those.
 """
@@ -90,6 +91,85 @@ def evaluate(terms: dict, point) -> Fraction:
     return total
 
 
+def germ_value(germ, point) -> list:
+    """The components of a germ at a point, each by `Polynomial.evaluate`."""
+    return [g.evaluate(point) for g in germ.components]
+
+
+def parametrization_value(phi, svals) -> list:
+    """The coordinates n_i / d_i of a parametrization at parameter values."""
+    out = []
+    for n, d in zip(phi.numerators, phi.denominators):
+        dv = d.evaluate(svals)
+        if dv == 0:
+            raise ValueError(f"denominator {d.text()} vanishes at {svals}")
+        out.append(n.evaluate(svals) / dv)
+    return out
+
+
+def mixed_float_value(p, zs) -> complex:
+    """A mixed polynomial at complex points, from its re and im parts."""
+    if len(zs) != p.ctx.arity:
+        raise ValueError(f"expected {p.ctx.arity} values, got {len(zs)}")
+    both = list(zs) + [z.conjugate() for z in zs]
+    return complex(p.re.evaluate(both)) + 1j * complex(p.im.evaluate(both))
+
+
+def fd_gradient(p, point, h: float = 1e-6) -> list[float]:
+    """Central finite differences of a polynomial at a float point."""
+    pt = [float(v) for v in point]
+    out = []
+    for i in range(len(pt)):
+        hi = pt.copy()
+        lo = pt.copy()
+        hi[i] += h
+        lo[i] -= h
+        out.append((p.evaluate(hi) - p.evaluate(lo)) / (2 * h))
+    return out
+
+
+def term_text(terms: dict, names) -> str:
+    """Canonical text of a term dict: graded lex descending, explicit * and ^."""
+    out = []
+    for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        c = terms[e]
+        mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not out:
+            out.append(body if c > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(out) or "0"
+
+
+def scale(a: dict, c) -> dict:
+    """c times a term dict, in a's order."""
+    return {e: c * v for e, v in a.items()} if c else {}
+
+
+def term_diff(a: dict, i: int) -> dict:
+    """d/dx_i of a term dict, in a's order."""
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            d = list(e)
+            d[i] -= 1
+            out[tuple(d)] = c * e[i]
+    return out
+
+
+def term_lift(a: dict, positions, arity: int) -> dict:
+    """a over `arity` variables, with exponent i moved to positions[i]."""
+    out = {}
+    for e, c in a.items():
+        big = [0] * arity
+        for p, k in zip(positions, e):
+            big[p] = k
+        out[tuple(big)] = c
+    return out
+
+
 def schoolbook_mul(a: dict, b: dict) -> dict:
     """Product of two term dicts by the double loop over Fraction terms.
 
@@ -151,6 +231,13 @@ def _add_into(acc: dict, term: dict, sign: int = 1) -> None:
             acc[e] = s
         else:
             acc.pop(e, None)
+
+
+def plus(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b over term dicts: a's order, then b's new monomials."""
+    acc = dict(a)
+    _add_into(acc, b, sign)
+    return acc
 
 
 def chained_sum(chains: list[list[dict]]) -> dict:
@@ -234,12 +321,6 @@ def cleared_pullback(p: dict, nums: list[dict], arity: int,
 # loops germlab used before it stored a mixed polynomial as two Polynomials.
 
 
-def _plus(a: dict, b: dict, sign: int = 1) -> dict:
-    acc = dict(a)
-    _add_into(acc, b, sign)
-    return acc
-
-
 def mixed_mul(a: dict, b: dict) -> dict:
     """Product of two mixed term dicts by the double loop over terms."""
     terms: dict = {}
@@ -296,11 +377,11 @@ def mixed_realify(a: dict, arity: int) -> tuple[dict, dict]:
         for j in range(arity):
             x, y = unit(2 * j), unit(2 * j + 1)
             for _ in range(nu[j]):
-                tre, tim = (_plus(schoolbook_mul(tre, x), schoolbook_mul(tim, y), -1),
-                            _plus(schoolbook_mul(tre, y), schoolbook_mul(tim, x)))
+                tre, tim = (plus(schoolbook_mul(tre, x), schoolbook_mul(tim, y), -1),
+                            plus(schoolbook_mul(tre, y), schoolbook_mul(tim, x)))
             for _ in range(mu[j]):
-                tre, tim = (_plus(schoolbook_mul(tre, x), schoolbook_mul(tim, y)),
-                            _plus(schoolbook_mul(tim, x), schoolbook_mul(tre, y), -1))
+                tre, tim = (plus(schoolbook_mul(tre, x), schoolbook_mul(tim, y)),
+                            plus(schoolbook_mul(tim, x), schoolbook_mul(tre, y), -1))
         _add_into(total_re, tre)
         _add_into(total_im, tim)
     return total_re, total_im

@@ -14,7 +14,6 @@ import germlab
 
 ALLOWED = (
     ("certify.py", "RegularityReport.chain.walk"),
-    ("hwc.py", "fgbar_check"),
     ("hwc.py", "product_pair"),
 )
 

@@ -8,7 +8,6 @@ from germlab.germs import GermlabRejection, Parametrization, RealMapGerm, realif
 from germlab.hwc import (
     certify_frame,
     empty_interior_criterion,
-    fgbar_check,
     hwc_check,
     hwc_check_mixed,
     isolated_singularity_probe,
@@ -17,7 +16,7 @@ from germlab.hwc import (
     separable_sum,
     separable_sum_report,
 )
-from germlab.mixed import MixedPolynomial
+from germlab.mixed import MixedPolynomial, hermitian_pairing
 from germlab.poly import VarContext
 
 from oracles import sympy_expand_equal
@@ -206,18 +205,15 @@ CTX4 = VarContext(["u", "v", "p", "q"])
 
 
 def test_fgbar_verdict_comes_from_the_derivative_pairing():
-    pos, neg = mvar("x"), mvar("y")
-    _, res, pairing = fgbar_check(pos, neg)
-    assert res.holds and pairing.is_zero()
-    _, res2, pairing2 = fgbar_check(mvar("x") * mvar("y"), mvar("x"))
-    assert not res2.holds
-    assert pairing2.text() == "conj(y)"
-
-
-def test_fgbar_requires_holomorphic_inputs():
-    with pytest.raises(GermlabRejection, match="holomorphic f") as exc:
-        fgbar_check(mvar("x") * mcvar("x"), mvar("y"))
-    assert exc.value.details["offending"] == "conj(x)"
+    # For holomorphic f and g the frame check of f * conj(g) holds exactly
+    # when the pairing sum_j dg_j * conj(df_j) vanishes.
+    x, y = mvar("x"), mvar("y")
+    for f, g, pairing in [(x, y, "0"), (x * y, x, "conj(y)"), (x**2, y**3, "0"),
+                          (x + y, x - y, "0"), (x, x + y, "1")]:
+        assert f.is_holomorphic() and g.is_holomorphic()
+        got = hermitian_pairing(g.wirtinger()[0], f.wirtinger()[0])
+        assert got.text() == pairing
+        assert hwc_check_mixed(f * g.conj()).holds == got.is_zero()
 
 
 # -- separable sums -------------------------------------------------------

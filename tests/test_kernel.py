@@ -10,9 +10,12 @@ evaluation sums terms in that order, and the sampled composition probe
 compiles H's minors in it), equal canonical text, and the same verdict on
 inexact division.  The Laurent kernel behind `CurveFamily.pullback` is
 checked by value at rational (t, s) points against term-dict loops.
-A product's result stays packed and feeds the next product as it is, so
-chains of products, `evaluate` at rational points, `PolyMatrix.gram` and
-`substitute` are checked on packed values too.
+Sums, scalar multiples, derivatives, lifts and printing read and write the
+packed form too, so each is checked against its term-dict loop, and a
+result whose degree drops is checked against the same polynomial built
+directly.  A product's result feeds the next product as it is, so chains
+of products, `evaluate` at rational points, `PolyMatrix.gram` and
+`substitute` are checked on products too.
 """
 
 from fractions import Fraction
@@ -28,8 +31,8 @@ from germlab.dsl import parse_path
 from germlab.germs import Parametrization, RealMapGerm, pullback_numerator
 from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products, substitute
 
-from oracles import (chained_sum, cleared_pullback, cofactor_det, evaluate, schoolbook_div,
-                     schoolbook_mul)
+from oracles import (chained_sum, cleared_pullback, cofactor_det, evaluate, plus, scale,
+                     schoolbook_div, schoolbook_mul, term_diff, term_lift, term_text)
 
 CONTEXTS = {n: VarContext([f"x{i}" for i in range(n)]) for n in range(1, 11)}
 
@@ -63,15 +66,40 @@ def poly(n, terms):
     return Polynomial(CONTEXTS[n], terms)
 
 
+def assert_matches(got: Polynomial, want: dict):
+    assert list(got.terms.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.text() == term_text(want, got.ctx.names)
+    assert got == Polynomial(got.ctx, want) and hash(got) == hash(Polynomial(got.ctx, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_pairs(), st.one_of(st.just(Fraction(0)), coefficients))
+def test_ring_operations_match_the_term_loops(case, c):
+    n, a, b = case
+    pa, pb = poly(n, a), poly(n, b)
+    assert_matches(pa + pb, plus(a, b))
+    assert_matches(pa - pb, plus(a, b, -1))
+    assert_matches(pa + c, plus(a, {(0,) * n: c}))
+    assert_matches(-pa, scale(a, -1))
+    assert_matches(c * pa, scale(a, c))
+    assert_matches(pa * c, scale(a, c))
+    for i, name in enumerate(pa.ctx.names):
+        assert_matches(pa.diff(name), term_diff(a, i))
+        assert pa.degree_in(name) == max(e[i] for e in a)
+    assert pa.is_constant() == (set(a) == {(0,) * n})
+    # Into a context that reverses the names and adds one if there is room.
+    big = VarContext([f"x{i}" for i in reversed(range(n))] + ["w"] * (n < 10))
+    assert_matches(pa.lift(big), term_lift(a, range(n - 1, -1, -1), big.arity))
+    assert pa.lift(pa.ctx) is pa
+
+
 @settings(max_examples=150, deadline=None)
 @given(factor_pairs())
 def test_mul_matches_schoolbook_in_order(case):
     n, a, b = case
     got = poly(n, a) * poly(n, b)
-    want = schoolbook_mul(a, b)
-    assert list(got.terms.items()) == list(want.items())
-    assert all(type(c) is Fraction for c in got.terms.values())
-    assert got.text() == Polynomial(CONTEXTS[n], want).text()
+    assert_matches(got, schoolbook_mul(a, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +110,7 @@ def test_exact_div_inverts_mul(case):
     prod = pa * pb
     q = prod.exact_div(pb)
     assert q == pa
-    assert list(q.terms.items()) == list(schoolbook_div(prod.terms, b).items())
+    assert_matches(q, schoolbook_div(prod.terms, b))
     assert q.text() == pa.text()
 
 
@@ -146,12 +174,6 @@ def test_division_with_fractional_quotient():
 
 
 # -- sums of products --------------------------------------------------------
-
-
-def assert_matches(got: Polynomial, want: dict):
-    assert list(got.terms.items()) == list(want.items())
-    assert all(type(c) is Fraction for c in got.terms.values())
-    assert got.text() == Polynomial(got.ctx, want).text()
 
 
 @st.composite
@@ -401,7 +423,8 @@ def test_products_fed_into_products_match_the_chained_loop(case):
 
 def test_a_chain_widens_its_packing_past_degree_255():
     # Each product doubles the degree, so the fields widen from one byte to
-    # two mid-chain and the packed factor is scaled again from its terms.
+    # two mid-chain and the narrower factor is re-keyed into the wider
+    # packing.
     ctx = CONTEXTS[2]
     x1, x2 = ctx.gens()
     a = x1**300 * x2 + x2**2
@@ -415,16 +438,35 @@ def test_a_chain_widens_its_packing_past_degree_255():
     assert chain.evaluate((Fraction(1, 2), Fraction(-3))) == evaluate(want, (Fraction(1, 2), -3))
 
 
-def test_is_zero_and_reuse_never_build_the_term_map():
+def test_a_degree_that_drops_narrows_the_packing():
+    # x0^256 needs two-byte fields; a result whose degree falls below 256
+    # equals and hashes like the same polynomial built in one-byte fields.
+    x, y = CONTEXTS[2].gens()
+    big = x**256
+    for got, want in [((big + y) - big, y), ((big * y).exact_div(big), y),
+                      ((big + y).diff("x1"), CONTEXTS[2].one()),
+                      (big.diff("x0"), 256 * x**255)]:
+        assert got == want and hash(got) == hash(want)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.text() == want.text()
+
+
+def test_queries_and_reuse_leave_products_unchanged():
     x, y = CONTEXTS[2].gens()
     p = (x + y) * (x - 2 * y)
     q = (x - y) * (x + y)
-    assert p._terms is None and q._terms is None
-    assert not p.is_zero() and not p.has_constant_term()
-    r = _sum_of_products(CONTEXTS[2], [[p, q], [q, q, p]])
-    assert p._terms is None and q._terms is None
-    assert r.evaluate((Fraction(1, 2), 3)) == evaluate(r.terms, (Fraction(1, 2), 3))
+    p_terms, q_terms = dict(p.terms), dict(q.terms)
+    assert not p.is_zero() and not p.has_constant_term() and not p.is_constant()
     assert ((x + 1) * (x - 1)).has_constant_term()
+    assert (p - p).is_zero() and (p - p) == 0 and (p - p + 3).constant_value() == 3
+    r = _sum_of_products(CONTEXTS[2], [[p, q], [q, q, p]])
+    assert_matches(r, chained_sum([[p_terms, q_terms], [q_terms, q_terms, p_terms]]))
+    assert dict(p.terms) == p_terms and dict(q.terms) == q_terms
+    assert r.evaluate((Fraction(1, 2), 3)) == evaluate(r.terms, (Fraction(1, 2), 3))
+    # Each read of terms is a fresh read-only view.
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = Fraction(1)
+    assert dict(p.terms) == p_terms
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import germlab
 from germlab.poly import Polynomial, PolyMatrix, VarContext
 
-from oracles import fraction_rank, leibniz_det, sympy_expand_equal
+from oracles import fd_gradient, fraction_rank, leibniz_det, sympy_expand_equal
 
 XYZ = VarContext(["x", "y", "z"])
 
@@ -234,7 +234,9 @@ def test_exact_div_rejects_inexact():
     "must_raise(ValueError, lambda: direction_limit([zero, zero]), 'zero vector')\n",
     "s = VarContext(['s'])\n"
     "phi = Parametrization(VarContext(['x']), s, (s.var('s'),), (s.var('s') - 1,))\n"
-    "must_raise(ValueError, lambda: phi.evaluate([1]), 'denominator s - 1 vanishes')\n",
+    "from oracles import parametrization_value\n"
+    "must_raise(ValueError, lambda: parametrization_value(phi, [1]),\n"
+    "           'denominator s - 1 vanishes')\n",
     # Unchecked, zip drops the coefficients past the component count.
     "from germlab.dsl import parse_text\n"
     "from germlab.witness import normal_vector_along_curve\n"
@@ -267,9 +269,10 @@ def test_exact_div_rejects_inexact_under_optimize(code):
             "        raise SystemExit(f'raised {e!r}, not about {match!r}')\n"
             "    raise SystemExit(f'accepted, returned {got!r}')\n" + code)
     src = str(Path(germlab.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])})
     assert proc.returncode == 0, proc.stderr
 
 
@@ -309,8 +312,6 @@ def test_power_matches_repeated_product():
 # -- finite difference cross-check --------------------------------------
 
 def test_gradient_matches_finite_differences():
-    from germlab.sampling import fd_gradient
-
     x, y, z = XYZ.gens()
     p = x**3 * y - 2 * y**2 * z + Fraction(1, 2) * z**3 + x * y * z
     rng = random.Random("fd-check")
