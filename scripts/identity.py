@@ -58,6 +58,8 @@ def commands(root: Path) -> list[list[str]]:
          "--declare-codim-matches"],
         # the sampled modes
         ["probe-b", f"{CORPUS}/exaa.germ", "--set", "V"],
+        # floats compiled in the term order of a realified mixed germ
+        ["probe-b", f"{CORPUS}/e1.germ", "--germ", "e1a", "--set", "V"],
         ["compose-check", f"{CORPUS}/contra.germ", "--inner", "FC", "--outer",
          "GC", "--mode", "sampled", "--radius", "0.5"],
         ["compose-check", f"{CORPUS}/incl.germ", "--inner", "FI", "--outer",

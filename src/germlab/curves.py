@@ -6,36 +6,33 @@ polynomial in the spectator parameters.  Substituting such a vector into a
 germ component stays inside the same ring, so limits as t -> 0 reduce to
 reading off the minimal surviving power of t.
 
-`_laurent_sum_of_products` is one poly-kernel sum of products per power of
-t.  LaurentPoly's sums and products, `CurveFamily.pullback` (`substitute`
-over it) and `witness.normal_vector_along_curve` all run on it.
+LaurentPoly is the `poly.Graded` ring with u = t, one part per power of t,
+so its sums and products, `CurveFamily.pullback` (`substitute` over it) and
+`witness.normal_vector_along_curve` all run on
+`LaurentPoly.sum_of_products`: one poly-kernel sum of products per power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from germlab.poly import Polynomial, VarContext, _power, _sum_of_products, substitute
+from germlab.poly import Graded, Polynomial, VarContext, substitute
 
 
-class LaurentPoly:
+class LaurentPoly(Graded):
     """sum_k p_k(s) * t^k with integer k of either sign and p_k exact."""
 
-    __slots__ = ("ctx", "parts")
+    __slots__ = ()
 
     def __init__(self, ctx: VarContext, parts: Mapping[int, Polynomial]):
-        self.ctx = ctx
-        clean = {}
         for k, p in parts.items():
             if not isinstance(k, int):
                 raise ValueError(f"power of t must be an int, got {k!r}")
             if p.ctx != ctx:
                 raise ValueError(f"spectator context mismatch: {p.ctx!r} vs {ctx!r}")
-            if not p.is_zero():
-                clean[k] = p
-        self.parts = clean
+        super().__init__(ctx, parts)
 
     # -- constructors ----------------------------------------------------
 
@@ -53,9 +50,6 @@ class LaurentPoly:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
     def valuation(self) -> int:
         """Smallest power of t with a surviving coefficient."""
         if not self.parts:
@@ -70,65 +64,23 @@ class LaurentPoly:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(self.ctx, other)
+    def _operand(self, other):
+        # A Polynomial over the spectators is the coefficient of t^0.
         if isinstance(other, Polynomial):
             return LaurentPoly.from_poly(other)
-        return other
-
-    def _checked_sum(self, other, chains):
-        if other.ctx != self.ctx:
-            raise ValueError(f"spectator context mismatch: {self.ctx!r} vs {other.ctx!r}")
-        return _laurent_sum_of_products(self.ctx, chains)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._checked_sum(other, [(self,), (other,)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.ctx, {k: -p for k, p in self.parts.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._checked_sum(other, [(self, other)])
-
-    __rmul__ = __mul__
+        return super()._operand(other)
 
     def __pow__(self, k: int):
-        if isinstance(k, int) and k < 0:
-            # Only monomials in t with constant coefficient invert exactly.
-            if len(self.parts) != 1:
-                raise ValueError(f"cannot invert {self}")
-            (kk, p), = self.parts.items()
-            if not p.is_constant():
-                raise ValueError(f"cannot invert non-constant coefficient {p}")
-            c = p.constant_value()
-            inv = LaurentPoly(self.ctx, {-kk: self.ctx.const(Fraction(1) / c)})
-            return inv ** (-k)
-        return _power(self, k, LaurentPoly.const(self.ctx, 1))
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.ctx.names, frozenset((k, p) for k, p in self.parts.items())))
+        if not isinstance(k, int) or k >= 0:
+            return super().__pow__(k)
+        # Only monomials in t with constant coefficient invert exactly.
+        if len(self.parts) != 1:
+            raise ValueError(f"cannot invert {self}")
+        (kk, p), = self.parts.items()
+        if not p.is_constant():
+            raise ValueError(f"cannot invert non-constant coefficient {p}")
+        inv = LaurentPoly(self.ctx, {-kk: self.ctx.const(Fraction(1) / p.constant_value())})
+        return inv ** (-k)
 
     # -- printing --------------------------------------------------------
 
@@ -147,31 +99,6 @@ class LaurentPoly:
                 tk = "t" if k == 1 else f"t^{k}"
                 out.append(tk if body == "1" else f"{body}*{tk}")
         return " + ".join(out)
-
-    def __str__(self) -> str:
-        return self.text()
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.text()})"
-
-
-def _laurent_sum_of_products(ctx: VarContext,
-                             chains: Iterable[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """The sum over chains of each chain's product, in the Laurent ring.
-
-    Each choice of one part per factor lands on the sum of the chosen
-    powers of t.  Each power is one `_sum_of_products` over the choices
-    landing there, in chain order and then in the factors' part order, so
-    the powers come out in the order they first appear.
-    """
-    choices: dict[int, list[list[Polynomial]]] = {}
-    for chain in chains:
-        picks: list[tuple[int, list[Polynomial]]] = [(0, [])]
-        for f in chain:
-            picks = [(k + j, ps + [p]) for k, ps in picks for j, p in f.parts.items()]
-        for k, ps in picks:
-            choices.setdefault(k, []).append(ps)
-    return LaurentPoly(ctx, {k: _sum_of_products(ctx, c) for k, c in choices.items()})
 
 
 @dataclass(frozen=True)
@@ -193,7 +120,7 @@ class CurveFamily:
         """p(gamma(t)), exact in the Laurent ring."""
         if p.ctx != self.target:
             raise ValueError("polynomial not over the curve's target")
-        return substitute(p, self.coords, _laurent_sum_of_products, LaurentPoly.const)
+        return substitute(p, self.coords, LaurentPoly.sum_of_products, LaurentPoly.const)
 
     def limit_coords(self) -> tuple[Polynomial, ...] | None:
         """Coordinates of gamma(0), or None when some coordinate blows up."""

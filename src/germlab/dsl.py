@@ -285,14 +285,10 @@ class _Parser:
                                  head.line, head.col)
         src, tgt = self.parse_arities(kind)
         ctx = VarContext(self.parse_vars(kind, src))
-        # Sets and polynomials live over the real coordinates; zero is the
-        # key of a component's constant term.
+        # Sets and polynomials live over the real coordinates.
         real_ctx = ctx if kind == "map" else realified_context(ctx)
         real = _real(real_ctx)
-        if kind == "map":
-            alg, zero = real, (0,) * ctx.arity
-        else:
-            alg, zero = _mixed(ctx), ((0,) * ctx.arity,) * 2
+        alg = real if kind == "map" else _mixed(ctx)
         comps, sets, polys, witnesses = {}, {}, {}, {}
         while True:
             t = self.peek()
@@ -306,7 +302,7 @@ class _Parser:
                 ast = self.parse_expr()
                 self.end_line()
                 value = eval_expr(ast, alg)
-                if zero in value.terms:
+                if value.has_constant_term():
                     raise GermParseError(
                         f"component {last.value!r} does not vanish at the origin",
                         last.line, last.col)
@@ -525,14 +521,13 @@ def _real(ctx: VarContext) -> _Algebra:
 
 def _mixed(ctx: VarContext) -> _Algebra:
     """MixedPolynomial values; i and conj are live here."""
-    zero = (0,) * ctx.arity
 
     def invert(b):
-        c = b.terms.get((zero, zero)) if len(b.terms) == 1 else None
-        if c is None:
+        if b.is_zero() or not all(p.is_constant() for p in b.parts.values()):
             raise _Reject(_NOT_CONSTANT)
-        norm = c.re * c.re + c.im * c.im
-        return ComplexRational(c.re / norm, -c.im / norm)
+        re, im = b.re.constant_value(), b.im.constant_value()
+        norm = re * re + im * im
+        return ComplexRational(re / norm, -im / norm)
 
     names = {n: MixedPolynomial.var(ctx, n) for n in ctx.names}
     names["i"] = MixedPolynomial.const(ctx, I)

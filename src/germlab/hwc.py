@@ -108,8 +108,8 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
     holds = pairing.is_zero()
     factor = None
     if holds:
-        ctx, (chains, _) = f._realify_chains()
-        u = _sum_of_products(ctx, chains)
+        ctx, buckets = f._realified()
+        u = _sum_of_products(ctx, buckets.get(0, []))
         factor = _sum_of_products(u.ctx, [(g, g) for g in u.gradient()])
     return ConformalFrameResult(holds=holds, conformal_factor=factor,
                                 residuals=residuals, pairing=pairing)

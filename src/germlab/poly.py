@@ -1,10 +1,11 @@
 """Exact multivariate polynomial arithmetic over rational coefficients.
 
-Everything downstream (Jacobians, Milnor determinants, pullbacks) reduces to
-the handful of operations defined here, so the module stays deliberately
-small: one stored form, graded-lex ordering for printing, and one routine
-for determinants and maximal minors, first-row expansion with memoized
-sub-minors.  No floats in any identity.
+Everything downstream (Jacobians, Milnor determinants, pullbacks, mixed
+germs and Laurent arcs) reduces to the handful of operations defined here,
+so the module stays deliberately small: one stored form, graded-lex
+ordering for printing, and one routine for determinants and maximal
+minors, first-row expansion with memoized sub-minors.  No floats in any
+identity.
 
 A polynomial is stored packed (Monagan & Pearce, "Sparse polynomial
 division using a heap", JSC 2011): integer numerators over one common
@@ -17,10 +18,16 @@ Sums, products, exact division and printing read and write these integers;
 read.  One kernel, `_sum_of_products`, serves a single product, a matrix
 product entry, one expansion step of a minor and, through `substitute`,
 each substitution of ring values (`pullback_numerator`, `compose_exact`,
-the family limit of `condition_b_family_check` and, on the Laurent kernel
-of `curves`, `CurveFamily.pullback`): every chain of factors is multiplied
-in packed ints and summed in one integer accumulator.
-`Polynomial.evaluate` is the scalar loop.
+the family limit of `condition_b_family_check`, `CurveFamily.pullback`):
+every chain of factors is multiplied in packed ints and summed in one
+integer accumulator.  `Polynomial.evaluate` is the scalar loop.
+
+The two rings built on Polynomial parts, the Laurent arcs sum_k p_k * t^k
+of `curves` and the mixed polynomials re + i*im of `mixed`, are `Graded`:
+sums of parts indexed by a grade.  Their operators are written once, and
+their products, pairings, pullbacks and realifications expand through one
+routine, `_graded_chains`, which spreads chains of graded factors into
+chains of parts, one `_sum_of_products` per resulting part.
 """
 
 from __future__ import annotations
@@ -182,8 +189,7 @@ def _sum_of_products(ctx: "VarContext",
 def _power(base, k: int, one):
     """base**k by square-and-multiply from `one`, low bit first.
 
-    The one loop behind the `**` of Polynomial, MixedPolynomial and
-    LaurentPoly.
+    The one loop behind the `**` of Polynomial and Graded.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
@@ -530,6 +536,135 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.text()})"
+
+
+def _graded_chains(ctx: VarContext, chains: Iterable[Sequence[Mapping[int, Polynomial]]],
+                   land) -> dict[int, list[list[Polynomial]]]:
+    """Each chain of graded factors spread into chains of parts, by bucket.
+
+    A factor maps grades to Polynomials over ctx.  Choosing one part per
+    factor gives a chain of Polynomials whose grade is the sum of the
+    chosen grades, and land(grade) gives its (bucket, negated); a negated
+    chain is led by a -1 factor, built only if some chain needs it.  A
+    bucket lists its chains in input order, then in the factors' part
+    order, so `_sum_of_products` over it merges terms in the order of the
+    schoolbook expansion.
+    """
+    buckets: dict[int, list[list[Polynomial]]] = {}
+    minus = None
+    for chain in chains:
+        picks: list[tuple[int, list[Polynomial]]] = [(0, [])]
+        for f in chain:
+            picks = [(k + j, ps + [p]) for k, ps in picks for j, p in f.items()]
+        for k, ps in picks:
+            b, negated = land(k)
+            if negated:
+                if minus is None:
+                    minus = ctx.const(-1)
+                ps.insert(0, minus)
+            buckets.setdefault(b, []).append(ps)
+    return buckets
+
+
+class Graded:
+    """sum_k p_k * u^k with Polynomial parts p_k: the operators of a graded ring.
+
+    `parts` maps the grade of each nonzero part to that part, a Polynomial
+    over `_part_ctx(ctx)`.  `_land(k)` says which part u^k adds to and with
+    which sign: LaurentPoly has u = t and each power its own part, while
+    MixedPolynomial has u = i, so i^2 = -1 folds every grade into parts 0
+    and 1.  A sum or a product is `sum_of_products`: one `_graded_chains`
+    call, then one `_sum_of_products` per part.  A subclass gives `const`
+    and `text`.  Instances are immutable by convention.
+    """
+
+    __slots__ = ("ctx", "parts")
+    _scalars: tuple = (int, Fraction)  # operands read through const
+
+    def __init__(self, ctx: VarContext, parts: Mapping[int, Polynomial]):
+        self.ctx = ctx
+        self.parts = {k: p for k, p in parts.items() if not p.is_zero()}
+
+    @classmethod
+    def _of(cls, ctx: VarContext, parts: Mapping[int, Polynomial]):
+        # parts already over the part context: no validation
+        g = object.__new__(cls)
+        Graded.__init__(g, ctx, parts)
+        return g
+
+    @staticmethod
+    def _part_ctx(ctx: VarContext) -> VarContext:
+        return ctx
+
+    @staticmethod
+    def _land(k: int) -> tuple[int, bool]:
+        return k, False
+
+    @classmethod
+    def sum_of_products(cls, ctx: VarContext, chains: Iterable[Sequence["Graded"]]):
+        """The sum over chains of each chain's product, factors left to right."""
+        pctx = cls._part_ctx(ctx)
+        buckets = _graded_chains(pctx, ([f.parts for f in c] for c in chains), cls._land)
+        return cls._of(ctx, {b: _sum_of_products(pctx, c) for b, c in buckets.items()})
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def _operand(self, other):
+        if isinstance(other, self._scalars):
+            return self.const(self.ctx, other)
+        return other if type(other) is type(self) else None
+
+    def _checked(self, other, chains):
+        if other.ctx != self.ctx:
+            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
+        return self.sum_of_products(self.ctx, chains)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._checked(other, [(self,), (other,)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of(self.ctx, {k: -p for k, p in self.parts.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._checked(other, [(self, other)])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        return _power(self, k, self.const(self.ctx, 1))
+
+    def __eq__(self, other) -> bool:
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.ctx == other.ctx and self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.ctx.names, frozenset(self.parts.items())))
+
+    def __str__(self) -> str:
+        return self.text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()})"
 
 
 def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products,

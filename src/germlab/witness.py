@@ -18,7 +18,6 @@ from germlab.curves import (
     CurveFamily,
     DirectionLimit,
     LaurentPoly,
-    _laurent_sum_of_products,
     direction_limit,
 )
 from germlab.dsl import WitnessSpec
@@ -40,7 +39,7 @@ def normal_vector_along_curve(germ: RealMapGerm, gamma: CurveFamily,
     coeffs = list(coeffs)
     if len(coeffs) != germ.target_arity:
         raise ValueError(f"{len(coeffs)} coefficients for {germ.target_arity} components")
-    return [_laurent_sum_of_products(gamma.params, [
+    return [LaurentPoly.sum_of_products(gamma.params, [
         (c, gamma.pullback(g.diff(name))) for c, g in zip(coeffs, germ.components)])
         for name in germ.ctx.names]
 

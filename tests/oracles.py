@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 
 def leibniz_det(rows: list[list[Fraction]]) -> Fraction:
@@ -385,6 +386,47 @@ def mixed_realify(a: dict, arity: int) -> tuple[dict, dict]:
         _add_into(total_re, tre)
         _add_into(total_im, tim)
     return total_re, total_im
+
+
+def realify_chain_sums(re: dict, im: dict, arity: int) -> tuple[dict, dict]:
+    """Real and imaginary term dicts of re + i*im, summed chain by chain.
+
+    re and im are term dicts over the doubled exponents (nu, mu).  Each term
+    of re, then of im, expands to chains: its signed coefficient, then per
+    variable |z_j|^(2 min(a, b)) when a and b are both nonzero and the real
+    or the imaginary part of z_j^d or conj(z_j)^d, d = |a - b|, when they
+    differ, real part first.  The chains are summed by `chained_sum`, one
+    sum per part, in that order.
+    """
+    zero = (0,) * (2 * arity)
+
+    def mono(j, a, b):
+        e = [0] * (2 * arity)
+        e[2 * j], e[2 * j + 1] = a, b
+        return tuple(e)
+
+    chains: tuple[list, list] = ([], [])
+    for k0, part in ((0, re), (1, im)):
+        for e, c in part.items():
+            picks = [(k0, c, [])]  # (power of i, coefficient, factors)
+            for j in range(arity):
+                a, b = e[j], e[arity + j]
+                if a and b:
+                    m = schoolbook_pow({mono(j, 2, 0): Fraction(1), mono(j, 0, 2): Fraction(1)},
+                                       min(a, b), 2 * arity)
+                    picks = [(k, s, f + [m]) for k, s, f in picks]
+                if a != b:
+                    d = abs(a - b)
+                    parts: tuple[dict, dict] = ({}, {})
+                    for r in range(d + 1):  # (x + i*y)^d, i^r = -1 for r % 4 in (2, 3)
+                        parts[r % 2][mono(j, d - r, r)] = Fraction(
+                            -comb(d, r) if r % 4 > 1 else comb(d, r))
+                    flip = 1 if a > b else -1  # conj(z)^d has imaginary part -im
+                    picks = [(k + t, s * flip if t else s, f + [g])
+                             for k, s, f in picks for t, g in enumerate(parts)]
+            for k, s, f in picks:
+                chains[k % 2].append([{zero: -s if k % 4 > 1 else s}, *f])
+    return chained_sum(chains[0]), chained_sum(chains[1])
 
 
 # -- the scipy composition ladder ------------------------------------------

@@ -238,6 +238,10 @@ ERROR_TEXTS = [
      "line 3, col 6: division by zero"),
     ("mixed-div-zero", MIXED1 + "f = z/0\n",
      "line 3, col 6: division is only defined by nonzero constants here"),
+    ("mixed-div-zero-expr", MIXED1 + "f = z/(i - i)\n",
+     "line 3, col 6: division is only defined by nonzero constants here"),
+    ("mixed-imaginary-constant", MIXED1 + "f = z + i\n",
+     "line 3, col 1: component 'f' does not vanish at the origin"),
     ("set-div-zero", MAP3 + "assert_set V {\n  (s, s/(s-s), 0)\n}\n",
      "line 6, col 8: division by an identically zero expression"),
     ("map-negpow", MAP2 + "G = x^-1 * y\n",

@@ -8,8 +8,9 @@ numerators.  Here they are checked against the plain loops over raw term
 dicts in `oracles.py`: equal term dicts in equal insertion order (float
 evaluation sums terms in that order, and the sampled composition probe
 compiles H's minors in it), equal canonical text, and the same verdict on
-inexact division.  The Laurent kernel behind `CurveFamily.pullback` is
-checked by value at rational (t, s) points against term-dict loops.
+inexact division.  The Laurent ring's operators are checked part by part
+against loops over {power of t: term dict}, and `CurveFamily.pullback` by
+value at rational (t, s) points against term-dict loops.
 Sums, scalar multiples, derivatives, lifts and printing read and write the
 packed form too, so each is checked against its term-dict loop, and a
 result whose degree drops is checked against the same polynomial built
@@ -359,6 +360,99 @@ def test_curve_pullback_matches_the_value_at_rational_points(case):
         for s in spectators:
             want = evaluate(p, [laurent_value(c, t, s) for c in coords])
             assert laurent_value(parts, t, s) == want
+
+
+# -- the Laurent ring ------------------------------------------------------------
+# A LaurentPoly is {power of t: part}; its operators are checked part by part
+# against loops over {power of t: term dict}, in term order.
+
+
+def laurent_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b, power by power, zero parts dropped."""
+    out = {k: plus(a.get(k, {}), b.get(k, {}), sign) for k in {**a, **b}}
+    return {k: q for k, q in out.items() if q}
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    """Each pair of parts, in pair order, lands on the sum of its powers."""
+    chains: dict = {}
+    for j, p in a.items():
+        for k, q in b.items():
+            chains.setdefault(j + k, []).append([p, q])
+    out = {k: chained_sum(c) for k, c in chains.items()}
+    return {k: q for k, q in out.items() if q}
+
+
+def laurent_pow(a: dict, e: int, arity: int) -> dict:
+    """a**e by square-and-multiply from the constant 1, low bit first."""
+    out = {0: {(0,) * arity: Fraction(1)}}
+    while e:
+        if e & 1:
+            out = laurent_mul(out, a)
+        a = laurent_mul(a, a) if e > 1 else a
+        e >>= 1
+    return out
+
+
+def laurent(ctx: VarContext, parts: dict) -> LaurentPoly:
+    return LaurentPoly(ctx, {k: Polynomial(ctx, q) for k, q in parts.items()})
+
+
+def assert_laurent(got: LaurentPoly, want: dict):
+    assert ({k: list(p.terms.items()) for k, p in got.parts.items()}
+            == {k: list(q.items()) for k, q in want.items()})
+    built = laurent(got.ctx, want)
+    assert got == built and hash(got) == hash(built)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(k, a, b): {power of t: term dict} over k spectators; a part may be zero."""
+    k = draw(st.integers(1, 2))
+    parts = st.dictionaries(st.integers(-2, 2), term_dicts(k, max_exp=2, max_terms=3),
+                            max_size=3)
+    return k, draw(parts), draw(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_pairs(), st.integers(0, 3), coefficients)
+def test_laurent_ring_matches_the_part_loops(case, e, c):
+    k, a, b = case
+    ctx = CONTEXTS[k]
+    la, lb = laurent(ctx, a), laurent(ctx, b)
+    a = {j: q for j, q in a.items() if q}
+    b = {j: q for j, q in b.items() if q}
+    assert list(la.parts) == list(a)  # zero parts are dropped
+    assert_laurent(la + lb, laurent_sum(a, b))
+    assert_laurent(la - lb, laurent_sum(a, b, -1))
+    assert_laurent(-la, {j: scale(q, -1) for j, q in a.items()})
+    assert_laurent(la * lb, laurent_mul(a, b))
+    assert_laurent(la ** e, laurent_pow(a, e, k))
+    assert_laurent(la + c, laurent_sum(a, {0: {(0,) * k: c}}))
+    assert_laurent(c * la, {j: scale(q, c) for j, q in a.items()})
+    assert (la == lb) == (not laurent_sum(a, b, -1))
+    assert la.is_zero() == (not a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2), st.integers(-2, 2), coefficients, st.integers(1, 3))
+def test_laurent_inverts_a_constant_monomial_in_t(k, j, c, n):
+    ctx = CONTEXTS[k]
+    m = LaurentPoly(ctx, {j: ctx.const(c)})
+    assert_laurent(m ** -n, {-n * j: {(0,) * k: 1 / c ** n}})
+    assert m * m ** -1 == 1
+
+
+def test_laurent_rejects_what_it_cannot_invert_and_a_context_mismatch():
+    ctx = CONTEXTS[1]
+    t, s = LaurentPoly.t_power(ctx, 1), LaurentPoly.from_poly(ctx.var("x0"))
+    for bad in (t + 1, s * t, LaurentPoly(ctx, {})):
+        with pytest.raises(ValueError):
+            bad ** -1
+    u = LaurentPoly.t_power(CONTEXTS[2], 1)
+    for op in (lambda: t + u, lambda: t - u, lambda: t * u):
+        with pytest.raises(ValueError, match="context mismatch"):
+            op()
 
 
 def test_chain_products_that_cancel_and_reappear():

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from oracles import mixed_conj, mixed_diff, mixed_float_value, mixed_mul, mixed_realify
+from oracles import (chained_sum, mixed_conj, mixed_diff, mixed_float_value, mixed_mul,
+                     mixed_realify, realify_chain_sums)
 
 from germlab.mixed import (
     ComplexRational,
@@ -145,6 +148,55 @@ def test_float_evaluation_agrees_with_realification():
         got = mixed_float_value(p, zs)
         assert abs(got.real - re.evaluate(reals)) < 1e-9
         assert abs(got.imag - im.evaluate(reals)) < 1e-9
+
+
+# -- term order ------------------------------------------------------------
+# Each part keeps the order of the chain loops, part by part: float
+# compilation sums a realified germ's terms in that order.
+
+MINUS = {(0,) * 2 * CTX.arity: Fraction(-1)}  # -1 over the doubled context
+
+
+def ordered(p: Polynomial) -> list:
+    return list(p.terms.items())
+
+
+@given(mixed_polys, mixed_polys)
+def test_product_parts_keep_the_chain_order(p, q):
+    pq = p * q
+    assert ordered(pq.re) == list(chained_sum(
+        [[p.re.terms, q.re.terms], [MINUS, p.im.terms, q.im.terms]]).items())
+    assert ordered(pq.im) == list(chained_sum(
+        [[p.re.terms, q.im.terms], [p.im.terms, q.re.terms]]).items())
+
+
+@given(st.lists(st.tuples(mixed_polys, mixed_polys), min_size=1, max_size=3))
+def test_hermitian_pairing_keeps_the_chain_order(uvs):
+    us, vs = zip(*uvs)
+    got = hermitian_pairing(us, vs)
+    ws = [v.conj() for v in vs]
+    re = [c for u, w in zip(us, ws)
+          for c in ([u.re.terms, w.re.terms], [MINUS, u.im.terms, w.im.terms])]
+    im = [c for u, w in zip(us, ws)
+          for c in ([u.re.terms, w.im.terms], [u.im.terms, w.re.terms])]
+    assert ordered(got.re) == list(chained_sum(re).items())
+    assert ordered(got.im) == list(chained_sum(im).items())
+
+
+@given(mixed_polys)
+def test_realify_parts_keep_the_chain_order(p):
+    want = realify_chain_sums(p.re.terms, p.im.terms, CTX.arity)
+    for got, terms in zip(p.realify(), want):
+        assert ordered(got) == list(terms.items())
+
+
+def test_a_context_mismatch_raises():
+    other = VarContext(["x", "w"])
+    x, w = var("x"), MixedPolynomial.var(other, "w")
+    for op in (lambda: x + w, lambda: x - w, lambda: x * w,
+               lambda: hermitian_pairing([x], [w])):
+        with pytest.raises(ValueError, match="context mismatch"):
+            op()
 
 
 def test_hermitian_pairing_conjugates_second_slot():
