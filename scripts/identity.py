@@ -75,6 +75,9 @@ def commands(root: Path) -> list[list[str]]:
          "--left", "z1,z3,z5", "--f", "z1^4*z5^3", "--f", "z3^2",
          "--g", "z2^5", "--g", "z4", "--r", "z1^4", "--r=-z3^6",
          "--h=-z2^7*z4^3"],
+        # a mixed build whose frame check holds, so a conformal factor prints
+        ["construct", "mixed-algo", "--vars", "z1,z2", "--left", "z1",
+         "--f", "z1^2", "--g", "z2^3", "--h", "z2^2"],
     ]
 
 

@@ -125,7 +125,7 @@ def hwc(gf, opts, config=None) -> dict:
     real_res = hwc_check(decl.realified)
     return {"command": "hwc", "germ": decl.name, "mixed": True,
             "holds": res.holds, "pairing": res.pairing.text(),
-            "conformal_factor": _factor(res),
+            "conformal_factor": _factor(real_res) if res.holds else None,
             "residuals": res.residual_texts(),
             "routes_agree": res.holds == real_res.holds}
 

@@ -160,28 +160,18 @@ class RegularityReport:
         return out
 
     def replay_sound(self) -> bool:
-        """Every derived fact's inputs must be facts with acyclic provenance."""
-        for fact, entry in self.provenance.items():
-            for inp in entry["inputs"]:
-                if inp in FACTS and inp not in self.facts:
-                    return False
-        # Cycle detection over the fact-input graph.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {f: WHITE for f in self.provenance}
-
-        def visit(f: str) -> bool:
-            color[f] = GRAY
-            for inp in self.provenance[f]["inputs"]:
-                if inp not in color:
-                    continue
-                if color[inp] == GRAY:
-                    return False
-                if color[inp] == WHITE and not visit(inp):
-                    return False
-            color[f] = BLACK
-            return True
-
-        return all(visit(f) for f in color if color[f] == WHITE)
+        """The provenance replays: every input is an established fact, and
+        each fact can be replayed once all of its inputs have been."""
+        pending = {f: set(e["inputs"]) for f, e in self.provenance.items()}
+        if not set().union(*pending.values()) <= self.facts:
+            return False
+        while pending:
+            ready = [f for f, inputs in pending.items() if not inputs & pending.keys()]
+            if not ready:
+                return False  # the facts left wait on each other: a cycle
+            for f in ready:
+                del pending[f]
+        return True
 
     # -- serialization ----------------------------------------------------
 

@@ -48,8 +48,8 @@ from germlab.dsl import (
     parse_mixed_expr,
     parse_path,
 )
-from germlab.germs import GermlabRejection
-from germlab.hwc import mixed_algorithm_build
+from germlab.germs import GermlabRejection, realify_mixed
+from germlab.hwc import hwc_check, mixed_algorithm_build
 from germlab.poly import MAX_ARITY, VarContext
 from germlab.sampling import RunConfig
 
@@ -190,9 +190,12 @@ def cmd_construct_mixed_algo(args) -> int:
     }
     poly, frame = mixed_algorithm_build(
         left, blocks["f"], blocks["g"], blocks["r"], blocks["h"], ctx)
+    # The mixed verdict is the pairing's; the factor is the realified germ's.
+    factor = (analyses._factor(hwc_check(realify_mixed([poly])))
+              if frame.holds else None)
     out = {"command": "construct-mixed-algo", "variables": names,
            "left": left, "poly": poly.text(), "holds": frame.holds,
-           "conformal_factor": analyses._factor(frame)}
+           "conformal_factor": factor}
     _emit(out, args, f"mixed build: hwc {_verdict(out)}")
     return 0
 

@@ -157,7 +157,7 @@ def composition_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
     closure_sep = None
     if closure_claim is not None and violation is None:
         closure_sep = _closure_meets_sing_g_only_at_0(
-            outer, closure_claim, config)
+            outer.source_arity, sing_minors_g, closure_claim, config)
 
     if violation is not None:
         detail = (f"component {violation} lies off Sing H yet its F-image "
@@ -181,25 +181,24 @@ def composition_milnor_check(outer: RealMapGerm, inner: RealMapGerm,
         closure_meets_sing_g_only_at_0=closure_sep, detail=detail)
 
 
-def _closure_meets_sing_g_only_at_0(outer: RealMapGerm,
+def _closure_meets_sing_g_only_at_0(arity: int, minors: list[Polynomial],
                                     closure_claim: Polynomial,
                                     config) -> bool:
     """Sampled separation of the claimed closure from Sing G.
 
-    No candidate off the origin where G's maximal minors all vanish may
-    satisfy the closure equation.  The candidates are config.samples * 5
-    rational points of the config.radius cube from config.seed's stream
-    "closure-sep", which rarely land on a proper subvariety, and then the
-    sparse grid, which hits axis-aligned strata.  With no such point found
-    the separation holds at the sampled scale.
+    No candidate off the origin where minors, G's maximal Jacobian minors,
+    all vanish may satisfy the closure equation.  The candidates are
+    config.samples * 5 rational points of the config.radius cube in
+    R^arity from config.seed's stream "closure-sep", which rarely land on
+    a proper subvariety, and then the sparse grid, which hits axis-aligned
+    strata.  With no such point found the separation holds at the sampled
+    scale.
     """
     from germlab.sampling import derive_rng, rational_points, sparse_grid
 
-    minors = outer.singular_minors()
     rng = derive_rng(config.seed, "closure-sep")
-    pts = rational_points(rng, outer.source_arity, config.samples * 5,
-                          radius=config.radius)
-    for pt in pts + sparse_grid(outer.source_arity):
+    pts = rational_points(rng, arity, config.samples * 5, radius=config.radius)
+    for pt in pts + sparse_grid(arity):
         if any(m.evaluate(pt) != 0 for m in minors):
             continue
         if all(v == 0 for v in pt):

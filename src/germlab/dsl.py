@@ -13,8 +13,9 @@ with Laurent expansions in the tube variable t.
       (0, s1, s2)
     }
 
-Parsing is recursive descent over a hand-rolled token stream that builds
-the exact objects (RealMapGerm, Parametrization, CurveFamily) as it reads.
+Parsing is recursive descent over a token stream, read by one regular
+expression, that builds the exact objects (RealMapGerm, Parametrization,
+CurveFamily) as it reads.
 Each component, assert_set block and assert_poly is evaluated where it is
 parsed, over the context that the header and the vars line fix; sets and
 polynomials use the real coordinates, realified for a mixed germ.  A
@@ -42,6 +43,7 @@ and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -52,7 +54,6 @@ from germlab.mixed import ComplexRational, I, MixedPolynomial, realified_context
 from germlab.poly import MAX_ARITY, Polynomial, VarContext
 
 KEYWORDS = {"map", "mixed", "vars", "assert_set", "assert_poly", "witness"}
-PUNCT = {":", ",", "^", "+", "-", "*", "/", "(", ")", "{", "}", "="}
 
 
 class GermParseError(Exception):
@@ -75,53 +76,30 @@ class Token:
     col: int
 
 
+# One alternative per token kind, tried in order; BAD takes any other
+# character.  \w is str.isalnum() or "_", and an identifier must also start
+# with a letter or "_", which tokenize checks.
+_TOKEN = re.compile(r"""
+    (?P<COMMENT>\#[^\n]*) | (?P<NEWLINE>\n) | (?P<SPACE>[ \t\r]+)
+  | (?P<PUNCT>->|[:,^+\-*/(){}=]) | (?P<INT>[0-9]+) | (?P<IDENT>\w+)
+  | (?P<BAD>.)""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "NEWLINE":
             toks.append(Token("NEWLINE", "\\n", line, col))
-            i += 1
-            line += 1
-            col = 1
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            toks.append(Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in PUNCT:
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise GermParseError(f"unexpected character {ch!r}", line, col)
+        if kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+            raise GermParseError(f"unexpected character {value[0]!r}", line, col)
+        if kind in ("PUNCT", "INT", "IDENT"):
+            toks.append(Token(value if kind == "PUNCT" else kind, value, line, col))
+        if kind != "COMMENT":  # a comment takes no columns
+            col += len(value)
     toks.append(Token("NEWLINE", "\\n", line, col))
     toks.append(Token("EOF", "", line, col))
     return toks

@@ -6,9 +6,11 @@ norm, called the conformal factor here.  Checks are exact: residuals are
 polynomials, and a verdict of "holds" means every residual is the zero
 polynomial, not small.
 
-The mixed-route check pairs conjugated Wirtinger derivatives instead and
-must agree with realification; the two verdicts are computed independently
-so the test suite can compare them rather than trusting one route.
+The mixed-route check decides on the pairing of conjugated Wirtinger
+derivatives alone and never realifies the germ; the conformal factor of a
+mixed germ, a real quantity, comes from the frame check of its
+realification.  The two verdicts are computed independently so the test suite can compare them
+rather than trusting one route.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from germlab.germs import (
     pullback_numerator,
 )
 from germlab.mixed import MixedPolynomial, hermitian_pairing
-from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products
+from germlab.poly import Polynomial, PolyMatrix, VarContext
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,10 @@ class ConformalFrameResult:
     """Outcome of the J J^T = lambda I check.
 
     residuals holds the offending polynomials keyed by position; empty
-    exactly when the frame condition holds.  pairing is the Wirtinger
-    pairing the mixed route decides on, None on the real route.
+    exactly when the frame condition holds.  On the real route
+    conformal_factor is the shared squared gradient norm when the frame
+    holds and pairing is None; the mixed route carries the Wirtinger pairing
+    it decides on and no factor.
     """
 
     holds: bool
@@ -93,25 +97,20 @@ def hwc_check_mixed(f: MixedPolynomial) -> ConformalFrameResult:
     The pairing sum_j conj(df_j) * conj(dbar f_j) has real part
     (|grad u|^2 - |grad v|^2)/4 and imaginary part -<grad u, grad v>/2, so
     its vanishing is the frame condition for the realified pair.  The
-    verdict is computed purely on this route; the conformal factor, a real
-    object, is read off the gradient of the realified real part afterwards.
+    verdict is computed purely on this route and f is never realified, so
+    conformal_factor is None: hwc_check on the realified germ gives it.
     """
     dzs, dzbars = f.wirtinger()
     pairing = hermitian_pairing([d.conj() for d in dzs], list(dzbars))
+    holds = pairing.is_zero()
     residuals: dict[str, Polynomial] = {}
-    if not pairing.is_zero():
+    if not holds:
         re, im = pairing.realify()
         if not re.is_zero():
             residuals["pairing_re"] = re
         if not im.is_zero():
             residuals["pairing_im"] = im
-    holds = pairing.is_zero()
-    factor = None
-    if holds:
-        ctx, buckets = f._realified()
-        u = _sum_of_products(ctx, buckets.get(0, []))
-        factor = _sum_of_products(u.ctx, [(g, g) for g in u.gradient()])
-    return ConformalFrameResult(holds=holds, conformal_factor=factor,
+    return ConformalFrameResult(holds=holds, conformal_factor=None,
                                 residuals=residuals, pairing=pairing)
 
 

@@ -202,11 +202,6 @@ class MixedPolynomial(Graded):
         at grades 0 and 1, so `_graded_chains` sends each choice of parts
         to the real or imaginary sum with the sign of i^k.
         """
-        ctx, buckets = self._realified()
-        return tuple(_sum_of_products(ctx, buckets.get(b, [])) for b in (0, 1))
-
-    def _realified(self):
-        """realify's context and its chains of parts by bucket, 0 real, 1 imaginary."""
         n = self.ctx.arity
         real_ctx = realified_context(self.ctx)
         gens = real_ctx.gens()
@@ -238,7 +233,8 @@ class MixedPolynomial(Graded):
                     if a != b:
                         chain.append(power(j, abs(a - b), 1 if a > b else -1))
                 chains.append(chain)
-        return real_ctx, _graded_chains(real_ctx, chains, self._land)
+        buckets = _graded_chains(real_ctx, chains, self._land)
+        return tuple(_sum_of_products(real_ctx, buckets.get(b, [])) for b in (0, 1))
 
     # -- printing --------------------------------------------------------
 

@@ -134,10 +134,10 @@ def _sum_of_products(ctx: "VarContext",
     multiplied in its factors' integer numerators, and the products merge
     into one integer accumulator over the lcm of their denominators.  Each
     product is merged in its own term order and a sum that cancels leaves
-    the map, as in `Polynomial.__add__`, so the terms come out in the order
-    of that loop.  A chain with a zero factor adds nothing, and a single
-    chain is its product, unmerged.  A factor in the result's packing is
-    read as it is; a narrower one is re-keyed into it, once per call.
+    the map, so the terms come out in the order of that loop.  A chain with
+    a zero factor adds nothing, and a single chain is its product,
+    unmerged.  A factor in the result's packing is read as it is; a
+    narrower one is re-keyed into it, once per call.
     """
     live = []
     degree: dict[int, int] = {}
@@ -358,18 +358,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ctx(other)
-        pk = self._wider(other)
-        den = lcm(self._den, other._den)
-        ma, mb = den // self._den, den // other._den
-        acc = {k: c * ma for k, c in self._nums_in(pk).items()}
-        get = acc.get
-        for k, c in other._nums_in(pk).items():
-            s = get(k, 0) + c * mb
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return Polynomial._from_packed(self.ctx, pk, den, acc)
+        return _sum_of_products(self.ctx, [(self,), (other,)])
 
     __radd__ = __add__
 

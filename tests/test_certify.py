@@ -112,6 +112,10 @@ def test_replay_soundness_checks_inputs_and_cycles():
     rep2.add_fact("thom_regular", "isolated-thom", ("condition_b",))
     rep2.add_fact("condition_b", "thom-condb", ("thom_regular",))
     assert not rep2.replay_sound()
+    # And a fact that is its own input.
+    rep3 = report()
+    rep3.add_fact("thom_regular", "isolated-thom", ("thom_regular",))
+    assert not rep3.replay_sound()
 
 
 def test_rule_tables_are_closed_over_known_facts():

@@ -43,6 +43,12 @@ def test_default_variable_names():
     assert r.ctx.names == ("x1", "x2")
 
 
+def test_a_name_may_start_with_any_letter():
+    r = parse_one("map g : R^2 -> R^1\nvars é, y\nG = é*y\n")
+    assert r.ctx.names == ("é", "y")
+    assert r.germ.components[0].text() == "é*y"
+
+
 def test_comments_and_blank_lines_are_ignored():
     src = "# header\n\nmap g : R^2 -> R^1  # inline\nvars x, y\n\nG = x*y\n"
     assert parse_one(src).germ.components[0].text() == "x*y"
@@ -294,6 +300,13 @@ ERROR_TEXTS = [
      "line 2, col 9: 'conj' is the conjugation conj(...), not a variable name"),
     ("mixed-vars-conj", "mixed f : C^2 -> C\nvars conj, z\nf = z^2\n",
      "line 2, col 6: 'conj' is the conjugation conj(...), not a variable name"),
+    # A comment takes no columns: the newline after it is reported where
+    # the '#' starts.
+    ("comment-takes-no-columns", MAP2 + "G1 = x + # dangling\n",
+     "line 3, col 10: found '\\\\n' (expected number or variable or '(' or 'conj')"),
+    # '²' is alphanumeric but no letter, so it cannot start a name.
+    ("superscript-digit", MAP2 + "G1 = ²x\n",
+     "line 3, col 6: unexpected character '²'"),
 ]
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from germlab.certify import RegularityReport
-from germlab.dsl import parse_text
+from germlab.corpus import DATA_DIR
+from germlab.dsl import parse_path, parse_text
 from germlab.germs import GermlabRejection, Parametrization, RealMapGerm, realify_mixed
 from germlab.hwc import (
     certify_frame,
@@ -171,9 +172,22 @@ def mcvar(n, ctx=C2):
 
 def test_mixed_route_on_holomorphic_square():
     c1 = VarContext(["z"])
-    res = hwc_check_mixed(MixedPolynomial.var(c1, "z") ** 2)
+    f = MixedPolynomial.var(c1, "z") ** 2
+    res = hwc_check_mixed(f)
     assert res.holds
-    assert res.conformal_factor.text() == "4*z_re^2 + 4*z_im^2"
+    assert res.conformal_factor is None
+    real = hwc_check(realify_mixed([f]))
+    assert real.conformal_factor.text() == "4*z_re^2 + 4*z_im^2"
+
+
+def test_mixed_route_does_not_realify_when_the_frame_holds(monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("the mixed route realified f")
+
+    f = mvar("x") ** 2 * mcvar("y") ** 3 + mvar("x") * mvar("x")
+    monkeypatch.setattr("germlab.mixed.realified_context", refuse)
+    res = hwc_check_mixed(f)
+    assert res.holds and res.conformal_factor is None
 
 
 def test_mixed_route_pairing_residual_on_worked_failure():
@@ -198,7 +212,31 @@ def test_mixed_and_realified_routes_agree(f_builder):
     real = hwc_check(realify_mixed([f]))
     assert mixed.holds == real.holds
     if mixed.holds:
-        assert mixed.conformal_factor == real.conformal_factor
+        assert_wirtinger_gram_entry(f, real.conformal_factor)
+
+
+def assert_wirtinger_gram_entry(f, entry):
+    # 2 d(Re f)/dz = conj(conj(df) + dbar f), so |grad Re f|^2, the realified
+    # Gram entry [0, 0], is <P + Q, P + Q> with P = conj(df) and Q = dbar f.
+    dzs, dzbars = f.wirtinger()
+    sums = [p.conj() + q for p, q in zip(dzs, dzbars)]
+    re, im = hermitian_pairing(sums, sums).realify()
+    assert (re, im) == (entry, entry.ctx.zero())
+
+
+CORPUS_MIXED = [("e1.germ", "e1a"), ("e1.germ", "e1b"), ("fgbar.germ", "fgA"),
+                ("fgbar.germ", "fgB"), ("fgbar.germ", "fgF"),
+                ("mixalg.germ", "mixalg"), ("t.germ", "t"),
+                ("xyzbar.germ", "xyzbar"), ("z2.germ", "z2")]
+
+
+@pytest.mark.parametrize("fname,name", CORPUS_MIXED,
+                         ids=[n for _, n in CORPUS_MIXED])
+def test_wirtinger_gram_entry_on_corpus_mixed_germs(fname, name):
+    # The identity holds whether or not the frame does, so it is checked
+    # against the realified Gram entry itself, not only against a factor.
+    decl = parse_path(DATA_DIR / fname).single(name)
+    assert_wirtinger_gram_entry(decl.poly, decl.realified.jacobian().gram()[0, 0])
 
 
 CTX4 = VarContext(["u", "v", "p", "q"])
