@@ -50,6 +50,11 @@ def commands(root: Path) -> list[list[str]]:
         ["probe-b", f"{CORPUS}/mhx1.germ", "--witness", "fam"],
         ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48", "--outer",
          "G48", "--mode", "exact", "--set", "MH", "--claim", "closure"],
+        # 2,000 rational points of another radius, so other denominators,
+        # through the exact evaluation
+        ["compose-check", f"{CORPUS}/comp48.germ", "--inner", "F48", "--outer",
+         "G48", "--mode", "exact", "--set", "MH", "--claim", "closure",
+         "--samples", "400", "--radius", "3"],
         ["construct", "sum", f"{CORPUS}/esum.germ", "--left", "quart",
          "--right", "bilin"],
         # the declared separable-thom transfer

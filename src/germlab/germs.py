@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 from germlab.poly import Polynomial, PolyMatrix, VarContext, substitute
@@ -214,14 +214,13 @@ def pullback_vanishes(p: Polynomial, phi: Parametrization) -> PullbackResult:
     num = pullback_numerator(p, phi)
     if num.is_zero():
         return PullbackResult(vanishes=True, numerator=num)
-    witness = _nonzero_point(num, avoid=list(phi.denominators))
-    value = num.evaluate(witness)
+    witness, value = _nonzero_point(num, avoid=list(phi.denominators))
     return PullbackResult(vanishes=False, numerator=num,
                           witness=witness, witness_value=value)
 
 
 def _nonzero_point(p: Polynomial, avoid: list[Polynomial]):
-    """Rational point where p != 0 and every avoid-polynomial is nonzero.
+    """(point, p(point)) at a rational point where p and each of avoid are nonzero.
 
     Such points are dense, so the seeded search terminates fast; the
     deterministic fallback walks integer points outward.
@@ -230,13 +229,11 @@ def _nonzero_point(p: Polynomial, avoid: list[Polynomial]):
 
     rng = derive_rng(DEFAULT_SEED, "pullback-witness")
     arity = p.ctx.arity
-    for pt in islice(iter_rational_points(rng, arity, radius=2), 400):
-        if p.evaluate(pt) != 0 and all(q.evaluate(pt) != 0 for q in avoid):
-            return pt
-    for k in range(1, 50):  # pragma: no cover - fallback for adversarial inputs
-        pt = tuple(Fraction(k + i) for i in range(arity))
-        if p.evaluate(pt) != 0 and all(q.evaluate(pt) != 0 for q in avoid):
-            return pt
+    fallback = (tuple(Fraction(k + i) for i in range(arity)) for k in range(1, 50))
+    for pt in chain(islice(iter_rational_points(rng, arity, radius=2), 400), fallback):
+        value = p.evaluate(pt)
+        if value != 0 and all(q.evaluate(pt) != 0 for q in avoid):
+            return pt, value
     raise AssertionError(f"could not find a nonzero point for {p}")
 
 

@@ -20,7 +20,8 @@ product entry, one expansion step of a minor and, through `substitute`,
 each substitution of ring values (`pullback_numerator`, `compose_exact`,
 the family limit of `condition_b_family_check`, `CurveFamily.pullback`):
 every chain of factors is multiplied in packed ints and summed in one
-integer accumulator.  `Polynomial.evaluate` is the scalar loop.
+integer accumulator.  `Polynomial.evaluate` at a rational point also runs
+in integers, over one common denominator; at floats it is the scalar loop.
 
 The two rings built on Polynomial parts, the Laurent arcs sum_k p_k * t^k
 of `curves` and the mixed polynomials re + i*im of `mixed`, are `Graded`:
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -140,33 +141,34 @@ def _sum_of_products(ctx: "VarContext",
     narrower one is re-keyed into it, once per call.
     """
     live = []
-    degree: dict[int, int] = {}
     top = 0
     for chain in chains:
         total = 0
         for f in chain:
-            g = degree.get(id(f))
-            if g is None:
-                if f.is_zero():
-                    break
-                g = degree[id(f)] = f._degree()
-            total += g
+            if not f._nums:
+                break
+            total += f._deg
         else:
             live.append(chain)
-            top = max(top, total)
+            if total > top:
+                top = total
     if not live:
         return ctx.zero()
-    pk = _packing(ctx.arity, top)
-    read: dict[int, tuple[int, Iterable[tuple[int, int]]]] = {}
+    pk = _packing(len(ctx.names), top)
+    # Keyed by identity: every re-keyed factor belongs to a chain in live.
+    rekeyed: dict[int, Iterable[tuple[int, int]]] = {}
     packed, dens = [], []
     for chain in live:
         d, parts = 1, []
         for f in chain:
-            s = read.get(id(f))
-            if s is None:
-                s = read[id(f)] = f._den, f._nums_in(pk).items()
-            d *= s[0]
-            parts.append(s[1])
+            d *= f._den
+            if f._pk is pk:
+                parts.append(f._nums.items())
+            else:
+                s = rekeyed.get(id(f))
+                if s is None:
+                    s = rekeyed[id(f)] = _rekey(f._nums, f._pk, pk).items()
+                parts.append(s)
         packed.append(parts)
         dens.append(d)
     den = lcm(*dens)
@@ -176,9 +178,10 @@ def _sum_of_products(ctx: "VarContext",
         acc = {}
         get = acc.get
         for parts, d in zip(packed, dens):
+            out = _chain_product(parts)
             m = den // d
-            for k, c in _chain_product(parts).items():
-                s = get(k, 0) + c * m
+            for k, c in out.items() if m == 1 else zip(out, map(m.__mul__, out.values())):
+                s = get(k, 0) + c
                 if s:
                     acc[k] = s
                 else:
@@ -240,10 +243,12 @@ class VarContext:
         return tuple(self.var(n) for n in self.names)
 
     def const(self, c) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.arity: _coeff(c)})
+        c = _coeff(c)
+        return Polynomial._from_packed(self, _packing(len(self.names), 0), c.denominator,
+                                       {0: c.numerator} if c else {})
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return self.const(0)
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -277,7 +282,7 @@ class Polynomial:
     'x^2 - y^2'
     """
 
-    __slots__ = ("ctx", "_pk", "_den", "_nums")
+    __slots__ = ("ctx", "_pk", "_den", "_nums", "_deg")
 
     def __init__(self, ctx: VarContext, terms: Mapping[Exponents, Fraction]):
         clean = {}
@@ -290,7 +295,8 @@ class Polynomial:
             if c:
                 clean[e] = c
         self.ctx = ctx
-        self._pk = _packing(ctx.arity, max(map(sum, clean), default=0))
+        self._deg = max(map(sum, clean), default=0)
+        self._pk = _packing(ctx.arity, self._deg)
         # The lcm of reduced denominators shares no factor with every numerator.
         self._den, self._nums = self._pk.scaled(clean)
 
@@ -304,9 +310,10 @@ class Polynomial:
             if g > 1:
                 den //= g
                 nums = {k: c // g for k, c in nums.items()}
-        own = _packing(ctx.arity, max(nums, default=0) >> pk.degree_shift)
+        deg = max(nums, default=0) >> pk.degree_shift
+        own = _packing(len(ctx.names), deg)
         p = object.__new__(cls)
-        p.ctx, p._pk, p._den = ctx, own, den if nums else 1
+        p.ctx, p._pk, p._den, p._deg = ctx, own, den if nums else 1, deg
         p._nums = nums if own is pk else _rekey(nums, pk, own)
         return p
 
@@ -324,7 +331,7 @@ class Polynomial:
 
     def _degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max(self._nums, default=0) >> self._pk.degree_shift
+        return self._deg
 
     # -- basic queries ---------------------------------------------------
 
@@ -416,15 +423,29 @@ class Polynomial:
         return tuple(self.diff(n) for n in self.ctx.names)
 
     def evaluate(self, values: Sequence):
-        """The value at a point: Fractions (exact) or floats (cross-checks).
+        """The value at a point: exact at ints and Fractions, a float at floats.
 
-        Ring values work too, one product at a time, but germlab sends
-        them through `substitute`.
+        At a rational point (a_1/b_1, ...) the sum runs in integers: with D_i
+        the degree in x_i, the value is sum_k c_k prod a_i^e_i b_i^(D_i - e_i)
+        over _den * prod b_i^D_i, one Fraction built at the end.  Floats
+        (cross-checks) and ring values take the term loop, one product at a
+        time; germlab sends ring values through `substitute`.
         """
         if len(values) != self.ctx.arity:
             raise ValueError(
                 f"expected {self.ctx.arity} values, got {len(values)}")
         unpack, den = self._pk.unpack, self._den
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            exps = list(map(unpack, self._nums))
+            # rows[i][e] = a_i^e * b_i^(D_i - e)
+            rows = [[v.numerator**e * v.denominator**(top - e) for e in range(top + 1)]
+                    for v, top in zip(values, map(max, zip(*exps)))]
+            total = 0
+            for c, e in zip(self._nums.values(), exps):
+                for row, k in zip(rows, e):
+                    c *= row[k]
+                total += c
+            return Fraction(total, den * prod(row[0] for row in rows))
         total = Fraction(0)
         for key, c in self._nums.items():
             if den != 1:

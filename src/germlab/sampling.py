@@ -45,11 +45,12 @@ def iter_rational_points(rng: random.Random, arity: int,
                          radius=2) -> Iterator[tuple[Fraction, ...]]:
     """Endless rational points in [-radius, radius]^arity, denominators 1..64."""
     bound = Fraction(radius).limit_denominator(10**6)
+    bn, bd = bound.numerator, bound.denominator
     while True:
         out = []
         for _ in range(arity):
             den = rng.randint(1, 64)
-            hi = int(bound * den)
+            hi = bn * den // bd
             out.append(Fraction(rng.randint(-hi, hi), den))
         yield tuple(out)
 

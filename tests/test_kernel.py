@@ -30,7 +30,8 @@ from germlab.corpus import DATA_DIR
 from germlab.curves import CurveFamily, LaurentPoly
 from germlab.dsl import parse_path
 from germlab.germs import Parametrization, RealMapGerm, pullback_numerator
-from germlab.poly import Polynomial, PolyMatrix, VarContext, _sum_of_products, substitute
+from germlab.poly import (Polynomial, PolyMatrix, VarContext, _rekey, _sum_of_products,
+                          substitute)
 
 from oracles import (chained_sum, cleared_pullback, cofactor_det, evaluate, plus, scale,
                      schoolbook_div, schoolbook_mul, term_diff, term_lift, term_text)
@@ -69,6 +70,7 @@ def poly(n, terms):
 
 def assert_matches(got: Polynomial, want: dict):
     assert list(got.terms.items()) == list(want.items())
+    assert got._degree() == max(map(sum, want), default=0)
     assert all(type(c) is Fraction for c in got.terms.values())
     assert got.text() == term_text(want, got.ctx.names)
     assert got == Polynomial(got.ctx, want) and hash(got) == hash(Polynomial(got.ctx, want))
@@ -172,6 +174,16 @@ def test_division_with_fractional_quotient():
     # Every leading monomial divides, but x / (2x + 1) leaves -1/2.
     with pytest.raises(ArithmeticError):
         x.exact_div(2 * x + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("c", [0, 1, -3, Fraction(5, 7)])
+def test_const_is_the_constant_polynomial(n, c):
+    ctx = CONTEXTS[n]
+    got, want = ctx.const(c), Polynomial(ctx, {(0,) * n: c})
+    assert got._pk is want._pk and got._den == want._den and got._nums == want._nums
+    assert got == want and hash(got) == hash(want) and got.text() == want.text()
+    assert_matches(got, dict(want.terms))
 
 
 # -- sums of products --------------------------------------------------------
@@ -483,6 +495,76 @@ def test_zero_entries_and_factors():
     assert PolyMatrix([[x, zero], [y, zero]]).det().terms == {}
 
 
+def _x1_terms(n: int, k: int, c) -> dict:
+    """The term dict of c * x1^k over n variables."""
+    return {(0, k) + (0,) * (n - 2): Fraction(c)}
+
+
+def _sum_cases():
+    """(arity, chains of term dicts) where the set-up of a sum takes a branch.
+
+    Narrow factors are re-keyed into the result's packing; a chain with a
+    zero factor is dropped; the merge rescales a chain only when its
+    denominator is not the common one.
+    """
+    a = {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3)}      # one byte, denominator 2
+    b = {(2, 1): Fraction(2, 3), (0, 0): Fraction(1)}       # denominator 3
+    big = {(300, 0): Fraction(1), (0, 2): Fraction(-1, 5)}  # two bytes
+    u, v = {(1, 0): Fraction(2), (0, 1): Fraction(-1)}, {(1, 1): Fraction(3), (0, 0): Fraction(1)}
+    return [
+        pytest.param(2, [[a, big], [big, a], [b]], id="narrow-factor-in-two-chains"),
+        # denominators 2, 6, 12 and 12: two chains are over the common one
+        pytest.param(2, [[a], [b, a], [a, a, b], [{(0, 0): Fraction(1, 12)}]],
+                     id="denominators-differ"),
+        pytest.param(2, [[u, v], [v], [u, u]], id="denominators-all-one"),
+        pytest.param(2, [[a, b], [b, {}, big], [a, a]], id="zero-factor"),
+        pytest.param(3, [[_x1_terms(3, 200, 2), _x1_terms(3, 100, -1)],
+                         [{(1, 0, 0): Fraction(1, 3)}]], id="widens-past-255"),
+    ]
+
+
+@pytest.mark.parametrize("n, chains", _sum_cases())
+def test_sum_of_products_on_each_set_up_branch(n, chains):
+    ctx = CONTEXTS[n]
+    made = {}
+    polys = [[made.setdefault(id(f), Polynomial(ctx, f)) for f in c] for c in chains]
+    assert_matches(_sum_of_products(ctx, polys), chained_sum(chains))
+
+
+def test_sum_of_products_re_keys_a_shared_narrow_factor_once(monkeypatch):
+    import germlab.poly as kernel
+
+    ctx = CONTEXTS[2]
+    a, big = ctx.var("x0") - 3, ctx.var("x0") ** 300 + ctx.var("x1")
+    calls = []
+    monkeypatch.setattr(kernel, "_rekey", lambda *args: calls.append(args) or _rekey(*args))
+    got = _sum_of_products(ctx, [[a, big], [big, a]])
+    assert len(calls) == 1 and calls[0][0] is a._nums
+    assert_matches(got, chained_sum([[a.terms, big.terms], [big.terms, a.terms]]))
+
+
+def test_sum_of_products_reads_chains_from_a_generator():
+    # A dropped chain's factor is freed once the chain after it is read, so
+    # a later factor may take the identity of a freed one.  Its degree must
+    # still be its own: x1^200 * x1^60 needs two-byte fields.
+    ctx = CONTEXTS[2]
+    x0, x1 = ctx.gens()
+    zero = ctx.zero()
+    big, x60 = [x1**200 + j for j in range(2)], x1**60
+
+    def chains():
+        for j in range(4):
+            f = x0 * (j + 2)
+            yield [f, zero]
+            del f  # the chain now holds the only reference
+        for j in range(2):
+            yield [big[j], x60 * (j + 2)]
+
+    want = chained_sum([[big[j].terms, _x1_terms(2, 60, j + 2)] for j in range(2)])
+    assert_matches(_sum_of_products(ctx, chains()), want)
+    assert_matches(_sum_of_products(ctx, iter([[x0, x0 - x0], [x1]])), _x1_terms(2, 1, 1))
+
+
 # -- packed results ------------------------------------------------------------
 
 
@@ -586,6 +668,12 @@ def test_evaluate_at_rational_points_matches_the_oracle(case):
         assert p.evaluate(at) == evaluate(terms, at)
         assert packed.evaluate(at) == evaluate(terms, at)
         assert type(p.evaluate(at)) is Fraction
+    # Floats take the term loop: a float once a term has a variable, the
+    # exact value of a constant.
+    at = [float(v) for v in point]
+    want = p.constant_value() if p.is_constant() else evaluate(terms, at)
+    assert p.evaluate(at) == want and packed.evaluate(at) == want
+    assert type(p.evaluate(at)) is type(want)
 
 
 @settings(max_examples=100, deadline=None)

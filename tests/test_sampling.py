@@ -67,10 +67,12 @@ def test_rational_points_are_pinned_at_a_fixed_seed():
     rng = derive_rng(DEFAULT_SEED, "pullback-witness")
     assert list(islice(iter_rational_points(rng, 2), 3)) == first
     # The pullback witness search draws from that stream one point at a
-    # time: y - 68/43 vanishes at the first point, so the second is taken.
+    # time: y - 68/43 vanishes at the first point, so the second is taken,
+    # with the value found there.
     y = VarContext(["x", "y"]).var("y")
-    assert _nonzero_point(y - Fraction(68, 43), avoid=[]) == first[1]
-    assert _nonzero_point(y, avoid=[y - Fraction(68, 43)]) == first[1]
+    value = first[1][1] - Fraction(68, 43)
+    assert _nonzero_point(y - Fraction(68, 43), avoid=[]) == (first[1], value)
+    assert _nonzero_point(y, avoid=[y - Fraction(68, 43)]) == (first[1], first[1][1])
 
 
 def loop_evaluator(polys):
