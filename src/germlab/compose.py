@@ -28,7 +28,7 @@ from germlab.germs import (
     milnor_data,
     pullback_numerator,
 )
-from germlab.poly import Polynomial, VarContext, _sum_of_products, substitute
+from germlab.poly import Polynomial, VarContext, substitute
 
 
 def compose_exact(outer: RealMapGerm, inner: RealMapGerm) -> RealMapGerm:
@@ -51,8 +51,8 @@ def compose_parametrization(inner: RealMapGerm, phi: Parametrization,
     everywhere else.
     """
     dens = tuple(
-        _sum_of_products(phi.params, [[d ** g.degree_in(n) for d, n in
-                                       zip(phi.denominators, inner.ctx.names)]])
+        Polynomial.sum_of_products(phi.params, [[
+            d ** g.degree_in(n) for d, n in zip(phi.denominators, inner.ctx.names)]])
         for g in inner.components)
     return Parametrization(
         target=target, params=phi.params,

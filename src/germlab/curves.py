@@ -7,9 +7,11 @@ germ component stays inside the same ring, so limits as t -> 0 reduce to
 reading off the minimal surviving power of t.
 
 LaurentPoly is the `poly.Graded` ring with u = t, one part per power of t,
-so its sums and products, `CurveFamily.pullback` (`substitute` over it) and
-`witness.normal_vector_along_curve` all run on
-`LaurentPoly.sum_of_products`: one poly-kernel sum of products per power.
+and its operators are `poly.RingElement`'s, the ones Polynomial has.  Its
+sums and products, `CurveFamily.pullback` (`substitute` reads the ring
+from the Laurent coordinates) and `witness.normal_vector_along_curve` all
+run on `LaurentPoly.sum_of_products`: one poly-kernel sum of products per
+power.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ class LaurentPoly(Graded):
     """sum_k p_k(s) * t^k with integer k of either sign and p_k exact."""
 
     __slots__ = ()
+    _scalars = (int, Fraction, Polynomial)  # read through const
 
     def __init__(self, ctx: VarContext, parts: Mapping[int, Polynomial]):
         for k, p in parts.items():
@@ -46,6 +49,9 @@ class LaurentPoly(Graded):
 
     @staticmethod
     def const(ctx: VarContext, c) -> "LaurentPoly":
+        # A Polynomial over the spectators is the coefficient of t^0.
+        if isinstance(c, Polynomial):
+            return LaurentPoly.from_poly(c)
         return LaurentPoly(ctx, {0: ctx.const(c)})
 
     # -- queries ---------------------------------------------------------
@@ -63,12 +69,6 @@ class LaurentPoly(Graded):
         return self.parts.get(k, self.ctx.zero())
 
     # -- arithmetic ------------------------------------------------------
-
-    def _operand(self, other):
-        # A Polynomial over the spectators is the coefficient of t^0.
-        if isinstance(other, Polynomial):
-            return LaurentPoly.from_poly(other)
-        return super()._operand(other)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k >= 0:
@@ -120,7 +120,7 @@ class CurveFamily:
         """p(gamma(t)), exact in the Laurent ring."""
         if p.ctx != self.target:
             raise ValueError("polynomial not over the curve's target")
-        return substitute(p, self.coords, LaurentPoly.sum_of_products, LaurentPoly.const)
+        return substitute(p, self.coords)
 
     def limit_coords(self) -> tuple[Polynomial, ...] | None:
         """Coordinates of gamma(0), or None when some coordinate blows up."""

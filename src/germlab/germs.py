@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Sequence
 
 from germlab.poly import Polynomial, PolyMatrix, VarContext, substitute
 
@@ -152,16 +151,6 @@ class Parametrization:
                 raise ValueError("coordinate over a foreign parameter context")
             if d.is_zero():
                 raise ValueError("denominator identically zero")
-
-    @staticmethod
-    def from_polys(target: VarContext, params: VarContext,
-                   values: Sequence[Polynomial], name: str = "") -> "Parametrization":
-        one = params.one()
-        return Parametrization(
-            target=target, params=params,
-            numerators=tuple(values), denominators=tuple(one for _ in values),
-            name=name,
-        )
 
     @property
     def dim(self) -> int:

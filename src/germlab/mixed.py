@@ -25,8 +25,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from germlab.poly import (Exponents, Graded, Polynomial, VarContext, _coeff,
-                          _graded_chains, _sum_of_products)
+from germlab.poly import Exponents, Graded, Polynomial, VarContext, _coeff, _graded_chains
 
 
 class ComplexRational:
@@ -234,7 +233,7 @@ class MixedPolynomial(Graded):
                         chain.append(power(j, abs(a - b), 1 if a > b else -1))
                 chains.append(chain)
         buckets = _graded_chains(real_ctx, chains, self._land)
-        return tuple(_sum_of_products(real_ctx, buckets.get(b, [])) for b in (0, 1))
+        return tuple(Polynomial.sum_of_products(real_ctx, buckets.get(b, [])) for b in (0, 1))
 
     # -- printing --------------------------------------------------------
 

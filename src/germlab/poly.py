@@ -23,12 +23,15 @@ every chain of factors is multiplied in packed ints and summed in one
 integer accumulator.  `Polynomial.evaluate` at a rational point also runs
 in integers, over one common denominator; at floats it is the scalar loop.
 
-The two rings built on Polynomial parts, the Laurent arcs sum_k p_k * t^k
-of `curves` and the mixed polynomials re + i*im of `mixed`, are `Graded`:
-sums of parts indexed by a grade.  Their operators are written once, and
-their products, pairings, pullbacks and realifications expand through one
-routine, `_graded_chains`, which spreads chains of graded factors into
-chains of parts, one `_sum_of_products` per resulting part.
+Polynomial and the two rings built on Polynomial parts, the Laurent arcs
+sum_k p_k * t^k of `curves` and the mixed polynomials re + i*im of
+`mixed`, share one operator set, `RingElement`: `+`, `-`, `*` and `**`
+are written once over each ring's `const` and `sum_of_products`, and
+`substitute` reads both from the class of its values.  The two built
+rings are `Graded`, sums of parts indexed by a grade; their products,
+pairings, pullbacks and realifications expand through one routine,
+`_graded_chains`, which spreads chains of graded factors into chains of
+parts, one `_sum_of_products` per resulting part.
 """
 
 from __future__ import annotations
@@ -189,22 +192,6 @@ def _sum_of_products(ctx: "VarContext",
     return Polynomial._from_packed(ctx, pk, den, acc)
 
 
-def _power(base, k: int, one):
-    """base**k by square-and-multiply from `one`, low bit first.
-
-    The one loop behind the `**` of Polynomial and Graded.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
-    out = one
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base if k > 1 else base
-        k >>= 1
-    return out
-
-
 class VarContext:
     """Ordered, immutable collection of variable names.
 
@@ -263,7 +250,79 @@ class VarContext:
         return f"VarContext({', '.join(self.names)})"
 
 
-class Polynomial:
+class RingElement:
+    """The operators of germlab's exact rings, written once.
+
+    Polynomial, LaurentPoly and MixedPolynomial each give `ctx`, the hooks
+    `const(ctx, c)` and `sum_of_products(ctx, chains)`, `__neg__` and
+    `text`; `+`, `-` and `*` are then one `sum_of_products` call each, and
+    `**` is square-and-multiply.  An operand is one of `_scalars`, read
+    through `const`, or an element of the same class over an equal context
+    (ValueError otherwise); anything else, a float included, is
+    NotImplemented, so Python raises TypeError.
+    """
+
+    __slots__ = ()
+    _scalars: tuple = (int, Fraction)
+
+    def _operand(self, other):
+        if isinstance(other, self._scalars):
+            return self.const(self.ctx, other)
+        return other if type(other) is type(self) else None
+
+    def _same_ctx(self, other) -> None:
+        if other.ctx != self.ctx:
+            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
+
+    def _checked(self, other, chains):
+        self._same_ctx(other)
+        return self.sum_of_products(self.ctx, chains)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._checked(other, [(self,), (other,)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._checked(other, [(self, other)])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        """self**k by square-and-multiply from the ring's 1, low bit first."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, got {k!r}")
+        out, base = self.const(self.ctx, 1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def __str__(self) -> str:
+        return self.text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.text()})"
+
+
+class Polynomial(RingElement):
     """A polynomial with Fraction coefficients over a fixed VarContext.
 
     The one stored form is packed: `_nums` maps packed keys to nonzero
@@ -355,49 +414,20 @@ class Polynomial:
 
     # -- ring operations -------------------------------------------------
 
-    def _require_same_ctx(self, other: "Polynomial") -> None:
-        if self.ctx != other.ctx:
-            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.const(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_ctx(other)
-        return _sum_of_products(self.ctx, [(self,), (other,)])
-
-    __radd__ = __add__
+    const = staticmethod(VarContext.const)
+    sum_of_products = staticmethod(_sum_of_products)
+    # Bound here as well as in RingElement: perfbench's tracer wraps
+    # Polynomial.__dict__["__mul__"] and its aliases.
+    __mul__ = __rmul__ = RingElement.__mul__
+    __pow__ = RingElement.__pow__
 
     def __neg__(self):
         return Polynomial._from_packed(self.ctx, self._pk, self._den,
                                        {k: -c for k, c in self._nums.items()})
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -_coeff(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            nums = {k: v * c.numerator for k, v in self._nums.items()} if c else {}
-            return Polynomial._from_packed(self.ctx, self._pk, self._den * c.denominator, nums)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_ctx(other)
-        return _sum_of_products(self.ctx, [(self, other)])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k, self.ctx.one())
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.const(other)
-        if not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return (self.ctx == other.ctx and self._den == other._den
                 and self._nums == other._nums)
@@ -429,7 +459,9 @@ class Polynomial:
         the degree in x_i, the value is sum_k c_k prod a_i^e_i b_i^(D_i - e_i)
         over _den * prod b_i^D_i, one Fraction built at the end.  Floats
         (cross-checks) and ring values take the term loop, one product at a
-        time; germlab sends ring values through `substitute`.
+        time, summed from the zero of the first such value's type, so a
+        constant comes back as a float too; germlab sends ring values
+        through `substitute`.
         """
         if len(values) != self.ctx.arity:
             raise ValueError(
@@ -446,7 +478,8 @@ class Polynomial:
                     c *= row[k]
                 total += c
             return Fraction(total, den * prod(row[0] for row in rows))
-        total = Fraction(0)
+        v = next(v for v in values if not isinstance(v, (int, Fraction)))
+        total = v - v if isinstance(v, RingElement) else type(v)()  # 0 of v's type
         for key, c in self._nums.items():
             if den != 1:
                 c = Fraction(c, den)
@@ -485,7 +518,7 @@ class Polynomial:
         coefficient that B's does not divide also proves the division
         inexact.
         """
-        self._require_same_ctx(divisor)
+        self._same_ctx(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -541,12 +574,6 @@ class Polynomial:
                 out.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(out) or "0"
 
-    def __str__(self) -> str:
-        return self.text()
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.text()})"
-
 
 def _graded_chains(ctx: VarContext, chains: Iterable[Sequence[Mapping[int, Polynomial]]],
                    land) -> dict[int, list[list[Polynomial]]]:
@@ -576,8 +603,8 @@ def _graded_chains(ctx: VarContext, chains: Iterable[Sequence[Mapping[int, Polyn
     return buckets
 
 
-class Graded:
-    """sum_k p_k * u^k with Polynomial parts p_k: the operators of a graded ring.
+class Graded(RingElement):
+    """sum_k p_k * u^k with Polynomial parts p_k: a graded ring over Polynomial.
 
     `parts` maps the grade of each nonzero part to that part, a Polynomial
     over `_part_ctx(ctx)`.  `_land(k)` says which part u^k adds to and with
@@ -589,7 +616,6 @@ class Graded:
     """
 
     __slots__ = ("ctx", "parts")
-    _scalars: tuple = (int, Fraction)  # operands read through const
 
     def __init__(self, ctx: VarContext, parts: Mapping[int, Polynomial]):
         self.ctx = ctx
@@ -620,46 +646,8 @@ class Graded:
     def is_zero(self) -> bool:
         return not self.parts
 
-    def _operand(self, other):
-        if isinstance(other, self._scalars):
-            return self.const(self.ctx, other)
-        return other if type(other) is type(self) else None
-
-    def _checked(self, other, chains):
-        if other.ctx != self.ctx:
-            raise ValueError(f"context mismatch: {self.ctx!r} vs {other.ctx!r}")
-        return self.sum_of_products(self.ctx, chains)
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._checked(other, [(self,), (other,)])
-
-    __radd__ = __add__
-
     def __neg__(self):
         return self._of(self.ctx, {k: -p for k, p in self.parts.items()})
-
-    def __sub__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._checked(other, [(self, other)])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k, self.const(self.ctx, 1))
 
     def __eq__(self, other) -> bool:
         other = self._operand(other)
@@ -670,30 +658,24 @@ class Graded:
     def __hash__(self) -> int:
         return hash((self.ctx.names, frozenset(self.parts.items())))
 
-    def __str__(self) -> str:
-        return self.text()
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.text()})"
-
-
-def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products,
-               const=VarContext.const, denominators: Sequence | None = None):
+def substitute(p: Polynomial, values: Sequence, denominators: Sequence | None = None):
     """p(v_1, ..., v_m) in the ring of the values, as one sum of products.
 
-    The term c * x^e is the chain [const(ctx, c), v_1^e_1, ...] over the
-    values' context ctx, and the chains go to sum_of_products(ctx, chains)
-    in term order, each power of each value object built once.  The powers
-    are keyed by the value's identity, so equal values whose terms come in
-    different orders each power their own.  With denominators d_i, each x_i
-    is cleared to its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i,
-    and the result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.
-    A chain with a power of a zero value adds nothing and is left out, and
-    a denominator 1 adds no factors.
+    The ring is the values' class R, a RingElement: the term c * x^e is the
+    chain [R.const(ctx, c), v_1^e_1, ...] over the values' context ctx, and
+    the chains go to R.sum_of_products(ctx, chains) in term order, each
+    power of each value object built once.  The powers are keyed by the
+    value's identity, so equal values whose terms come in different orders
+    each power their own.  With denominators d_i, each x_i is cleared to
+    its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i, and the
+    result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.  A
+    chain with a power of a zero value adds nothing and is left out, and a
+    denominator 1 adds no factors.
     """
     if len(values) != p.ctx.arity:
         raise ValueError(f"expected {p.ctx.arity} values, got {len(values)}")
-    ctx = values[0].ctx
+    ring, ctx = type(values[0]), values[0].ctx
     powers: dict[tuple[int, int], object] = {}
 
     def power(v, k: int):
@@ -705,12 +687,12 @@ def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products
     zero = [v.is_zero() for v in values]
     degs = None
     if denominators:
-        one = const(ctx, 1)
+        one = ring.const(ctx, 1)
         degs = [0 if d == one else p.degree_in(n)
                 for d, n in zip(denominators, p.ctx.names)]
     chains = []
     for e, c in p.terms.items():
-        chain = [const(ctx, c)]
+        chain = [ring.const(ctx, c)]
         for i, k in enumerate(e):
             if k:
                 if zero[i]:
@@ -720,7 +702,7 @@ def substitute(p: Polynomial, values: Sequence, sum_of_products=_sum_of_products
                 chain.append(power(denominators[i], degs[i] - k))
         else:
             chains.append(chain)
-    return sum_of_products(ctx, chains)
+    return ring.sum_of_products(ctx, chains)
 
 
 class PolyMatrix:
@@ -750,10 +732,6 @@ class PolyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Polynomial:
         i, j = ij
         return self.entries[i][j]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:

@@ -28,7 +28,7 @@ from germlab.germs import (
     milnor_data,
     pullback_numerator,
 )
-from germlab.poly import Polynomial, VarContext, _sum_of_products, substitute
+from germlab.poly import Polynomial, VarContext, substitute
 
 
 def normal_vector_along_curve(germ: RealMapGerm, gamma: CurveFamily,
@@ -117,7 +117,7 @@ def thom_irregularity_witness(germ: RealMapGerm, spec: WitnessSpec) -> WitnessOu
     pairings: dict[str, Polynomial] = {}
     for pname in phi.params.names:
         tangent = phi.tangent_numerators(pname)
-        pairings[pname] = _sum_of_products(
+        pairings[pname] = Polynomial.sum_of_products(
             gamma.params, [(lead, tnum.lift(gamma.params))
                            for lead, tnum in zip(limit.leading, tangent)])
 
@@ -253,7 +253,7 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
             raise GermlabRejection(
                 "family limit leaves the central fiber",
                 component=g.text())
-    if _sum_of_products(at_zero[0].ctx, [(p, p) for p in at_zero]).is_zero():
+    if Polynomial.sum_of_products(at_zero[0].ctx, [(p, p) for p in at_zero]).is_zero():
         raise GermlabRejection(
             "family limit is the origin for every spectator value; "
             "no accumulation away from 0")

@@ -4,6 +4,8 @@ from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# Appended, so a PYTHONPATH that names another tree's src/ is the one tested.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 CRITERIA = {
     1: "ex1 Milnor determinant matches the factored form in under 60s",

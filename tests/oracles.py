@@ -5,9 +5,11 @@ term dicts (exponent tuple -> Fraction), with no imports from germlab
 internals, so that agreement between a germlab routine and its oracle
 actually means two routes reached the same answer.  The float, germ and
 finite-difference evaluators are cross-checks that only tests need; they
-call `Polynomial.evaluate`.  The scipy composition ladder also takes the exact composition, the compiled float
-evaluators, the tolerances and the seed stream from germlab: it is an
-oracle for the solver and the batching, not for those.
+call `Polynomial.evaluate`, and `from_polys` and `transpose` build the
+polynomial parametrizations and transposed matrices that only tests use.
+The scipy composition ladder also takes the exact composition, the
+compiled float evaluators, the tolerances and the seed stream from
+germlab: it is an oracle for the solver and the batching, not for those.
 """
 
 from __future__ import annotations
@@ -106,6 +108,19 @@ def parametrization_value(phi, svals) -> list:
             raise ValueError(f"denominator {d.text()} vanishes at {svals}")
         out.append(n.evaluate(svals) / dv)
     return out
+
+
+def from_polys(target, params, values, name: str = ""):
+    """The Parametrization with polynomial coordinates: every denominator 1."""
+    from germlab.germs import Parametrization
+    one = params.one()
+    return Parametrization(target=target, params=params, numerators=tuple(values),
+                           denominators=tuple(one for _ in values), name=name)
+
+
+def transpose(m):
+    """The transpose of a PolyMatrix."""
+    return type(m)([list(col) for col in zip(*m.entries)])
 
 
 def mixed_float_value(p, zs) -> complex:

@@ -23,7 +23,6 @@ from germlab.corpus import DATA_DIR, load_manifest
 from germlab.dsl import parse_path
 from germlab.germs import (
     GermlabRejection,
-    Parametrization,
     milnor_data,
     pullback_numerator,
 )
@@ -38,7 +37,8 @@ from germlab.witness import (
 )
 from germlab.certify import RegularityReport
 
-from oracles import fd_gradient, fraction_rank, leibniz_det, mixed_float_value
+from oracles import (fd_gradient, fraction_rank, from_polys, leibniz_det, mixed_float_value,
+                     transpose)
 
 
 def _decl(fname, name=None):
@@ -69,9 +69,8 @@ def test_criterion_02_mfx1_determinant_and_components():
     params = VarContext(["s1", "s2"])
     s1, s2 = params.var("s1"), params.var("s2")
     zero = params.zero()
-    plane = Parametrization.from_polys(germ.ctx, params, (zero, s1, s2),
-                                       name="x=0")
-    cone = Parametrization.from_polys(
+    plane = from_polys(germ.ctx, params, (zero, s1, s2), name="x=0")
+    cone = from_polys(
         germ.ctx, params,
         (s1 * s1 + s2 * s2, s1 * s1 - s2 * s2, 2 * s1 * s2),
         name="x^2=y^2+z^2")
@@ -152,7 +151,7 @@ def test_criterion_08_inclusion_transfer():
     outer = _decl("incl.germ", "GI")
     mg = milnor_data(outer.germ).milnor_poly
     for phi in inner.sets["MH"]:
-        lifted = Parametrization.from_polys(
+        lifted = from_polys(
             outer.germ.ctx, phi.params,
             tuple(pullback_numerator(c, phi) for c in inner.germ.components),
             name=f"F({phi.name})")
@@ -250,7 +249,7 @@ def test_criterion_11b_gram_determinant_against_leibniz():
     rng = derive_rng(RunConfig().seed, "acceptance:det")
     for label, germ in _oracle_germs():
         a = germ.stacked()
-        gram = a @ a.transpose()
+        gram = a @ transpose(a)
         det = gram.det()
         for pt in rational_points(rng, germ.ctx.arity, 50):
             rows = [[gram[i, j].evaluate(pt) for j in range(gram.cols)]

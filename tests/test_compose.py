@@ -12,10 +12,10 @@ from germlab.compose import (
     image_in_milnor_check,
     inclusion_report,
 )
-from germlab.germs import GermlabRejection, Parametrization, RealMapGerm, milnor_data
+from germlab.germs import GermlabRejection, RealMapGerm, milnor_data
 from germlab.poly import VarContext
 from germlab.sampling import R_MIN, TOL_ACCUM, RunConfig, derive_rng, rational_points
-from oracles import germ_value, parametrization_value, scipy_composition_ladder
+from oracles import from_polys, germ_value, parametrization_value, scipy_composition_ladder
 
 
 def _germ(names, build, name):
@@ -40,12 +40,12 @@ ZERO = PARAMS.zero()
 
 
 def plane48():
-    return Parametrization.from_polys(F48.ctx, PARAMS, (S1, S2, ZERO, S3), name="z=0")
+    return from_polys(F48.ctx, PARAMS, (S1, S2, ZERO, S3), name="z=0")
 
 
 def cone48():
     # w=0, z^2=x^2+y^2 via the Pythagorean parametrization.
-    return Parametrization.from_polys(
+    return from_polys(
         F48.ctx, PARAMS,
         (S1 * S1 - S2 * S2, 2 * S1 * S2, S1 * S1 + S2 * S2, ZERO),
         name="w=0,z^2=x^2+y^2")
@@ -137,8 +137,7 @@ def test_no_transfer_without_declarations():
 
 def test_undeclared_component_rejected():
     # A curve that is not inside M(H) must be refused, with the pullback shown.
-    stray = Parametrization.from_polys(F48.ctx, PARAMS, (S1, S1, S1, S1),
-                                       name="stray")
+    stray = from_polys(F48.ctx, PARAMS, (S1, S1, S1, S1), name="stray")
     with pytest.raises(GermlabRejection) as exc:
         composition_milnor_check(G48, F48, [stray], None, RunConfig())
     assert exc.value.details["component"] == "stray"
@@ -146,8 +145,7 @@ def test_undeclared_component_rejected():
 
 
 def test_contra_flags_candidate_without_installing_facts():
-    sheet = Parametrization.from_polys(FCONTRA.ctx, PARAMS, (S1, ZERO, S2, S3),
-                                       name="y=0")
+    sheet = from_polys(FCONTRA.ctx, PARAMS, (S1, ZERO, S2, S3), name="y=0")
     chk = composition_milnor_check(GCONTRA, FCONTRA, [sheet], None,
                                    RunConfig())
     assert chk.violation is None
@@ -162,8 +160,7 @@ def test_contra_flags_candidate_without_installing_facts():
 def test_contra_sheet_image_rides_sing_g():
     # F(x,0,z,w) = (x, 0, z(...)) has second coordinate zero, which is all
     # of Sing G for the contra pair, and the image is not just the origin.
-    sheet = Parametrization.from_polys(FCONTRA.ctx, PARAMS, (S1, ZERO, S2, S3),
-                                       name="y=0")
+    sheet = from_polys(FCONTRA.ctx, PARAMS, (S1, ZERO, S2, S3), name="y=0")
     chk = composition_milnor_check(GCONTRA, FCONTRA, [sheet], None,
                                    RunConfig())
     f = chk.components[0]
@@ -172,10 +169,9 @@ def test_contra_sheet_image_rides_sing_g():
 
 def test_inclusion_route_verifies_and_transfers():
     c3 = PARAMS
-    wzero = Parametrization.from_polys(FINCL.ctx, c3, (S1, S2, S3, ZERO), name="w=0")
-    xyzero = Parametrization.from_polys(FINCL.ctx, c3, (ZERO, ZERO, S1, S2),
-                                        name="x=y=0")
-    cone = Parametrization.from_polys(
+    wzero = from_polys(FINCL.ctx, c3, (S1, S2, S3, ZERO), name="w=0")
+    xyzero = from_polys(FINCL.ctx, c3, (ZERO, ZERO, S1, S2), name="x=y=0")
+    cone = from_polys(
         FINCL.ctx, c3, (S1 * S1 - S2 * S2, 2 * S1 * S2, ZERO, S1 * S1 + S2 * S2),
         name="z=0,w^2=x^2+y^2")
     chk = image_in_milnor_check(GINCL, FINCL, [wzero, xyzero, cone])
@@ -202,7 +198,7 @@ def test_inclusion_failure_reported_by_component():
     # Drop the cube from G: milnor_poly(Gflat) no longer dies on the image.
     gflat = _germ("uvt", lambda u, v, t: (u, v), "Gflat")
     f = _germ("xyz", lambda x, y, z: (x + z, y, x), "Fshear")
-    line = Parametrization.from_polys(f.ctx, PARAMS, (S1, S2, S1), name="x=z")
+    line = from_polys(f.ctx, PARAMS, (S1, S2, S1), name="x=z")
     chk = image_in_milnor_check(gflat, f, [line])
     assert chk.failed == ("x=z",)
     assert not chk.holds
@@ -216,8 +212,7 @@ def test_inclusion_control_component_not_in_milnor_set():
     # For the flattened outer germ the axis {x=y=0} leaves M(H), so the
     # declaration itself is refused rather than scored as a failed pullback.
     gflat = _germ("uvt", lambda u, v, t: (u, v), "Gflat")
-    axis = Parametrization.from_polys(FINCL.ctx, PARAMS, (ZERO, ZERO, S1, S2),
-                                      name="x=y=0")
+    axis = from_polys(FINCL.ctx, PARAMS, (ZERO, ZERO, S1, S2), name="x=y=0")
     with pytest.raises(GermlabRejection) as exc:
         image_in_milnor_check(gflat, FINCL, [axis])
     assert exc.value.details["component"] == "x=y=0"

@@ -14,7 +14,7 @@ from germlab.germs import (
 from germlab.poly import Polynomial, VarContext
 from germlab.sampling import derive_rng, rational_points
 
-from oracles import cauchy_binet_sum, fraction_rank, parametrization_value
+from oracles import cauchy_binet_sum, fraction_rank, from_polys, parametrization_value, transpose
 
 XYZ = VarContext(["x", "y", "z"])
 
@@ -41,7 +41,7 @@ def test_guiding_pair_milnor_polynomial():
     # milnor_data squares det(A) in the square case; the Gram determinant
     # and the Cauchy-Binet sum reach the same polynomial another way.
     a = md.stacked
-    assert md.milnor_poly == (a @ a.transpose()).det()
+    assert md.milnor_poly == (a @ transpose(a)).det()
     assert md.milnor_poly == cauchy_binet(MFX1)
 
 
@@ -62,7 +62,7 @@ def test_square_case_gram_is_det_squared(g):
     md = milnor_data(g)
     assert md.square_det is not None
     a = md.stacked
-    assert (a @ a.transpose()).det() == md.square_det * md.square_det
+    assert (a @ transpose(a)).det() == md.square_det * md.square_det
 
 
 @pytest.mark.parametrize("g", [MFX1, ENT1, MHX1], ids=lambda g: g.name)
@@ -116,7 +116,7 @@ def test_pullback_detects_nonmembership_with_witness():
     p = x**2 - y**2 - z**2
     pc = VarContext(["s"])
     s = pc.gens()[0]
-    diag = Parametrization.from_polys(XYZ, pc, [s, s, s])
+    diag = from_polys(XYZ, pc, [s, s, s])
     res = pullback_vanishes(p, diag)
     assert not res.vanishes
     assert res.numerator.text() == "-s^2"
@@ -148,7 +148,7 @@ def test_pullback_clears_denominators_exactly():
 def test_germ_pullback_on_fiber_component():
     pc = VarContext(["s"])
     s = pc.gens()[0]
-    axis = Parametrization.from_polys(XYZ, pc, [pc.zero(), pc.zero(), s])
+    axis = from_polys(XYZ, pc, [pc.zero(), pc.zero(), s])
     assert all(pullback_vanishes(g, axis).vanishes for g in MFX1.components)
 
 

@@ -5,7 +5,7 @@ import pytest
 from germlab.certify import RegularityReport
 from germlab.corpus import DATA_DIR
 from germlab.dsl import parse_path, parse_text
-from germlab.germs import GermlabRejection, Parametrization, RealMapGerm, realify_mixed
+from germlab.germs import GermlabRejection, RealMapGerm, realify_mixed
 from germlab.hwc import (
     certify_frame,
     empty_interior_criterion,
@@ -20,7 +20,7 @@ from germlab.hwc import (
 from germlab.mixed import MixedPolynomial, hermitian_pairing
 from germlab.poly import VarContext
 
-from oracles import sympy_expand_equal
+from oracles import from_polys, sympy_expand_equal
 
 
 def germ(src, name=None):
@@ -379,11 +379,11 @@ def _mixed_thin_pair():
 def test_empty_interior_fires_on_thin_central_fiber():
     g = _mixed_thin_pair()
     pc2 = VarContext(["s1", "s2"])
-    fiber = Parametrization.from_polys(
+    fiber = from_polys(
         g.ctx, pc2,
         [pc2.zero()] * 4 + [pc2.var("s1"), pc2.var("s2")], name="x=y=0")
     pc4 = VarContext(["t1", "t2", "t3", "t4"])
-    milnor = Parametrization.from_polys(
+    milnor = from_polys(
         g.ctx, pc4,
         [pc4.zero(), pc4.zero()] + [pc4.var(n) for n in pc4.names], name="x=0")
     rep = RegularityReport(germ_name=g.label())
@@ -400,7 +400,7 @@ def test_empty_interior_inconclusive_when_fiber_has_interior():
     ent1 = germ(
         "map ent1 : R^3 -> R^2\nvars x,y,z\nG1 = x\nG2 = y*(x^2+y^2) + x*z^2\n")
     pc = VarContext(["s"])
-    axis = Parametrization.from_polys(
+    axis = from_polys(
         ent1.ctx, pc, [pc.zero(), pc.zero(), pc.var("s")], name="axis")
     rep = RegularityReport(germ_name="ent1")
     verdict = empty_interior_criterion(ent1, [axis], [axis], report=rep)
@@ -413,9 +413,9 @@ def test_empty_interior_rejects_bad_declared_data():
     ent1 = germ(
         "map ent1 : R^3 -> R^2\nvars x,y,z\nG1 = x\nG2 = y*(x^2+y^2) + x*z^2\n")
     pc = VarContext(["s"])
-    off = Parametrization.from_polys(
+    off = from_polys(
         ent1.ctx, pc, [pc.var("s"), pc.zero(), pc.zero()], name="off")
-    axis = Parametrization.from_polys(
+    axis = from_polys(
         ent1.ctx, pc, [pc.zero(), pc.zero(), pc.var("s")], name="axis")
     rep = RegularityReport(germ_name="ent1")
     with pytest.raises(GermlabRejection, match="does not lie in the fiber"):

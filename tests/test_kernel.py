@@ -34,7 +34,8 @@ from germlab.poly import (Polynomial, PolyMatrix, VarContext, _rekey, _sum_of_pr
                           substitute)
 
 from oracles import (chained_sum, cleared_pullback, cofactor_det, evaluate, plus, scale,
-                     schoolbook_div, schoolbook_mul, term_diff, term_lift, term_text)
+                     schoolbook_div, schoolbook_mul, term_diff, term_lift, term_text,
+                     transpose)
 
 CONTEXTS = {n: VarContext([f"x{i}" for i in range(n)]) for n in range(1, 11)}
 
@@ -235,7 +236,7 @@ def test_matmul_matches_chained_loop(case):
     n, a, b = case
     pa = PolyMatrix([[poly(n, e) for e in row] for row in a])
     if b is None:  # jac @ jac^T: both sides hold the same factor objects
-        got, b = pa @ pa.transpose(), [list(col) for col in zip(*a)]
+        got, b = pa @ transpose(pa), [list(col) for col in zip(*a)]
     else:
         got = pa @ PolyMatrix([[poly(n, e) for e in row] for row in b])
     for i, row in enumerate(a):
@@ -668,12 +669,12 @@ def test_evaluate_at_rational_points_matches_the_oracle(case):
         assert p.evaluate(at) == evaluate(terms, at)
         assert packed.evaluate(at) == evaluate(terms, at)
         assert type(p.evaluate(at)) is Fraction
-    # Floats take the term loop: a float once a term has a variable, the
-    # exact value of a constant.
+    # Floats take the term loop and give a float, a constant's (zero
+    # included) too.
     at = [float(v) for v in point]
-    want = p.constant_value() if p.is_constant() else evaluate(terms, at)
+    want = evaluate(terms, at)
     assert p.evaluate(at) == want and packed.evaluate(at) == want
-    assert type(p.evaluate(at)) is type(want)
+    assert type(p.evaluate(at)) is float and type(packed.evaluate(at)) is float
 
 
 @settings(max_examples=100, deadline=None)
@@ -681,7 +682,7 @@ def test_evaluate_at_rational_points_matches_the_oracle(case):
 def test_gram_equals_the_matrix_product_entrywise(case):
     n, m = case
     a = PolyMatrix([[poly(n, e) for e in row] for row in m])
-    got, want = a.gram(), a @ a.transpose()
+    got, want = a.gram(), a @ transpose(a)
     assert got.shape == want.shape
     for i in range(a.rows):
         for j in range(a.rows):

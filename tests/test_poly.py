@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import germlab
+from germlab.curves import LaurentPoly
+from germlab.mixed import MixedPolynomial
 from germlab.poly import Polynomial, PolyMatrix, VarContext
 
-from oracles import fd_gradient, fraction_rank, leibniz_det, sympy_expand_equal
+from oracles import fd_gradient, fraction_rank, leibniz_det, sympy_expand_equal, transpose
 
 XYZ = VarContext(["x", "y", "z"])
 
@@ -173,10 +176,11 @@ def test_exact_div_rejects_inexact():
     "must_raise(ValueError, lambda: PolyMatrix([[x, y]]).det())\n",
     # phi lands on y = x^2 in (u, v); read as (x, y) the pullback is 0.
     "from germlab.germs import pullback_numerator\n"
+    "from oracles import from_polys\n"
     "x, y = VarContext(['x', 'y']).gens()\n"
     "s = VarContext(['s'])\n"
     "t = s.var('s')\n"
-    "phi = Parametrization.from_polys(VarContext(['u', 'v']), s, [t, t**2])\n"
+    "phi = from_polys(VarContext(['u', 'v']), s, [t, t**2])\n"
     "must_raise(ValueError, lambda: pullback_numerator(x**2 - y, phi))\n",
     # w1 over (w1, w2) must not be read as z1 over (z1, z2).
     "from germlab.germs import realify_mixed\n"
@@ -296,10 +300,74 @@ def test_fast_modules_pass_under_optimize():
     (lambda: VarContext([f"x{i}" for i in range(11)]), "arity 11"),
     (lambda: XYZ.var("w"), "unknown variable 'w'"),
     (lambda: XYZ.var("x") + VarContext(["x", "y"]).var("x"), "mismatch"),
+    pytest.param(lambda: (LaurentPoly.t_power(XYZ, 1)
+                          * LaurentPoly.t_power(VarContext(["x"]), 2)),
+                 "mismatch", id="laurent-mismatch"),
+    pytest.param(lambda: (MixedPolynomial.var(XYZ, "x")
+                          - MixedPolynomial.var(VarContext(["x"]), "x")),
+                 "mismatch", id="mixed-mismatch"),
 ])
 def test_context_misuse_raises_value_error(make, needle):
     with pytest.raises(ValueError, match=needle):
         make()
+
+
+def _laurent_pair(ctx):
+    x, y = (LaurentPoly.from_poly(g) for g in ctx.gens())
+    return x * LaurentPoly.t_power(ctx, -1), LaurentPoly.t_power(ctx, 2) + y
+
+
+def _mixed_pair(ctx):
+    x, y = (MixedPolynomial.var(ctx, n) for n in ctx.names)
+    return x * MixedPolynomial.conj_var(ctx, ctx.names[1]), y + MixedPolynomial.const(ctx, 3)
+
+
+# Two elements of each ring over a context of two variables.
+RINGS = {
+    Polynomial: lambda ctx: (ctx.gens()[0] * ctx.gens()[1] + 1, ctx.gens()[1] - 2),
+    LaurentPoly: _laurent_pair,
+    MixedPolynomial: _mixed_pair,
+}
+
+
+@pytest.mark.parametrize("ring", list(RINGS), ids=lambda r: r.__name__)
+def test_every_ring_has_the_one_operator_set(ring):
+    ctx = VarContext(["x", "y"])
+    a, b = RINGS[ring](ctx)
+    for k in (3, Fraction(-2, 5)):
+        c = ring.const(ctx, k)
+        for got, want in ((a + k, a + c), (k + a, c + a), (a - k, a + (-c)),
+                          (k - a, c + (-a)), (a * k, a * c), (k * a, c * a)):
+            assert type(got) is ring and got == want
+    assert a - b == a + (-b) and b - a == -(a - b)
+    assert a ** 0 == ring.const(ctx, 1) and (a ** 0).text() == "1"
+    assert a ** 3 == a * a * a
+    for op in (lambda: a + 0.5, lambda: 0.5 + a, lambda: a - 0.5, lambda: 0.5 - a,
+               lambda: a * 0.5, lambda: 0.5 * a):
+        with pytest.raises(TypeError):
+            op()
+    foreign, _ = RINGS[ring](VarContext(["y", "x"]))
+    for op in (lambda: a + foreign, lambda: a - foreign, lambda: a * foreign):
+        with pytest.raises(ValueError, match="context mismatch"):
+            op()
+    assert repr(a) == f"{ring.__name__}({a.text()})" and str(a) == a.text()
+
+
+def test_traced_names_resolve_where_the_tracer_looks():
+    # perfbench's Tracer.install wraps a module attribute, or a method it
+    # finds in its class's own __dict__: a traced method that only a base
+    # class defines would fail there, at run time, and not here otherwise.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, attr, _ in spans.TRACED:
+        mod = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(mod, cls_name)), attr
+        else:
+            assert hasattr(mod, attr), attr
 
 
 def test_power_matches_repeated_product():
@@ -389,7 +457,7 @@ def test_minor_enumeration_order():
 def test_matmul_transpose_shapes():
     x, y, z = XYZ.gens()
     a = PolyMatrix([[x, y, z], [y, z, x]])
-    g = a @ a.transpose()
+    g = a @ transpose(a)
     assert g.shape == (2, 2)
     assert g[0, 1] == x * y + y * z + z * x
 

@@ -29,6 +29,8 @@ from germlab.sampling import (
 )
 from germlab.witness import _distance_to_components, condition_b_sampled_probe
 
+from oracles import from_polys
+
 CORPUS = Path(germlab.__file__).parent / "corpus"
 
 
@@ -257,8 +259,8 @@ def test_sampled_probes_raise_no_numpy_warnings():
 def mhx1_axes() -> list[Parametrization]:
     pc = VarContext(["s"])
     s, zero = pc.gens()[0], pc.zero()
-    return [Parametrization.from_polys(MHX1.ctx, pc, [zero, s, zero], name="y-axis"),
-            Parametrization.from_polys(MHX1.ctx, pc, [s, zero, zero], name="x-axis")]
+    return [from_polys(MHX1.ctx, pc, [zero, s, zero], name="y-axis"),
+            from_polys(MHX1.ctx, pc, [s, zero, zero], name="x-axis")]
 
 
 def fibers_of(comps):

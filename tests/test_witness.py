@@ -5,7 +5,7 @@ import pytest
 from germlab.certify import RegularityReport
 from germlab.curves import CurveFamily, LaurentPoly, direction_limit
 from germlab.dsl import WitnessSpec, parse_text
-from germlab.germs import GermlabRejection, Parametrization
+from germlab.germs import GermlabRejection
 from germlab.poly import VarContext
 from germlab.sampling import TOL_ACCUM, RunConfig
 from germlab.witness import (
@@ -16,6 +16,8 @@ from germlab.witness import (
     thom_irregularity_witness,
     witness_report,
 )
+
+from oracles import from_polys
 
 ENT1_SRC = """\
 map ent1 : R^3 -> R^2
@@ -113,8 +115,7 @@ def test_witness_preconditions_are_hard_rejections():
     # Stratum off the singular fiber: the first coordinate axis carries G1 = x.
     pc = VarContext(["s"])
     s = pc.gens()[0]
-    off = Parametrization.from_polys(r.ctx, pc, [s, pc.zero(), pc.zero()],
-                                     name="xaxis")
+    off = from_polys(r.ctx, pc, [s, pc.zero(), pc.zero()], name="xaxis")
     bad = WitnessSpec(name="w", gamma=spec.gamma, coeffs=spec.coeffs,
                       stratum=off, assumptions=spec.assumptions)
     with pytest.raises(GermlabRejection, match="not inside the singular fiber"):
@@ -262,8 +263,8 @@ def test_sampled_probe_flags_plane_accumulation():
     s = pc1.gens()[0]
     zero = pc1.zero()
     fiber = [
-        Parametrization.from_polys(germ.ctx, pc1, [zero, s, zero], name="y-axis"),
-        Parametrization.from_polys(germ.ctx, pc1, [s, zero, zero], name="x-axis"),
+        from_polys(germ.ctx, pc1, [zero, s, zero], name="y-axis"),
+        from_polys(germ.ctx, pc1, [s, zero, zero], name="x-axis"),
     ]
     finding = condition_b_sampled_probe(germ, fiber, RunConfig())
     assert finding.violates
@@ -278,8 +279,8 @@ def test_sampled_probe_negative_on_transverse_cone():
     s1, s2 = pc2.gens()
     zero = pc2.zero()
     fiber = [
-        Parametrization.from_polys(germ.ctx, pc2, [zero, s1, s2], name="x=0"),
-        Parametrization.from_polys(germ.ctx, pc2, [s1, zero, zero], name="yz=0"),
+        from_polys(germ.ctx, pc2, [zero, s1, s2], name="x=0"),
+        from_polys(germ.ctx, pc2, [s1, zero, zero], name="yz=0"),
     ]
     finding = condition_b_sampled_probe(germ, fiber, RunConfig())
     assert finding.violates is None
@@ -293,8 +294,8 @@ def _cone_probe(name):
     s1, s2 = pc2.gens()
     zero = pc2.zero()
     return germ, [
-        Parametrization.from_polys(germ.ctx, pc2, [zero, s1, s2], name="x=0"),
-        Parametrization.from_polys(germ.ctx, pc2, [s1, zero, zero], name="yz=0"),
+        from_polys(germ.ctx, pc2, [zero, s1, s2], name="x=0"),
+        from_polys(germ.ctx, pc2, [s1, zero, zero], name="yz=0"),
     ]
 
 
@@ -304,8 +305,8 @@ def _mhx1_probe():
     s = pc1.gens()[0]
     zero = pc1.zero()
     return germ, [
-        Parametrization.from_polys(germ.ctx, pc1, [zero, s, zero], name="y-axis"),
-        Parametrization.from_polys(germ.ctx, pc1, [s, zero, zero], name="x-axis"),
+        from_polys(germ.ctx, pc1, [zero, s, zero], name="y-axis"),
+        from_polys(germ.ctx, pc1, [s, zero, zero], name="x-axis"),
     ]
 
 
