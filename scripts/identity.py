@@ -83,6 +83,9 @@ def commands(root: Path) -> list[list[str]]:
         # a mixed build whose frame check holds, so a conformal factor prints
         ["construct", "mixed-algo", "--vars", "z1,z2", "--left", "z1",
          "--f", "z1^2", "--g", "z2^3", "--h", "z2^2"],
+        # a build with a constant term, rejected (exit 1)
+        ["construct", "mixed-algo", "--vars", "z1,z2", "--left", "z1",
+         "--r", "1"],
     ]
 
 

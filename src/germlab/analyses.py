@@ -1,10 +1,11 @@
 """One function per CLI analysis, shared by the CLI and the corpus runner.
 
 Each function in `COMMANDS`, keyed by its subcommand name, takes the
-parsed germ file, the request under the CLI's option names (`germ`,
-`set`, `claim`, `declare_inner`, ...; absent ones read as None) and the
-sampling config; it picks its own declarations and returns the JSON-ready
-dict the subcommand prints, without `schema_version`.  The CLI passes its
+parsed germ file (None for `construct-mixed-algo`, which reads none),
+the request under the CLI's option names (`germ`, `set`, `claim`,
+`declare_inner`, ...; absent ones read as None) and the sampling config;
+it picks its own declarations and returns the plain-JSON dict the
+subcommand prints, without `schema_version`.  The CLI passes its
 parsed arguments and the corpus a manifest row, so a green corpus vouches
 for the CLI.  A request the inputs cannot serve, or an option the chosen
 mode would drop, raises `GermlabUsage` with the text the CLI shows;
@@ -22,16 +23,18 @@ from germlab.compose import (
     image_in_milnor_check,
     inclusion_report,
 )
-from germlab.dsl import GermlabUsage
-from germlab.germs import milnor_data
+from germlab.dsl import GermlabUsage, parse_mixed_expr, pick
+from germlab.germs import milnor_data, realify_mixed
 from germlab.hwc import (
     certify_frame,
     hwc_check,
     hwc_check_mixed,
+    mixed_algorithm_build,
     product_pair,
     separable_sum,
     separable_sum_report,
 )
+from germlab.poly import MAX_ARITY, VarContext
 from germlab.witness import (
     condition_b_family_check,
     condition_b_sampled_probe,
@@ -62,14 +65,6 @@ def _refuse(opts, names, where: str) -> None:
     given = [name for name in names if opts.get(name) is not None]
     if given:
         raise GermlabUsage(f"--{given[0].replace('_', '-')} has no effect with {where}")
-
-
-def _pick(table: dict, name: str, what: str, where: str = ""):
-    """table[name], or a usage error listing the names the file has."""
-    if name not in table:
-        known = ", ".join(sorted(table)) or "none"
-        raise GermlabUsage(f"no {what} named {name!r}{where} (file has: {known})")
-    return table[name]
 
 
 def parse_row(decl) -> dict:
@@ -177,13 +172,53 @@ def construct_product(gf, opts, config=None) -> dict:
             "holds": frame.holds, "conformal_factor": _factor(frame)}
 
 
+# As for `mixed ... : C^n` in the DSL: the realified context has 2n variables.
+MAX_MIXED_VARS = MAX_ARITY // 2
+
+
+def _split_names(raw: str) -> list[str]:
+    return [n.strip() for n in raw.split(",") if n.strip()]
+
+
+def construct_mixed_algo(gf, opts, config=None) -> dict:
+    """`germlab construct mixed-algo` of the option blocks; gf is unused."""
+    names = _split_names(opts["vars"])
+    left = _split_names(opts["left"])
+    if not names:
+        raise GermlabUsage("--vars needs at least one name")
+    if len(names) > MAX_MIXED_VARS:
+        raise GermlabUsage(f"--vars takes at most {MAX_MIXED_VARS} names, "
+                           f"got {len(names)}")
+    if "i" in names:
+        raise GermlabUsage("--vars cannot name 'i', the imaginary unit")
+    if "conj" in names:
+        raise GermlabUsage("--vars cannot name 'conj', the conjugation conj(...)")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise GermlabUsage(f"--vars repeats {', '.join(repeated)}")
+    missing = [n for n in left if n not in names]
+    if missing:
+        raise GermlabUsage(f"--left names {', '.join(missing)} not in --vars")
+    ctx = VarContext(names)
+    blocks = {key: [parse_mixed_expr(src, ctx) for src in opts.get(key) or []]
+              for key in ("f", "g", "r", "h")}
+    poly, frame = mixed_algorithm_build(
+        left, blocks["f"], blocks["g"], blocks["r"], blocks["h"], ctx)
+    # The mixed verdict is the pairing's; the factor is the realified germ's.
+    factor = (_factor(hwc_check(realify_mixed([poly]))) if frame.holds
+              else None)
+    return {"command": "construct-mixed-algo", "variables": names,
+            "left": left, "poly": poly.text(), "holds": frame.holds,
+            "conformal_factor": factor}
+
+
 def witness(gf, opts, config=None) -> dict:
     """`germlab witness`: every declared witness block, or the named one."""
     decl = gf.single(opts.get("germ"))
     if decl.kind != "map":
         raise GermlabUsage("witness blocks only exist on map germs")
     name = opts.get("witness")
-    specs = ({name: _pick(decl.witnesses, name, "witness")} if name
+    specs = ({name: pick(decl.witnesses, name, "witness")} if name
              else decl.witnesses)
     if not specs:
         raise GermlabUsage(f"germ {decl.name!r} declares no witness blocks")
@@ -210,14 +245,12 @@ def probe_b(gf, opts, config=None) -> dict:
     witness_name, set_name = opts.get("witness"), opts.get("set")
     if witness_name:
         _refuse(opts, ("set", *SAMPLING), "--witness")
-        if decl.kind != "map" or witness_name not in decl.witnesses:
-            raise GermlabUsage(f"no witness named {witness_name!r}")
-        spec = decl.witnesses[witness_name]
+        spec = pick(getattr(decl, "witnesses", {}), witness_name, "witness")
         finding = condition_b_family_check(germ, spec.gamma, report=rep)
         out = {"mode": "family", "family": finding.family}
     elif set_name:
         finding = condition_b_sampled_probe(
-            germ, _pick(decl.sets, set_name, "set"), config)
+            germ, pick(decl.sets, set_name, "set"), config)
         out = {"mode": "sampled", "samples": finding.samples}
     else:
         raise GermlabUsage("probe-b needs --witness NAME or --set NAME")
@@ -265,7 +298,7 @@ def compose_check(gf, opts, config=None) -> dict:
                 "no_data": chk.no_data}
     else:
         claim = opts.get("claim")
-        poly = (_pick(outer.polys, claim, "assert_poly", " on the outer germ")
+        poly = (pick(outer.polys, claim, "assert_poly", " on the outer germ")
                 if claim else None)
         chk = composition_milnor_check(outer.germ, inner.germ, comps,
                                        closure_claim=poly, config=config)
@@ -280,8 +313,9 @@ def compose_check(gf, opts, config=None) -> dict:
     return {**head, **body, **_certificate(rep)}
 
 
-# Every subcommand that analyses one germ file, by its name on the CLI.
+# Every analysis subcommand, by its name on the CLI.
 COMMANDS = {"parse": parse, "milnor": milnor, "sing": sing, "hwc": hwc,
             "certify": certify, "construct-sum": construct_sum,
-            "construct-product": construct_product, "witness": witness,
+            "construct-product": construct_product,
+            "construct-mixed-algo": construct_mixed_algo, "witness": witness,
             "probe-b": probe_b, "compose-check": compose_check}

@@ -1,11 +1,11 @@
-"""Command line front end.
+"""Command line front end: parse argv, dispatch, print.
 
-Each subcommand that reads a germ file parses it, calls the
+Each analysis subcommand parses its germ file, if it takes one, calls the
 `germlab.analyses.COMMANDS` entry of its name with the parsed options,
-and prints the JSON report to stdout.  With --json PATH the report goes
-to the file instead and stdout gets a one-line summary read off the
-report; `corpus run` always prints its pass/fail table and writes JSON
-only on request.
+and prints the JSON report to stdout as `json.dumps` writes it.  With
+--json PATH the report goes to the file instead and stdout gets a
+one-line summary read off the report; `corpus run` always prints its
+pass/fail table and writes JSON only on request.
 
 Only `probe-b`, `compose-check` and `corpus run` sample, so only they
 take --seed, --samples and --radius (defaults 0xC0FFEE, 200, 2.0;
@@ -21,8 +21,9 @@ inclusion`, `--mode exact` without --claim) refuses the three flags, and
 Exit codes: 0 success, 1 analysis rejection (structured reason in the
 JSON error document), 2 usage error (bad flags or GERMLAB_SEED, an
 option the chosen mode never reads, unknown fact names, unreadable file,
-malformed DSL), 3 internal error (any other exception, as a JSON error
-document with reason "internal"; the traceback goes to stderr).  Reports
+malformed DSL), 3 internal error (any other exception, a report value
+that `json.dumps` cannot write among them, as a JSON error document with
+reason "internal"; the traceback goes to stderr).  Reports
 carry no timestamps, so identical invocations produce byte-identical
 output; sampled modes embed their seed.
 
@@ -37,38 +38,16 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from germlab import analyses
 from germlab.certify import FACTS, ContradictionError
-from germlab.dsl import (
-    GermlabUsage,
-    GermParseError,
-    parse_mixed_expr,
-    parse_path,
-)
-from germlab.germs import GermlabRejection, realify_mixed
-from germlab.hwc import hwc_check, mixed_algorithm_build
-from germlab.poly import MAX_ARITY, VarContext
+from germlab.dsl import GermlabUsage, GermParseError, parse_path
+from germlab.germs import GermlabRejection
 from germlab.sampling import RunConfig
 
 SCHEMA_VERSION = 1
 FACT_NAMES = sorted(FACTS)
-# As for `mixed ... : C^n` in the DSL: the realified context has 2n variables.
-MAX_MIXED_VARS = MAX_ARITY // 2
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if hasattr(value, "tolist"):  # numpy scalars and arrays
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _config(args) -> RunConfig:
@@ -99,7 +78,7 @@ def _above_zero(kind):
 
 def _emit(payload: dict, args, summary: str) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    doc = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    doc = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = getattr(args, "json_path", None)
     if path:
         Path(path).write_text(doc)
@@ -110,7 +89,7 @@ def _emit(payload: dict, args, summary: str) -> None:
 
 def _fail(code: int, **error) -> int:
     """Print a JSON error document; return the exit code."""
-    doc = {"schema_version": SCHEMA_VERSION, "error": _jsonable(error)}
+    doc = {"schema_version": SCHEMA_VERSION, "error": error}
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return code
 
@@ -142,6 +121,7 @@ SUMMARIES = {
     "construct-sum": lambda r: f"sum {r['germ']}: hwc {_verdict(r)}",
     "construct-product": lambda r:
         f"product pair from {r['germ']}: hwc {_verdict(r)}",
+    "construct-mixed-algo": lambda r: f"mixed build: hwc {_verdict(r)}",
     "witness": lambda r:
         f"{sum(w['is_witness'] for w in r['results'].values())}"
         f"/{len(r['results'])} witness(es) verified for {r['germ']}",
@@ -154,49 +134,10 @@ SUMMARIES = {
 
 def cmd_analysis(args) -> int:
     """Run the `analyses.COMMANDS` entry the subcommand names."""
-    gf = parse_path(args.file)
+    gf = parse_path(args.file) if "file" in vars(args) else None
     config = _config(args) if "seed" in vars(args) else None
     out = analyses.COMMANDS[args.analysis](gf, vars(args), config)
     _emit(out, args, SUMMARIES[args.analysis](out))
-    return 0
-
-
-def _split_names(raw: str) -> list[str]:
-    return [n.strip() for n in raw.split(",") if n.strip()]
-
-
-def cmd_construct_mixed_algo(args) -> int:
-    names = _split_names(args.vars)
-    left = _split_names(args.left)
-    if not names:
-        raise GermlabUsage("--vars needs at least one name")
-    if len(names) > MAX_MIXED_VARS:
-        raise GermlabUsage(f"--vars takes at most {MAX_MIXED_VARS} names, "
-                           f"got {len(names)}")
-    if "i" in names:
-        raise GermlabUsage("--vars cannot name 'i', the imaginary unit")
-    if "conj" in names:
-        raise GermlabUsage("--vars cannot name 'conj', the conjugation conj(...)")
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise GermlabUsage(f"--vars repeats {', '.join(repeated)}")
-    missing = [n for n in left if n not in names]
-    if missing:
-        raise GermlabUsage(f"--left names {', '.join(missing)} not in --vars")
-    ctx = VarContext(names)
-    blocks = {
-        key: [parse_mixed_expr(src, ctx) for src in getattr(args, key) or []]
-        for key in ("f", "g", "r", "h")
-    }
-    poly, frame = mixed_algorithm_build(
-        left, blocks["f"], blocks["g"], blocks["r"], blocks["h"], ctx)
-    # The mixed verdict is the pairing's; the factor is the realified germ's.
-    factor = (analyses._factor(hwc_check(realify_mixed([poly])))
-              if frame.holds else None)
-    out = {"command": "construct-mixed-algo", "variables": names,
-           "left": left, "poly": poly.text(), "holds": frame.holds,
-           "conformal_factor": factor}
-    _emit(out, args, f"mixed build: hwc {_verdict(out)}")
     return 0
 
 
@@ -218,8 +159,8 @@ def cmd_corpus_run(args) -> int:
     passed = sum(1 for r in results if r.passed)
     print(f"corpus: {passed}/{len(results)} entries passed (seed {config.seed})")
     if getattr(args, "json_path", None):
-        doc = json.dumps(_jsonable(corpus_report(results, config.seed)),
-                         indent=2, sort_keys=True) + "\n"
+        doc = json.dumps(corpus_report(results, config.seed), indent=2,
+                         sort_keys=True) + "\n"
         Path(args.json_path).write_text(doc)
     return 0 if passed == len(results) else 1
 
@@ -266,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--declare-codim-matches", action="store_true",
                    help="declared matching fiber codimensions")
     _command(csub, "product", analysis="construct-product")
-    p = _command(csub, "mixed-algo", cmd_construct_mixed_algo, file=False,
-                 germ=False)
+    p = _command(csub, "mixed-algo", file=False, germ=False,
+                 analysis="construct-mixed-algo")
     p.add_argument("--vars", required=True,
                    help="comma-separated complex variable names")
     p.add_argument("--left", required=True,

@@ -194,18 +194,13 @@ def _closure_meets_sing_g_only_at_0(arity: int, minors: list[Polynomial],
     strata.  With no such point found the separation holds at the sampled
     scale.
     """
-    from germlab.sampling import derive_rng, rational_points, sparse_grid
+    from germlab.sampling import (
+        common_zero, derive_rng, rational_points, sparse_grid,
+    )
 
     rng = derive_rng(config.seed, "closure-sep")
     pts = rational_points(rng, arity, config.samples * 5, radius=config.radius)
-    for pt in pts + sparse_grid(arity):
-        if any(m.evaluate(pt) != 0 for m in minors):
-            continue
-        if all(v == 0 for v in pt):
-            continue
-        if closure_claim.evaluate(pt) == 0:
-            return False
-    return True
+    return common_zero(minors + [closure_claim], pts + sparse_grid(arity)) is None
 
 
 def composition_report(outer: RealMapGerm, inner: RealMapGerm,

@@ -175,15 +175,15 @@ _ANALYSES = {
 
 def run_entry(entry_id: str, row: dict, config: RunConfig) -> EntryOutcome:
     try:
-        analysis = row["analysis"]
-        runner = _ANALYSES[analysis]
-        gf = parse_path(DATA_DIR / row["file"])
-        actual = runner(gf, row, config)
+        runner = _ANALYSES[row["analysis"]]
+        path = DATA_DIR / row["file"]
         wanted = row["checks"]
     except KeyError as exc:
         return EntryOutcome(
             entry_id, "error", (),
             detail=f"corrupted expectation entry {entry_id!r}: missing {exc}")
+    try:
+        actual = runner(parse_path(path), row, config)
     except Exception as exc:
         return EntryOutcome(
             entry_id, "error", (),

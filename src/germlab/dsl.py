@@ -680,10 +680,7 @@ class GermFile:
 
     def single(self, name: str | None = None):
         if name is not None:
-            if name not in self.by_name:
-                known = ", ".join(sorted(self.by_name))
-                raise GermlabUsage(f"no germ named {name!r} (file has: {known})")
-            return self.by_name[name]
+            return pick(self.by_name, name, "germ")
         if len(self.decls) > 1:
             known = ", ".join(d.name for d in self.decls)
             raise GermlabUsage(
@@ -693,6 +690,14 @@ class GermFile:
 
 class GermlabUsage(Exception):
     """Bad invocation: missing names, wrong modes.  Exit code 2 territory."""
+
+
+def pick(table: dict, name: str, what: str, where: str = ""):
+    """table[name], or a usage error listing the names the file has."""
+    if name not in table:
+        known = ", ".join(sorted(table)) or "none"
+        raise GermlabUsage(f"no {what} named {name!r}{where} (file has: {known})")
+    return table[name]
 
 
 def _params_of(lines_asts: list, exclude=()) -> list[str]:

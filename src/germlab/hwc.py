@@ -214,7 +214,8 @@ def mixed_algorithm_build(left_vars: list[str],
 
     left_vars fixes a variable split; f and r blocks must be holomorphic
     in the left variables only, g and h blocks holomorphic in the
-    complement.  The assembled germ is re-verified, not trusted.
+    complement.  The assembled germ must vanish at the origin, and is
+    re-verified, not trusted.
     """
     left = {ctx.position(v) for v in left_vars}
     right = set(range(ctx.arity)) - left
@@ -246,6 +247,9 @@ def mixed_algorithm_build(left_vars: list[str],
     acc = sum(r_blocks, zero) + sum(h_blocks, zero).conj()
     if f_blocks:
         acc = acc + hermitian_pairing(f_blocks, g_blocks)
+    if acc.has_constant_term():
+        raise GermlabRejection("assembled germ does not vanish at the origin",
+                               poly=acc.text())
     frame = hwc_check_mixed(acc)
     return acc, frame
 
@@ -343,7 +347,7 @@ def isolated_singularity_probe(germ: RealMapGerm,
     refutes isolation; finding none, as for the line y = 3x of (3x - y)^2,
     is inconclusive and installs nothing.
     """
-    from germlab.sampling import sparse_grid
+    from germlab.sampling import common_zero, sparse_grid
 
     minors = germ.singular_minors()
     for m in minors:
@@ -354,12 +358,12 @@ def isolated_singularity_probe(germ: RealMapGerm,
                 isolated=True, witness=None,
                 detail=f"constant nonzero minor {m.text()}; the singular set is empty")
 
-    polys = minors + list(germ.components)
-    for pt in sparse_grid(germ.source_arity):
-        if all(p.evaluate(pt) == 0 for p in polys):
-            return IsolatedSingularityFinding(
-                isolated=False, witness=pt,
-                detail="singular fiber point away from the origin")
+    pt = common_zero(minors + list(germ.components),
+                     sparse_grid(germ.source_arity))
+    if pt is not None:
+        return IsolatedSingularityFinding(
+            isolated=False, witness=pt,
+            detail="singular fiber point away from the origin")
     return IsolatedSingularityFinding(
         isolated=None, witness=None,
         detail="no singular fiber point found at this scale; inconclusive")

@@ -82,6 +82,15 @@ def sparse_grid(arity: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def common_zero(polys: Sequence[Polynomial],
+                points) -> tuple[Fraction, ...] | None:
+    """The first of points, other than the origin, where every poly vanishes."""
+    for pt in points:
+        if any(pt) and all(p.evaluate(pt) == 0 for p in polys):
+            return pt
+    return None
+
+
 # -- float evaluation -----------------------------------------------------
 
 def compile_float(polys: Sequence[Polynomial]):

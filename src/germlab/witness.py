@@ -253,7 +253,7 @@ def condition_b_family_check(germ: RealMapGerm, family: CurveFamily,
             raise GermlabRejection(
                 "family limit leaves the central fiber",
                 component=g.text())
-    if Polynomial.sum_of_products(at_zero[0].ctx, [(p, p) for p in at_zero]).is_zero():
+    if all(p.is_zero() for p in at_zero):
         raise GermlabRejection(
             "family limit is the origin for every spectator value; "
             "no accumulation away from 0")

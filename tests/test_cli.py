@@ -7,13 +7,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import germlab
 import germlab.analyses
 import germlab.sampling
-from germlab.cli import _jsonable, build_parser, main
+from germlab.cli import SUMMARIES, build_parser, main
 from germlab.dsl import GermParseError, parse_text
 
 CORPUS = "src/germlab/corpus"
@@ -488,6 +487,37 @@ def test_construct_mixed_algo_rejects_misplaced_variable(capsys):
     assert json.loads(out)["error"]["details"]["variables"] == ["z2"]
 
 
+def test_construct_mixed_algo_json_flag_writes_what_stdout_gets(
+        tmp_path, capsys):
+    argv = ["construct", "mixed-algo", "--vars", "z1,z2", "--left", "z1",
+            "--f", "z1^2", "--g", "z2^3", "--h", "z2^2"]
+    _, printed, _ = run_cli(capsys, *argv)
+    out_path = tmp_path / "build.json"
+    code, out, _ = run_cli(capsys, *argv, "--json", str(out_path))
+    assert code == 0
+    assert out == "mixed build: hwc holds\n"
+    assert out_path.read_text() == printed
+
+
+@pytest.mark.parametrize("blocks", [
+    ["--r", "1"],
+    ["--r", "z1+1"],
+    ["--f", "z1", "--g", "z2", "--r", "z1+1"],
+], ids=["r-constant", "r-affine", "pair-and-affine"])
+def test_construct_mixed_algo_constant_term_is_a_rejection(capsys, blocks):
+    code, out, err = run_cli(capsys, "construct", "mixed-algo",
+                             "--vars", "z1,z2", "--left", "z1", *blocks)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"]["reason"] == \
+        "assembled germ does not vanish at the origin"
+
+
+def test_construct_mixed_algo_constants_that_cancel_build_zero(capsys):
+    doc = run_json(capsys, "construct", "mixed-algo", "--vars", "z1,z2",
+                   "--left", "z1", "--r", "1", "--h=-1")
+    assert (doc["poly"], doc["holds"]) == ("0", True)
+
+
 @pytest.mark.parametrize("vars_, left, needle", [
     (",", "z1", "--vars"),
     ("z1,z1", "z1", "z1"),
@@ -612,32 +642,25 @@ def test_sampled_commands_do_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def _isinstance_jsonable(value):
-    # The conversion _jsonable replaced, checking numpy types by name.
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _isinstance_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_isinstance_jsonable(v) for v in value]
-    return value
+def test_probe_b_unknown_witness_lists_the_declared_ones(capsys):
+    code, out, err = run_cli(capsys, "probe-b", f"{CORPUS}/mhx1.germ",
+                             "--witness", "nope")
+    assert (code, out) == (2, "")
+    assert err == "germlab: no witness named 'nope' (file has: fam)\n"
 
 
-@pytest.mark.parametrize("value", [
-    np.float64(0.1),
-    np.int64(-7),
-    {"point": np.array([[0.5, -1.25], [1e-300, 2.0]]), "norm": np.float64(3.5)},
-    [np.array([1, 2, 3]), (np.int64(4), np.float64(1 / 3))],
-    Fraction(-3, 7),
-    {"nested": [{"x": Fraction(1, 2), "y": np.float64(np.inf)}]},
-])
-def test_jsonable_converts_numpy_values_as_before(value):
-    want = json.dumps(_isinstance_jsonable(value), sort_keys=True)
-    assert json.dumps(_jsonable(value), sort_keys=True) == want
+def test_every_analysis_command_has_a_summary():
+    assert sorted(SUMMARIES) == sorted(germlab.analyses.COMMANDS)
+
+
+def test_a_report_value_json_cannot_write_is_exit_3(capsys, monkeypatch):
+    def leaky(gf, opts, config=None):
+        return {"command": "milnor", "germ": "G", "milnor_poly": Fraction(1, 2)}
+
+    monkeypatch.setitem(germlab.analyses.COMMANDS, "milnor", leaky)
+    code, out, _ = run_cli(capsys, "milnor", f"{CORPUS}/mfx1.germ")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "TypeError"
 
 
 def test_internal_error_is_exit_3_with_a_json_document(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from germlab import analyses
+from germlab import analyses, corpus
 from germlab.cli import build_parser
 from germlab.corpus import (
     DATA_DIR,
@@ -97,6 +97,16 @@ def test_corrupted_entry_names_itself_missing_key(manifest):
     out = run_entry("e21", doctored, RunConfig())
     assert out.status == "error"
     assert "e21" in out.detail and "file" in out.detail
+
+
+def test_a_key_error_inside_the_analysis_is_a_failed_run(manifest, monkeypatch):
+    def broken(gf, row, config):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(corpus._ANALYSES, "hwc", broken)
+    out = run_entry("e21", manifest["entries"]["e21"], RunConfig())
+    assert out.status == "error"
+    assert out.detail == "entry 'e21' failed to run: KeyError: 'boom'"
 
 
 def test_corrupted_entry_names_itself_bad_check_row(manifest):

@@ -358,6 +358,16 @@ def test_mixed_algorithm_rejects_nonholomorphic_blocks():
             r_blocks=[], h_blocks=[], ctx=C5)
 
 
+def test_mixed_algorithm_rejects_a_germ_that_misses_the_origin():
+    # Each block is checked alone, so the constant term is found on the sum.
+    with pytest.raises(GermlabRejection, match="vanish at the origin") as exc:
+        mixed_algorithm_build(
+            ["z1"], f_blocks=[z("z1")], g_blocks=[z("z2")],
+            r_blocks=[z("z1") + 1], h_blocks=[], ctx=C5)
+    assert exc.value.details["poly"] == (
+        z("z1") * z("z2").conj() + z("z1") + 1).text()
+
+
 def test_mixed_algorithm_rejects_unpaired_blocks():
     with pytest.raises(GermlabRejection, match="counts differ"):
         mixed_algorithm_build(

@@ -24,8 +24,8 @@ from germlab.dsl import parse_path, parse_text
 from germlab.germs import Parametrization, _nonzero_point
 from germlab.poly import Polynomial, VarContext
 from germlab.sampling import (
-    DEFAULT_SEED, TOL_VARIETY, RunConfig, compile_float, compile_jacobian, compile_scale,
-    derive_rng, iter_rational_points, rational_points, refine_batch,
+    DEFAULT_SEED, TOL_VARIETY, RunConfig, common_zero, compile_float, compile_jacobian,
+    compile_scale, derive_rng, iter_rational_points, rational_points, refine_batch,
 )
 from germlab.witness import _distance_to_components, condition_b_sampled_probe
 
@@ -75,6 +75,18 @@ def test_rational_points_are_pinned_at_a_fixed_seed():
     value = first[1][1] - Fraction(68, 43)
     assert _nonzero_point(y - Fraction(68, 43), avoid=[]) == (first[1], value)
     assert _nonzero_point(y, avoid=[y - Fraction(68, 43)]) == (first[1], first[1][1])
+
+
+def test_common_zero_returns_the_first_nonorigin_point_where_all_vanish():
+    ctx = VarContext(["x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    origin, on_x, on_y = ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)),
+                          (Fraction(0), Fraction(-1, 2)))
+    # Both vanish at the origin, which is skipped; the first hit wins.
+    assert common_zero([x * y, y], [origin, on_y, on_x, (Fraction(1), Fraction(0))]) == on_x
+    assert common_zero([x * y], [origin, on_y, on_x]) == on_y
+    assert common_zero([x + 1, y], [origin, on_x, on_y]) is None
+    assert common_zero([x * y], [origin]) is None
 
 
 def loop_evaluator(polys):
