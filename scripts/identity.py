@@ -69,6 +69,10 @@ def commands(root: Path) -> list[list[str]]:
          "GC", "--mode", "sampled", "--radius", "0.5"],
         ["compose-check", f"{CORPUS}/incl.germ", "--inner", "FI", "--outer",
          "GI", "--mode", "inclusion", "--set", "MH"],
+        # a rational component with denominators other than 1, rejected
+        # (exit 1) with its cleared pullback numerator
+        ["compose-check", "tests/data/cleared_pullback.germ", "--inner", "F",
+         "--outer", "G", "--mode", "exact", "--set", "MH"],
         *(["hwc", f"{CORPUS}/{g}", "--germ", name]
           for g, kind, name in decls if kind == "mixed"),
         # every Milnor polynomial, mixalg's 471,771 terms among them

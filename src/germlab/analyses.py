@@ -35,6 +35,7 @@ from germlab.hwc import (
     separable_sum_report,
 )
 from germlab.poly import MAX_ARITY, VarContext
+from germlab.sampling import MIN_RATIONAL_RADIUS
 from germlab.witness import (
     condition_b_family_check,
     condition_b_sampled_probe,
@@ -282,6 +283,10 @@ def compose_check(gf, opts, config=None) -> dict:
     elif not opts.get("claim"):
         # In exact mode only the closure separation of --claim samples.
         _refuse(opts, SAMPLING, "--mode exact without --claim")
+    elif config.radius < MIN_RATIONAL_RADIUS:
+        raise GermlabUsage(
+            f"--radius {config.radius} is below 1/64: every rational point "
+            "the closure separation draws would be the origin")
     set_name = opts.get("set")
     if not set_name or set_name not in inner.sets:
         known = ", ".join(sorted(inner.sets)) or "none"

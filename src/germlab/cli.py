@@ -13,7 +13,9 @@ take --seed, --samples and --radius (defaults 0xC0FFEE, 200, 2.0;
 --seed, else GERMLAB_SEED, read here alone and only by those three.
 `compose-check --mode exact --claim` samples too: the closure must miss
 Sing G off 0 at --samples x 5 rational points of the --radius cube,
-drawn from the seed's stream "closure-sep", and then on a sparse grid.
+drawn from the seed's stream "closure-sep", and then on a sparse grid;
+their denominators run to 64, so a --radius below 1/64, which would draw
+only the origin, is a usage error there.
 A mode that samples nothing (`probe-b --witness`, `compose-check --mode
 inclusion`, `--mode exact` without --claim) refuses the three flags, and
 `--mode sampled`, which draws a fixed 8 seeds, refuses --samples.

@@ -19,6 +19,7 @@ Two exact instruments and one numeric one:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from germlab.certify import RegularityReport
 from germlab.germs import (
@@ -191,16 +192,18 @@ def _closure_meets_sing_g_only_at_0(arity: int, minors: list[Polynomial],
     config.samples * 5 rational points of the config.radius cube in
     R^arity from config.seed's stream "closure-sep", which rarely land on
     a proper subvariety, and then the sparse grid, which hits axis-aligned
-    strata.  With no such point found the separation holds at the sampled
-    scale.
+    strata; they are drawn one at a time as the search reaches them.  With
+    no such point found the separation holds at the sampled scale.  A
+    radius below 1/64, where every drawn point is the origin, raises
+    ValueError.
     """
     from germlab.sampling import (
-        common_zero, derive_rng, rational_points, sparse_grid,
+        common_zero, derive_rng, iter_rational_points, sparse_grid,
     )
 
     rng = derive_rng(config.seed, "closure-sep")
-    pts = rational_points(rng, arity, config.samples * 5, radius=config.radius)
-    return common_zero(minors + [closure_claim], pts + sparse_grid(arity)) is None
+    pts = islice(iter_rational_points(rng, arity, config.radius), config.samples * 5)
+    return common_zero(minors + [closure_claim], chain(pts, sparse_grid(arity))) is None
 
 
 def composition_report(outer: RealMapGerm, inner: RealMapGerm,

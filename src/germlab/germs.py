@@ -9,8 +9,8 @@ an overall constant into them.
 
 Parametrizations are tuples of rational functions used for declared set
 components.  Membership claims never decompose varieties: they are checked
-by exact pullback, with denominators cleared monomial by monomial in one
-`poly.substitute` call.
+by exact pullback, with denominators cleared in a sum grouped one variable
+at a time, so each cleared factor multiplies a grouped sum once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
-from germlab.poly import Polynomial, PolyMatrix, VarContext, substitute
+from germlab.poly import Polynomial, PolyMatrix, VarContext
 
 
 class GermlabRejection(Exception):
@@ -187,15 +187,73 @@ class PullbackResult:
 def pullback_numerator(p: Polynomial, phi: Parametrization) -> Polynomial:
     """Numerator of p(phi(s)) after clearing denominators.
 
-    Each variable x_i is cleared to its degree in p: the monomial
-    c * prod x_i^{e_i} contributes c * prod n_i^{e_i} d_i^{deg_i - e_i}.
-    The result vanishes identically exactly when the pullback does, since
-    the cleared factor prod d_i^{deg_i} is not identically zero.
+    Each variable x_i whose denominator d_i is not 1 is cleared to its
+    degree D_i in p: the monomial c * prod x_i^{e_i} contributes
+    c * prod n_i^{e_i} d_i^{D_i - e_i}.  The result vanishes identically
+    exactly when the pullback does, since the cleared factor prod d_i^{D_i}
+    is not identically zero.
+
+    The sum is grouped one variable at a time, the cleared variables first,
+    as in a multivariate Horner scheme (Ceberio & Kreinovich, "Greedy
+    algorithms for optimizing multivariate Horner schemes", ACM SIGSAM
+    Bulletin 38(1), 2004).  The terms split by their exponent j of the
+    current variable x_i, and that level is one sum of products over the
+    chains [R_j, n_i^j, d_i^(D_i - j)], where R_j is the grouped value of
+    the remaining variables over the terms with exponent j.  So each
+    cleared factor multiplies a grouped sum once, not a copy per term.
+    Each power is built once per variable and exponent; no chain is built
+    for j > 0 when n_i is 0, no d_i factor when d_i is 1, and none for an
+    R_j that cancels to 0.
+
+    The term order this gives is not `substitute`'s schoolbook order, and
+    nothing reads it: every caller tests `is_zero()`, prints the sorted
+    `text()`, evaluates exactly or pulls back again through the result.
     """
     if phi.target != p.ctx:
         raise ValueError(
             f"parametrization targets {phi.target!r}, polynomial lives in {p.ctx!r}")
-    return substitute(p, phi.numerators, denominators=phi.denominators)
+    params, m = phi.params, p.ctx.arity
+    nums, dens = phi.numerators, phi.denominators
+    one = params.one()
+    cleared = [d != one for d in dens]
+    order = sorted(range(m), key=lambda i: not cleared[i])
+    tops = [p.degree_in(name) if c else 0 for name, c in zip(p.ctx.names, cleared)]
+    zero = [n.is_zero() for n in nums]
+    powers: dict[tuple[int, int, bool], Polynomial] = {}
+
+    def power(i: int, k: int, den: bool = False) -> Polynomial:
+        got = powers.get((i, k, den))
+        if got is None:
+            got = powers[i, k, den] = (dens if den else nums)[i] ** k
+        return got
+
+    def grouped(terms: list, level: int) -> Polynomial:
+        if level == m:
+            ((_, c),) = terms  # the exponents are all split: one term is left
+            return params.const(c)
+        i = order[level]
+        top = tops[i]
+        groups: dict[int, list] = {}
+        for t in terms:
+            groups.setdefault(t[0][i], []).append(t)
+        chains = []
+        for j, part in groups.items():
+            if j and zero[i]:
+                continue
+            r = grouped(part, level + 1)
+            if r.is_zero():
+                continue
+            chain = [r]
+            if j:
+                chain.append(power(i, j))
+            if top > j:
+                chain.append(power(i, top - j, den=True))
+            chains.append(chain)
+        if len(chains) == 1 and len(chains[0]) == 1:
+            return chains[0][0]
+        return Polynomial.sum_of_products(params, chains)
+
+    return grouped(list(p.terms.items()), 0)
 
 
 def pullback_vanishes(p: Polynomial, phi: Parametrization) -> PullbackResult:

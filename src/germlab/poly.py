@@ -16,9 +16,10 @@ integer compare and a derivative shifts a key by one variable's weight.
 Sums, products, exact division and printing read and write these integers;
 `Polynomial.terms`, exponent tuples to Fractions, is a view built on each
 read.  One kernel, `_sum_of_products`, serves a single product, a matrix
-product entry, one expansion step of a minor and, through `substitute`,
-each substitution of ring values (`pullback_numerator`, `compose_exact`,
-the family limit of `condition_b_family_check`, `CurveFamily.pullback`):
+product entry, one expansion step of a minor, one level of the grouped
+sum of a cleared pullback (`germs.pullback_numerator`) and, through
+`substitute`, each substitution of ring values (`compose_exact`, the
+family limit of `condition_b_family_check`, `CurveFamily.pullback`):
 every chain of factors is multiplied in packed ints and summed in one
 integer accumulator.  `Polynomial.evaluate` at a rational point also runs
 in integers, over one common denominator; at floats it is the scalar loop.
@@ -659,19 +660,18 @@ class Graded(RingElement):
         return hash((self.ctx.names, frozenset(self.parts.items())))
 
 
-def substitute(p: Polynomial, values: Sequence, denominators: Sequence | None = None):
+def substitute(p: Polynomial, values: Sequence):
     """p(v_1, ..., v_m) in the ring of the values, as one sum of products.
 
     The ring is the values' class R, a RingElement: the term c * x^e is the
     chain [R.const(ctx, c), v_1^e_1, ...] over the values' context ctx, and
     the chains go to R.sum_of_products(ctx, chains) in term order, each
-    power of each value object built once.  The powers are keyed by the
-    value's identity, so equal values whose terms come in different orders
-    each power their own.  With denominators d_i, each x_i is cleared to
-    its degree deg_i in p: d_i^(deg_i - e_i) follows v_i^e_i, and the
-    result is the numerator of p(v_1/d_1, ...) over prod d_i^deg_i.  A
-    chain with a power of a zero value adds nothing and is left out, and a
-    denominator 1 adds no factors.
+    power of each value object built once.  The result's terms therefore
+    come in the schoolbook order of that term loop, which
+    `compose_exact`'s H carries into `compile_float`.  The powers are keyed
+    by the value's identity, so equal values whose terms come in different
+    orders each power their own.  A chain with a power of a zero value
+    adds nothing and is left out.
     """
     if len(values) != p.ctx.arity:
         raise ValueError(f"expected {p.ctx.arity} values, got {len(values)}")
@@ -685,21 +685,14 @@ def substitute(p: Polynomial, values: Sequence, denominators: Sequence | None = 
         return got
 
     zero = [v.is_zero() for v in values]
-    degs = None
-    if denominators:
-        one = ring.const(ctx, 1)
-        degs = [0 if d == one else p.degree_in(n)
-                for d, n in zip(denominators, p.ctx.names)]
     chains = []
     for e, c in p.terms.items():
         chain = [ring.const(ctx, c)]
-        for i, k in enumerate(e):
+        for v, k, z in zip(values, e, zero):
             if k:
-                if zero[i]:
+                if z:
                     break
-                chain.append(power(values[i], k))
-            if degs and degs[i] > k:
-                chain.append(power(denominators[i], degs[i] - k))
+                chain.append(power(v, k))
         else:
             chains.append(chain)
     return ring.sum_of_products(ctx, chains)

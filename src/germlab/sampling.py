@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence
 
 from germlab.poly import Polynomial
@@ -41,9 +40,19 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
+# iter_rational_points draws denominators 1..64, so below this radius every
+# coordinate's numerator is 0 and every point it draws is the origin.
+MIN_RATIONAL_RADIUS = Fraction(1, 64)
+
+
 def iter_rational_points(rng: random.Random, arity: int,
                          radius=2) -> Iterator[tuple[Fraction, ...]]:
-    """Endless rational points in [-radius, radius]^arity, denominators 1..64."""
+    """Endless rational points in [-radius, radius]^arity, denominators 1..64.
+
+    A radius below MIN_RATIONAL_RADIUS is a ValueError at the first draw.
+    """
+    if radius < MIN_RATIONAL_RADIUS:
+        raise ValueError(f"radius {radius} < 1/64 draws only the origin")
     bound = Fraction(radius).limit_denominator(10**6)
     bn, bd = bound.numerator, bound.denominator
     while True:
@@ -53,11 +62,6 @@ def iter_rational_points(rng: random.Random, arity: int,
             hi = bn * den // bd
             out.append(Fraction(rng.randint(-hi, hi), den))
         yield tuple(out)
-
-
-def rational_points(rng: random.Random, arity: int, count: int,
-                    radius=2) -> list[tuple[Fraction, ...]]:
-    return list(islice(iter_rational_points(rng, arity, radius), count))
 
 
 def sparse_grid(arity: int) -> list[tuple[Fraction, ...]]:

@@ -7,6 +7,8 @@ actually means two routes reached the same answer.  The float, germ and
 finite-difference evaluators are cross-checks that only tests need; they
 call `Polynomial.evaluate`, and `from_polys` and `transpose` build the
 polynomial parametrizations and transposed matrices that only tests use.
+`rational_points` lists the first points of germlab's seeded rational
+stream, which only tests need as a list.
 The scipy composition ladder also takes the exact composition, the
 compiled float evaluators, the tolerances and the seed stream from
 germlab: it is an oracle for the solver and the batching, not for those.
@@ -15,7 +17,7 @@ germlab: it is an oracle for the solver and the batching, not for those.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb
 
 
@@ -108,6 +110,12 @@ def parametrization_value(phi, svals) -> list:
             raise ValueError(f"denominator {d.text()} vanishes at {svals}")
         out.append(n.evaluate(svals) / dv)
     return out
+
+
+def rational_points(rng, arity: int, count: int, radius=2) -> list:
+    """The first count points of `iter_rational_points(rng, arity, radius)`."""
+    from germlab.sampling import iter_rational_points
+    return list(islice(iter_rational_points(rng, arity, radius), count))
 
 
 def from_polys(target, params, values, name: str = ""):

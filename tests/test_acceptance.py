@@ -28,7 +28,7 @@ from germlab.germs import (
 )
 from germlab.hwc import certify_frame, hwc_check, hwc_check_mixed, product_pair
 from germlab.poly import VarContext
-from germlab.sampling import RunConfig, derive_rng, rational_points
+from germlab.sampling import RunConfig, derive_rng
 from germlab.witness import (
     condition_b_family_check,
     condition_b_sampled_probe,
@@ -38,7 +38,7 @@ from germlab.witness import (
 from germlab.certify import RegularityReport
 
 from oracles import (fd_gradient, fraction_rank, from_polys, leibniz_det, mixed_float_value,
-                     transpose)
+                     rational_points, transpose)
 
 
 def _decl(fname, name=None):

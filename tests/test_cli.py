@@ -339,6 +339,20 @@ def test_compose_exact_prints_the_seed_only_with_a_claim(capsys, monkeypatch):
     assert "seed" not in unclaimed
 
 
+def test_closure_separation_refuses_a_radius_that_draws_only_the_origin(capsys):
+    # Candidate denominators run to 64: at --radius 0.01 every rational
+    # candidate would be the origin, leaving the sparse grid alone.
+    code, out, err = run_cli(capsys, *COMPOSE_EXACT, "--radius", "0.01")
+    assert (code, out) == (2, "")
+    assert "--radius 0.01 is below 1/64" in err
+    code, out, _ = run_cli(capsys, "corpus", "run", "--radius", "0.01", "--filter", "comp48")
+    assert code == 1
+    assert out.startswith("comp48         error") and "below 1/64" in out
+    # At 1/64 the stream reaches points off the origin.
+    doc = run_json(capsys, *COMPOSE_EXACT, "--radius", "0.015625")
+    assert doc["closure_meets_sing_g_only_at_0"] is True
+
+
 def test_only_the_cli_reads_the_environment():
     root = Path(germlab.__file__).resolve().parent
     readers = [path.relative_to(root).as_posix()

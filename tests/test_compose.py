@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import germlab.sampling
 from germlab.compose import (
     CompositionCheck,
     composition_milnor_check,
@@ -12,10 +14,12 @@ from germlab.compose import (
     image_in_milnor_check,
     inclusion_report,
 )
+from germlab.dsl import parse_path
 from germlab.germs import GermlabRejection, RealMapGerm, milnor_data
 from germlab.poly import VarContext
-from germlab.sampling import R_MIN, TOL_ACCUM, RunConfig, derive_rng, rational_points
-from oracles import from_polys, germ_value, parametrization_value, scipy_composition_ladder
+from germlab.sampling import R_MIN, TOL_ACCUM, RunConfig, derive_rng, sparse_grid
+from oracles import (cleared_pullback, from_polys, germ_value, parametrization_value,
+                     rational_points, scipy_composition_ladder, term_text)
 
 
 def _germ(names, build, name):
@@ -108,6 +112,47 @@ def test_positive_transfer_classifies_components():
     assert chk.violation is None
     assert chk.flagged == ("z=0",)
     assert chk.closure_meets_sing_g_only_at_0 is True
+
+
+def test_closure_candidates_stream_in_the_listed_order(monkeypatch):
+    # The separation draws its rational candidates one at a time, in the
+    # order of the listed stream and then the sparse grid.
+    seen = []
+
+    def spy(polys, points):
+        assert not isinstance(points, list)
+        seen.extend(points)
+        return None
+
+    monkeypatch.setattr(germlab.sampling, "common_zero", spy)
+    cfg = RunConfig(samples=7, radius=0.5)
+    chk = composition_milnor_check(G48, F48, [plane48(), cone48()],
+                                   closure_claim=closure48(), config=cfg)
+    assert chk.closure_meets_sing_g_only_at_0 is True
+    rng = derive_rng(cfg.seed, "closure-sep")
+    assert seen == rational_points(rng, 3, 35, radius=0.5) + sparse_grid(3)
+
+
+def test_closure_separation_refuses_a_radius_that_draws_only_the_origin():
+    with pytest.raises(ValueError, match="1/64"):
+        composition_milnor_check(G48, F48, [plane48(), cone48()],
+                                 closure_claim=closure48(), config=RunConfig(radius=0.01))
+
+
+def test_a_rejected_rational_component_prints_the_cleared_pullback():
+    # The fixture's component has denominators other than 1, one of them
+    # shared, and misses M(H): the rejection carries the cleared numerator.
+    decls = parse_path(Path(__file__).parent / "data" / "cleared_pullback.germ")
+    inner, outer = decls.single("F"), decls.single("G")
+    (phi,) = inner.sets["MH"]
+    with pytest.raises(GermlabRejection) as exc:
+        composition_milnor_check(outer.germ, inner.germ, [phi], closure_claim=None,
+                                 config=RunConfig())
+    mp_h = milnor_data(compose_exact(outer.germ, inner.germ)).milnor_poly
+    want = cleared_pullback(mp_h.terms, [n.terms for n in phi.numerators], 2,
+                            [d.terms for d in phi.denominators])
+    assert exc.value.details == {"component": "MH[0]",
+                                 "pullback": term_text(want, phi.params.names)}
 
 
 def test_positive_transfer_installs_fact_under_declarations():

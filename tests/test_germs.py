@@ -12,9 +12,10 @@ from germlab.germs import (
     realify_mixed,
 )
 from germlab.poly import Polynomial, VarContext
-from germlab.sampling import derive_rng, rational_points
+from germlab.sampling import derive_rng
 
-from oracles import cauchy_binet_sum, fraction_rank, from_polys, parametrization_value, transpose
+from oracles import (cauchy_binet_sum, fraction_rank, from_polys, parametrization_value,
+                     rational_points, transpose)
 
 XYZ = VarContext(["x", "y", "z"])
 

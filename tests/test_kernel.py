@@ -1,14 +1,18 @@
 """The packed-integer kernels against the schoolbook oracles.
 
 The sum-of-products kernel (behind `Polynomial.__mul__`, `PolyMatrix.__matmul__`,
-the minors and determinants of `PolyMatrix`, and `substitute`, which
-`pullback_numerator` and `compose_exact` call) and `Polynomial.exact_div`
-pack exponent vectors into ints and scale coefficients to integer
-numerators.  Here they are checked against the plain loops over raw term
-dicts in `oracles.py`: equal term dicts in equal insertion order (float
-evaluation sums terms in that order, and the sampled composition probe
-compiles H's minors in it), equal canonical text, and the same verdict on
-inexact division.  The Laurent ring's operators are checked part by part
+the minors and determinants of `PolyMatrix`, `substitute`, which
+`compose_exact` calls, and the grouped sums of `pullback_numerator`) and
+`Polynomial.exact_div` pack exponent vectors into ints and scale
+coefficients to integer numerators.  Here they are checked against the
+plain loops over raw term dicts in `oracles.py`: equal term dicts in equal
+insertion order (float evaluation sums terms in that order, and the
+sampled composition probe compiles H's minors in it), equal canonical
+text, and the same verdict on inexact division.  Products, sums, minors
+and `substitute` keep that insertion order.  A cleared pullback numerator
+does not: `pullback_numerator` groups its terms one variable at a time,
+and its callers only test it for zero, print its sorted text or evaluate
+it exactly, so it is checked by value, text, degree and coefficient type.  The Laurent ring's operators are checked part by part
 against loops over {power of t: term dict}, and `CurveFamily.pullback` by
 value at rational (t, s) points against term-dict loops.
 Sums, scalar multiples, derivatives, lifts and printing read and write the
@@ -69,12 +73,18 @@ def poly(n, terms):
     return Polynomial(CONTEXTS[n], terms)
 
 
-def assert_matches(got: Polynomial, want: dict):
-    assert list(got.terms.items()) == list(want.items())
+def assert_equals(got: Polynomial, want: dict):
+    """got is the polynomial of want, with its terms in any order."""
     assert got._degree() == max(map(sum, want), default=0)
     assert all(type(c) is Fraction for c in got.terms.values())
     assert got.text() == term_text(want, got.ctx.names)
     assert got == Polynomial(got.ctx, want) and hash(got) == hash(Polynomial(got.ctx, want))
+
+
+def assert_matches(got: Polynomial, want: dict):
+    """got is want, with its terms in want's insertion order."""
+    assert list(got.terms.items()) == list(want.items())
+    assert_equals(got, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -282,8 +292,8 @@ def pullbacks(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(pullbacks())
-# x then x^2 along (s^2 + 3)/(s + 1): x's chain c, n, d orders its terms
-# s^3, s^2, 3s, 3, and c, d, n would order them s^3, 3s, s^2, 3.
+# x + x^2 along (s^2 + 3)/(s + 1): the x term's n * d and the x^2 term's
+# n^2 share the monomials s^2 and 1.
 @example((1, 1, {(1,): Fraction(1), (2,): Fraction(1)},
           [{(2,): Fraction(1), (0,): Fraction(3)}], [{(1,): Fraction(1), (0,): Fraction(1)}]))
 def test_pullback_numerator_matches_oracle(case):
@@ -293,7 +303,69 @@ def test_pullback_numerator_matches_oracle(case):
                           numerators=tuple(Polynomial(params, t) for t in nums),
                           denominators=tuple(Polynomial(params, t) for t in dens))
     got = pullback_numerator(poly(m, p), phi)
-    assert_matches(got, cleared_pullback(p, nums, k, dens))
+    assert_equals(got, cleared_pullback(p, nums, k, dens))
+
+
+S1 = {(1,): Fraction(1)}
+ONE = {(0,): Fraction(1)}
+
+
+@st.composite
+def cleared_pullbacks(draw):
+    """(m, p, nums, dens, cancels): p over m <= 10 variables along n_i/d_i in s.
+
+    The denominators come from a pool of three, 1 among them, so coordinates
+    share one, and zero numerators are common.  When cancels, coordinates a
+    and b carry one ratio in two forms, n_b/d_b = (n_a * t)/(d_a * t), and p
+    is a multiple of x_a - x_b, so the cleared pullback is 0.
+    """
+    m = draw(st.integers(1, 10))
+    pool = [ONE] + [draw(term_dicts(1, max_exp=1, max_terms=2, zero=False)) for _ in range(2)]
+    dens = [draw(st.sampled_from(pool)) for _ in range(m)]
+    nums = [draw(term_dicts(1, max_exp=2, max_terms=2)) for _ in range(m)]
+    # Sparse exponents keep the oracle's expansions small at arity 10.
+    exps = st.tuples(*[st.sampled_from([0, 0, 0, 1, 2])] * m)
+    p = draw(st.dictionaries(exps, unit_coefficients | coefficients, max_size=4))
+    cancels = m > 1 and draw(st.booleans())
+    if cancels:
+        a, b = draw(st.permutations(range(m)))[:2]
+        t = draw(term_dicts(1, max_exp=1, max_terms=2, zero=False))
+        nums[b], dens[b] = schoolbook_mul(nums[a], t), schoolbook_mul(dens[a], t)
+        xa, xb = ({tuple(int(i == j) for i in range(m)): Fraction(1)} for j in (a, b))
+        p = schoolbook_mul(p, plus(xa, xb, -1))
+    return m, p, nums, dens, cancels
+
+
+@settings(max_examples=100, deadline=None)
+@given(cleared_pullbacks())
+# a denominator shared by two coordinates
+@example((2, {(2, 1): Fraction(3), (0, 2): Fraction(-1, 2), (1, 0): Fraction(5)},
+          [S1, {(2,): Fraction(1), (0,): Fraction(-1)}], [plus(S1, ONE)] * 2, False))
+# a zero numerator beside a cleared coordinate
+@example((3, {(1, 0, 2): Fraction(2), (0, 1, 1): Fraction(-1), (0, 2, 0): Fraction(7)},
+          [S1, {}, plus(S1, ONE)], [ONE, plus(S1, ONE), {(1,): Fraction(2)}], False))
+# every denominator 1
+@example((2, {(2, 0): Fraction(1), (1, 1): Fraction(-3)}, [plus(S1, ONE), S1], [ONE] * 2,
+          False))
+# (s/(s + 1), 2s/(2s + 2)): x0 - x1 cancels to 0
+@example((2, {(1, 0): Fraction(1), (0, 1): Fraction(-1)},
+          [S1, {(1,): Fraction(2)}], [plus(S1, ONE), {(1,): Fraction(2), (0,): Fraction(2)}],
+          True))
+# arity 10, each coordinate over s + 1
+@example((10, {(1,) * 10: Fraction(1), (2,) + (0,) * 9: Fraction(-1), (0,) * 9 + (1,): 4},
+          [S1] * 10, [plus(S1, ONE)] * 10, False))
+def test_cleared_pullback_matches_the_oracle(case):
+    m, p, nums, dens, cancels = case
+    params = CONTEXTS[1]
+    values = [Polynomial(params, t) for t in nums]
+    phi = Parametrization(target=CONTEXTS[m], params=params, numerators=tuple(values),
+                          denominators=tuple(Polynomial(params, t) for t in dens))
+    got = pullback_numerator(poly(m, p), phi)
+    assert_equals(got, cleared_pullback(p, nums, 1, dens))
+    if cancels:
+        assert got.is_zero()
+    if all(d == ONE for d in dens):
+        assert got == substitute(poly(m, p), values)
 
 
 @st.composite
@@ -723,6 +795,6 @@ def test_substitute_powers_no_zero_value_and_no_unit_denominator(monkeypatch):
                           denominators=tuple(dens))
     got = pullback_numerator(p, phi)
     assert not any(b is zero or b is one for b in powered)
-    assert_matches(got, cleared_pullback(p.terms, [v.terms for v in nums], 1,
-                                         [d.terms for d in dens]))
+    assert_equals(got, cleared_pullback(p.terms, [v.terms for v in nums], 1,
+                                        [d.terms for d in dens]))
     assert_matches(substitute(p, nums), cleared_pullback(p.terms, [v.terms for v in nums], 1))

@@ -25,11 +25,11 @@ from germlab.germs import Parametrization, _nonzero_point
 from germlab.poly import Polynomial, VarContext
 from germlab.sampling import (
     DEFAULT_SEED, TOL_VARIETY, RunConfig, common_zero, compile_float, compile_jacobian,
-    compile_scale, derive_rng, iter_rational_points, rational_points, refine_batch,
+    compile_scale, derive_rng, iter_rational_points, refine_batch,
 )
 from germlab.witness import _distance_to_components, condition_b_sampled_probe
 
-from oracles import from_polys
+from oracles import from_polys, rational_points
 
 CORPUS = Path(germlab.__file__).parent / "corpus"
 
@@ -55,6 +55,16 @@ def probe_lists() -> dict[str, list[Polynomial]]:
 
 
 LISTS = probe_lists()
+
+
+def test_rational_points_leave_the_origin_from_radius_1_64():
+    rng = derive_rng(DEFAULT_SEED, "closure-sep")
+    pts = rational_points(rng, 3, 1000, radius=Fraction(1, 64))
+    assert {v for pt in pts for v in pt} == {0, Fraction(1, 64), Fraction(-1, 64)}
+    assert sum(map(any, pts)) == 36
+    for below in (0.01, 0.0156, Fraction(1, 65)):
+        with pytest.raises(ValueError, match="1/64"):
+            next(iter_rational_points(derive_rng(DEFAULT_SEED, "closure-sep"), 3, below))
 
 
 def test_rational_points_are_pinned_at_a_fixed_seed():
