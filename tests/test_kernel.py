@@ -12,9 +12,10 @@ text, and the same verdict on inexact division.  Products, sums, minors
 and `substitute` keep that insertion order.  A cleared pullback numerator
 does not: `pullback_numerator` groups its terms one variable at a time,
 and its callers only test it for zero, print its sorted text or evaluate
-it exactly, so it is checked by value, text, degree and coefficient type.  The Laurent ring's operators are checked part by part
-against loops over {power of t: term dict}, and `CurveFamily.pullback` by
-value at rational (t, s) points against term-dict loops.
+it exactly, so it is checked by value, text, degree and coefficient type.
+The Laurent ring's operators are checked part by part against loops over
+{power of t: term dict}, and `CurveFamily.pullback` by value at rational
+(t, s) points against term-dict loops.
 Sums, scalar multiples, derivatives, lifts and printing read and write the
 packed form too, so each is checked against its term-dict loop, and a
 result whose degree drops is checked against the same polynomial built
@@ -352,7 +353,7 @@ def cleared_pullbacks(draw):
           [S1, {(1,): Fraction(2)}], [plus(S1, ONE), {(1,): Fraction(2), (0,): Fraction(2)}],
           True))
 # arity 10, each coordinate over s + 1
-@example((10, {(1,) * 10: Fraction(1), (2,) + (0,) * 9: Fraction(-1), (0,) * 9 + (1,): 4},
+@example((10, {(1,) * 10: Fraction(1), (2,) + (0,) * 9: Fraction(-1), (0,) * 9 + (1,): Fraction(4)},
           [S1] * 10, [plus(S1, ONE)] * 10, False))
 def test_cleared_pullback_matches_the_oracle(case):
     m, p, nums, dens, cancels = case
